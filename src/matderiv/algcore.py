@@ -1,9 +1,12 @@
 """Finite-dimensional unital associative algebras over Q, by structure constants.
 
-An Algebra stores the full multiplication tensor c[i][j][k] (e_i e_j =
-sum_k c[i][j][k] e_k) together with the coordinates of its unit.  A Bimodule
-over an algebra stores left and right action tensors the same way.  Elements
-are plain tuples of Fraction over the owning basis.
+An Algebra stores its structure constants as a sparse table: table[i][j] is
+the tuple of (k, c) pairs with e_i e_j = sum c e_k, every c nonzero and k
+strictly increasing, together with the coordinates of its unit.  A Bimodule
+over an algebra stores its left and right actions as tables of the same
+form.  The canonical form makes equal algebras have equal tables.  Dense
+tensors c[i][j][k] (mult, left, right) are derived views, built on first use.
+Elements are plain tuples of Fraction over the owning basis.
 
 Validators check the defining axioms on every basis tuple and report each
 violation with the offending indices and both expansions; everything else in
@@ -13,61 +16,92 @@ the package assumes its inputs have already been validated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
-from .exactlin import ONE, ZERO, Vector, basis_vec, vadd, vscale, zero_vec
+from .exactlin import ZERO, Vector, basis_vec
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
 SparseEntry = tuple[int, Fraction]
 
+Table = tuple[tuple[tuple[SparseEntry, ...], ...], ...]
 
-def _dense3(dim0: int, dim1: int, dim2: int,
-            triples: Mapping[tuple[int, int, int], Fraction]) -> Tensor3:
-    cube = [[[ZERO] * dim2 for _ in range(dim1)] for _ in range(dim0)]
+
+def _table(dim0: int, dim1: int, dim2: int,
+           triples: Mapping[tuple[int, int, int], Fraction]) -> Table:
+    cells: list[list[dict[int, Fraction]]] = [[{} for _ in range(dim1)]
+                                              for _ in range(dim0)]
     for (i, j, k), c in triples.items():
         if not (0 <= i < dim0 and 0 <= j < dim1 and 0 <= k < dim2):
             raise ValueError(f"structure constant index {(i, j, k)} out of range")
-        cube[i][j][k] = Fraction(c)
-    return tuple(tuple(tuple(r) for r in plane) for plane in cube)
+        c = Fraction(c)
+        if c:
+            cells[i][j][k] = c
+    return tuple(tuple(tuple(sorted(cell.items())) for cell in plane)
+                 for plane in cells)
 
 
-def _sparse_pairs(tensor: Tensor3) -> tuple[tuple[tuple[SparseEntry, ...], ...], ...]:
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-        for plane in tensor)
+def _check_table(table: Table, dim0: int, dim1: int, dim2: int, what: str) -> None:
+    """Raise unless table has shape dim0 x dim1 and every cell lists nonzero
+    coefficients at strictly increasing indices below dim2."""
+    if len(table) != dim0 or any(len(plane) != dim1 for plane in table):
+        raise ValueError(f"{what} table shape mismatch")
+    for i, plane in enumerate(table):
+        for j, cell in enumerate(plane):
+            prev = -1
+            for k, c in cell:
+                if not prev < k < dim2:
+                    raise ValueError(f"{what} table cell {(i, j)}: index {k} "
+                                     "out of range or out of order")
+                if not c:
+                    raise ValueError(f"{what} table cell {(i, j)}: zero "
+                                     f"coefficient at index {k}")
+                prev = k
+
+
+def _dense(table: Table, dim2: int) -> Tensor3:
+    out = []
+    for plane in table:
+        rows = []
+        for cell in plane:
+            row = [ZERO] * dim2
+            for k, c in cell:
+                row[k] = c
+            rows.append(tuple(row))
+        out.append(tuple(rows))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Algebra:
-    """Unital associative algebra given by basis labels, unit and mult tensor."""
+    """Unital associative algebra given by basis labels, unit and the sparse
+    table of its structure constants."""
 
     dim: int
     labels: tuple[str, ...]
     unit: Vector
-    mult: Tensor3
-    # sparse view of mult, rebuilt in __post_init__; never part of equality
-    _pairs: tuple = field(default=None, compare=False, repr=False)
+    table: Table
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("algebra dimension must be positive")
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
             raise ValueError("labels/unit length does not match dim")
-        if len(self.mult) != self.dim:
-            raise ValueError("mult tensor shape mismatch")
-        for plane in self.mult:
-            if len(plane) != self.dim or any(len(row) != self.dim for row in plane):
-                raise ValueError("mult tensor shape mismatch")
-        object.__setattr__(self, "_pairs", _sparse_pairs(self.mult))
+        _check_table(self.table, self.dim, self.dim, self.dim, "mult")
 
     @classmethod
     def from_sparse(cls, dim: int, labels: Sequence[str], unit: Sequence,
                     triples: Mapping[tuple[int, int, int], Fraction]) -> "Algebra":
         return cls(dim, tuple(labels), tuple(Fraction(u) for u in unit),
-                   _dense3(dim, dim, dim, triples))
+                   _table(dim, dim, dim, triples))
+
+    @cached_property
+    def mult(self) -> Tensor3:
+        """Dense view: mult[i][j][k] is the coefficient of e_k in e_i e_j."""
+        return _dense(self.table, self.dim)
 
     def basis_element(self, i: int) -> Vector:
         return basis_vec(self.dim, i)
@@ -75,29 +109,39 @@ class Algebra:
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Bimodule over an Algebra: left tensor L[i][p][q] (e_i . f_p), right
-    tensor R[p][i][q] (f_p . e_i)."""
+    """Bimodule over an Algebra: left_table[i][p] lists e_i . f_p and
+    right_table[p][i] lists f_p . e_i, in the sparse form of Algebra.table."""
 
     dim: int
     algebra_dim: int
-    left: Tensor3
-    right: Tensor3
-    _left_pairs: tuple = field(default=None, compare=False, repr=False)
-    _right_pairs: tuple = field(default=None, compare=False, repr=False)
+    left_table: Table
+    right_table: Table
 
     def __post_init__(self):
         if self.dim < 1 or self.algebra_dim < 1:
             raise ValueError("dimensions must be positive")
-        if len(self.left) != self.algebra_dim or any(
-                len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-                for plane in self.left):
-            raise ValueError("left tensor shape mismatch")
-        if len(self.right) != self.dim or any(
-                len(plane) != self.algebra_dim or any(len(row) != self.dim for row in plane)
-                for plane in self.right):
-            raise ValueError("right tensor shape mismatch")
-        object.__setattr__(self, "_left_pairs", _sparse_pairs(self.left))
-        object.__setattr__(self, "_right_pairs", _sparse_pairs(self.right))
+        _check_table(self.left_table, self.algebra_dim, self.dim, self.dim, "left")
+        _check_table(self.right_table, self.dim, self.algebra_dim, self.dim, "right")
+
+    @classmethod
+    def from_sparse(cls, dim: int, algebra_dim: int,
+                    left_triples: Mapping[tuple[int, int, int], Fraction],
+                    right_triples: Mapping[tuple[int, int, int], Fraction]) -> "Bimodule":
+        """left_triples maps (i, p, q) and right_triples maps (p, i, q) to the
+        coefficient of f_q in e_i . f_p and f_p . e_i."""
+        return cls(dim, algebra_dim,
+                   _table(algebra_dim, dim, dim, left_triples),
+                   _table(dim, algebra_dim, dim, right_triples))
+
+    @cached_property
+    def left(self) -> Tensor3:
+        """Dense view: left[i][p][q] is the coefficient of f_q in e_i . f_p."""
+        return _dense(self.left_table, self.dim)
+
+    @cached_property
+    def right(self) -> Tensor3:
+        """Dense view: right[p][i][q] is the coefficient of f_q in f_p . e_i."""
+        return _dense(self.right_table, self.dim)
 
     def basis_element(self, p: int) -> Vector:
         return basis_vec(self.dim, p)
@@ -112,11 +156,10 @@ def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("element length does not match algebra dimension")
     acc = [ZERO] * a.dim
-    pairs = a._pairs
     for i, xi in enumerate(x):
         if not xi:
             continue
-        row = pairs[i]
+        row = a.table[i]
         for j, yj in enumerate(y):
             if not yj:
                 continue
@@ -136,7 +179,7 @@ def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
         for i, ai in enumerate(a_coords):
             if not ai:
                 continue
-            plane = m._left_pairs[i]
+            plane = m.left_table[i]
             for p, fp in enumerate(f_coords):
                 if not fp:
                     continue
@@ -147,7 +190,7 @@ def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
         for p, fp in enumerate(f_coords):
             if not fp:
                 continue
-            plane = m._right_pairs[p]
+            plane = m.right_table[p]
             for i, ai in enumerate(a_coords):
                 if not ai:
                     continue
@@ -161,12 +204,8 @@ def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
 
 def regular_bimodule(a: Algebra) -> Bimodule:
     """The algebra acting on itself on both sides."""
-    left = a.mult
-    right = tuple(
-        tuple(tuple(a.mult[p][i][q] for q in range(a.dim)) for i in range(a.dim))
-        for p in range(a.dim))
-    # right[p][i][q] = coeff of e_q in e_p e_i
-    return Bimodule(a.dim, a.dim, left, right)
+    # e_i . e_p and e_p . e_i are both products in a, so both tables are a's
+    return Bimodule(a.dim, a.dim, a.table, a.table)
 
 
 def commutes(a: Algebra, m: Bimodule) -> bool:
@@ -175,7 +214,7 @@ def commutes(a: Algebra, m: Bimodule) -> bool:
         raise ValueError("bimodule is not over this algebra")
     for i in range(a.dim):
         for p in range(m.dim):
-            if m.left[i][p] != m.right[p][i]:
+            if m.left_table[i][p] != m.right_table[p][i]:
                 return False
     return True
 
@@ -218,18 +257,18 @@ def validate_algebra(a: Algebra) -> list[Violation]:
         rhs = multiply(a, ej, a.unit)
         if rhs != ej:
             out.append(Violation("right unit law", (j,), rhs, ej))
-    pairs = a._pairs
+    table = a.table
     for i in range(dim):
         for j in range(dim):
-            ij = pairs[i][j]
+            ij = table[i][j]
             for k in range(dim):
                 lhs = [ZERO] * dim
                 for t, c in ij:
-                    for s, c2 in pairs[t][k]:
+                    for s, c2 in table[t][k]:
                         lhs[s] += c * c2
                 rhs = [ZERO] * dim
-                for t, c in pairs[j][k]:
-                    for s, c2 in pairs[i][t]:
+                for t, c in table[j][k]:
+                    for s, c2 in table[i][t]:
                         rhs[s] += c * c2
                 if lhs != rhs:
                     out.append(Violation("associativity", (i, j, k),
@@ -333,19 +372,11 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     dim = a.dim + b.dim
     labels = tuple(f"({lab},0)" for lab in a.labels) + tuple(f"(0,{lab})" for lab in b.labels)
     unit = tuple(a.unit) + tuple(b.unit)
-    triples: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.mult[i][j]):
-                if c:
-                    triples[(i, j, k)] = c
-    off = a.dim
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k, c in enumerate(b.mult[i][j]):
-                if c:
-                    triples[(off + i, off + j, off + k)] = c
-    return Algebra.from_sparse(dim, labels, unit, triples)
+    shifted = tuple(tuple(tuple((a.dim + k, c) for k, c in cell) for cell in plane)
+                    for plane in b.table)
+    table = (tuple(plane + ((),) * b.dim for plane in a.table)
+             + tuple(((),) * a.dim + plane for plane in shifted))
+    return Algebra(dim, labels, unit, table)
 
 
 _BUILDERS = {

@@ -138,15 +138,13 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
     dim = _require(data, "dim", path)
     if not isinstance(dim, int) or dim <= 0:
         raise CliInputError(f"{path}: dim must be a positive integer")
-    left = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(a.dim)]
-    right = [[[Fraction(0)] * dim for _ in range(a.dim)] for _ in range(dim)]
-    for field, tensor, ranges in (("left", left, (a.dim, dim, dim)),
-                                  ("right", right, (dim, a.dim, dim))):
+    triples: dict[str, dict[tuple[int, int, int], Fraction]] = {}
+    for field, ranges in (("left", (a.dim, dim, dim)), ("right", (dim, a.dim, dim))):
         entries = _require(data, field, path)
         if not isinstance(entries, list):
             raise CliInputError(f"{path}: {field} must be a list")
         keys = ("i", "p", "q") if field == "left" else ("p", "i", "q")
-        seen = set()
+        found = triples[field] = {}
         for ent in entries:
             if not isinstance(ent, dict) or not set(keys) <= set(ent):
                 raise CliInputError(
@@ -156,15 +154,10 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
                 if not isinstance(val, int) or not 0 <= val < bound:
                     raise CliInputError(
                         f"{path}: {field} index {val!r} out of range")
-            if idx in seen:
+            if idx in found:
                 raise CliInputError(f"{path}: duplicate {field} entry at {idx}")
-            seen.add(idx)
-            tensor[idx[0]][idx[1]][idx[2]] = parse_rational(_require(ent, "c", path))
-
-    def freeze(t):
-        return tuple(tuple(tuple(row) for row in plane) for plane in t)
-
-    return Bimodule(dim, a.dim, freeze(left), freeze(right))
+            found[idx] = parse_rational(_require(ent, "c", path))
+    return Bimodule.from_sparse(dim, a.dim, triples["left"], triples["right"])
 
 
 def resolve_algebra(ref: str) -> Algebra:
@@ -369,6 +362,8 @@ def _parse_oracle_spec(spec: str, a: Algebra, m: Bimodule,
 
 
 def cmd_twolocal(args, out: TextIO) -> int:
+    if args.samples < 0:
+        raise CliInputError("--samples must be at least 0")
     base = resolve_algebra(args.algebra)
     base_mod = regular_bimodule(base)
     n = args.n

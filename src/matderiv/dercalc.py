@@ -109,15 +109,15 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
         for j in range(d):
             cj = cols[j]
             acc = [ZERO] * md
-            for k, c in a._pairs[i][j]:
+            for k, c in a.table[i][j]:
                 ck = cols[k]
                 for q in range(md):
                     if ck[q]:
                         acc[q] += c * ck[q]
             for p, v in ci_nz:                       # delta(e_i).e_j
-                for q, c in m._right_pairs[p][j]:
+                for q, c in m.right_table[p][j]:
                     acc[q] -= v * c
-            plane = m._left_pairs[i]                 # e_i.delta(e_j)
+            plane = m.left_table[i]                  # e_i.delta(e_j)
             for p, v in enumerate(cj):
                 if v:
                     for q, c in plane[p]:
@@ -151,13 +151,13 @@ def _action_by_output(m: Bimodule):
     d, md = m.algebra_dim, m.dim
     right_q = [[[] for _ in range(md)] for _ in range(d)]
     for p in range(md):
-        plane = m._right_pairs[p]
+        plane = m.right_table[p]
         for i in range(d):
             for q, v in plane[i]:
                 right_q[i][q].append((p, v))
     left_q = [[[] for _ in range(md)] for _ in range(d)]
     for i in range(d):
-        plane = m._left_pairs[i]
+        plane = m.left_table[i]
         for p in range(md):
             for q, v in plane[p]:
                 left_q[i][q].append((p, v))
@@ -195,7 +195,7 @@ def _constraint_rows(a: Algebra, m: Bimodule,
 
             def add_image(ii: int, jj: int):
                 # + delta(e_ii e_jj) contributes c[ii][jj][k] at column k*md+q
-                for k, c in a._pairs[ii][jj]:
+                for k, c in a.table[ii][jj]:
                     base = k * md
                     for q in range(md):
                         row = rows[q]

@@ -172,16 +172,17 @@ def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
     return row
 
 
-def _int_row_sparse(items: Iterable[tuple[int, Fraction]], width: int) -> list[int]:
-    pairs = [(c, x) for c, x in items if x]
+def _primitive_pairs(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, int], ...]:
+    """Integer-scaled, gcd-primitive (column, value) pairs of a sparse row,
+    sorted by column.  Two rows give the same pairs exactly when they are
+    equal up to a positive scale."""
+    pairs = sorted((c, x) for c, x in items if x)
     den = 1
     for _, x in pairs:
         den = lcm(den, x.denominator)
-    row = [0] * width
-    for c, x in pairs:
-        row[c] = x.numerator * (den // x.denominator)
-    _primitive(row)
-    return row
+    vals = [x.numerator * (den // x.denominator) for _, x in pairs]
+    _primitive(vals)
+    return tuple((c, v) for (c, _), v in zip(pairs, vals))
 
 
 class _Echelon:
@@ -270,19 +271,11 @@ class _Echelon:
         return frac_rows, cols
 
 
-def _echelonize(int_rows: Iterable[list[int]], width: int,
-                dedupe: bool = False) -> tuple[list[Vector], list[int]]:
+def _echelonize(int_rows: Iterable[list[int]], width: int) -> tuple[list[Vector], list[int]]:
     ech = _Echelon(width)
-    seen: set[tuple] = set()
     for row in int_rows:
-        if dedupe:
-            key = tuple((t, v) for t, v in enumerate(row) if v)
-            if not key or key in seen:
-                continue
-            seen.add(key)
-        elif not any(row):
-            continue
-        ech.insert(row)
+        if any(row):
+            ech.insert(row)
     return ech.finish()
 
 
@@ -326,10 +319,19 @@ def nullspace(m: Matrix) -> "Subspace":
 
 def nullspace_sparse(rows: Iterable[Iterable[tuple[int, Fraction]]], width: int) -> "Subspace":
     """nullspace() for a constraint system supplied row by row as sparse
-    (column, coefficient) pairs.  Identical duplicate rows are skipped; the
-    solution space does not depend on them."""
-    int_rows = (_int_row_sparse(r, width) for r in rows)
-    frac_rows, cols = _echelonize(int_rows, width, dedupe=True)
+    (column, coefficient) pairs.  A row equal to an earlier one up to a
+    positive scale is skipped; the solution space does not depend on it."""
+    def distinct_rows():
+        seen: set[tuple] = set()
+        for r in rows:
+            key = _primitive_pairs(r)
+            if key and key not in seen:
+                seen.add(key)
+                row = [0] * width
+                for c, v in key:
+                    row[c] = v
+                yield row
+    frac_rows, cols = _echelonize(distinct_rows(), width)
     return _nullspace_core(frac_rows, cols, width)
 
 

@@ -3,8 +3,10 @@
 Basis layout: M_n(A) has basis (base element k) placed in matrix block (i, j),
 flattened as (i*n + j)*d + k; M_n(M) is laid out the same way.  Multiplication
 is (a x E_ij)(b x E_kl) = [j=k] (ab x E_il), with matching left/right module
-actions.  Rows and columns of the n x n grid are 0-based in code; printed
-labels use the usual 1-based matrix-unit names.
+actions, so the sparse structure tables of M_n(A) and M_n(M) are assembled
+block by block from the base tables; no dense tensor is formed.  Rows and
+columns of the n x n grid are 0-based in code; printed labels use the usual
+1-based matrix-unit names.
 
 Core operations: embedding base elements into blocks, lifting a base
 derivation to act entrywise, extracting component maps (i,j|r,s) of a
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algcore import Algebra, Bimodule, act, multiply, regular_bimodule
+from .algcore import Algebra, Bimodule, Table, act, multiply, regular_bimodule
 from .dercalc import Derivation, LinearMap, certify, leibniz_failures
-from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, zero_vec
+from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, vsub, zero_vec
 
 
 class DecompositionError(RuntimeError):
@@ -32,13 +34,13 @@ class DecompositionError(RuntimeError):
 # construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixAlgebra:
-    """M_n(base) with its flat basis indexing."""
+class _BlockIndex:
+    """Flat block indexing shared by M_n(A) and M_n(M): base basis element k
+    in block (i, j) sits at (i*n + j)*base.dim + k of a space of dimension
+    n*n*base.dim."""
 
-    base: Algebra
+    base: Algebra | Bimodule
     n: int
-    algebra: Algebra
 
     def flat(self, i: int, j: int, k: int) -> int:
         self._check_block(i, j)
@@ -47,8 +49,7 @@ class MatrixAlgebra:
         return (i * self.n + j) * self.base.dim + k
 
     def unflat(self, t: int) -> tuple[int, int, int]:
-        d = self.base.dim
-        block, k = divmod(t, d)
+        block, k = divmod(t, self.base.dim)
         i, j = divmod(block, self.n)
         return i, j, k
 
@@ -61,54 +62,56 @@ class MatrixAlgebra:
         self._check_block(i, j)
         if len(x) != self.base.dim:
             raise ValueError("element length does not match base dimension")
-        out = [ZERO] * self.algebra.dim
+        out = [ZERO] * (self.n * self.n * self.base.dim)
         off = (i * self.n + j) * self.base.dim
         for k, c in enumerate(x):
             out[off + k] = Fraction(c)
         return tuple(out)
 
     def entry(self, big: Sequence[Fraction], i: int, j: int) -> Vector:
-        """Block (i, j) of a matrix-algebra element, in base coordinates."""
+        """Block (i, j) of a matrix-level element, in base coordinates."""
         self._check_block(i, j)
-        if len(big) != self.algebra.dim:
-            raise ValueError("element length does not match matrix algebra dimension")
+        if len(big) != self.n * self.n * self.base.dim:
+            raise ValueError("element length does not match matrix-level dimension")
         off = (i * self.n + j) * self.base.dim
         return tuple(big[off:off + self.base.dim])
 
 
 @dataclass(frozen=True)
-class MatrixBimodule:
+class MatrixAlgebra(_BlockIndex):
+    """M_n(base) with its flat basis indexing."""
+
+    base: Algebra
+    n: int
+    algebra: Algebra
+
+
+@dataclass(frozen=True)
+class MatrixBimodule(_BlockIndex):
     """M_n(base module) as a bimodule over the matching M_n(A)."""
 
     base: Bimodule
     n: int
     bimodule: Bimodule
 
-    def flat(self, i: int, j: int, p: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"block index ({i},{j}) out of range for n={self.n}")
-        if not 0 <= p < self.base.dim:
-            raise ValueError(f"base index {p} out of range")
-        return (i * self.n + j) * self.base.dim + p
 
-    def embed(self, f: Sequence[Fraction], i: int, j: int) -> Vector:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"block index ({i},{j}) out of range for n={self.n}")
-        if len(f) != self.base.dim:
-            raise ValueError("element length does not match base module dimension")
-        out = [ZERO] * self.bimodule.dim
-        off = (i * self.n + j) * self.base.dim
-        for p, c in enumerate(f):
-            out[off + p] = Fraction(c)
-        return tuple(out)
-
-    def entry(self, big: Sequence[Fraction], i: int, j: int) -> Vector:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"block index ({i},{j}) out of range for n={self.n}")
-        if len(big) != self.bimodule.dim:
-            raise ValueError("element length does not match matrix module dimension")
-        off = (i * self.n + j) * self.base.dim
-        return tuple(big[off:off + self.base.dim])
+def _block_table(table: Table, n: int, d0: int, d1: int, d2: int) -> Table:
+    """Table of the products (x E_ij)(y E_jl) = xy E_il, all other block
+    pairs giving 0, for base factors x < d0, y < d1 and products in a base
+    space of dimension d2 described by table."""
+    planes = []
+    for i in range(n):
+        for j in range(n):
+            for x in range(d0):
+                plane = [()] * (n * n * d1)
+                for l in range(n):
+                    out_off = (i * n + l) * d2
+                    col_off = (j * n + l) * d1
+                    for y in range(d1):
+                        plane[col_off + y] = tuple((out_off + t, c)
+                                                   for t, c in table[x][y])
+                planes.append(tuple(plane))
+    return tuple(planes)
 
 
 def matrix_algebra(a: Algebra, n: int) -> MatrixAlgebra:
@@ -119,69 +122,24 @@ def matrix_algebra(a: Algebra, n: int) -> MatrixAlgebra:
     dim = n * n * d
     labels = tuple(f"{a.labels[k]}*E{i + 1}{j + 1}"
                    for i in range(n) for j in range(n) for k in range(d))
-    mult = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for q in range(n):
-                # (e_k x E_ij)(e_l x E_jq) = sum_t c[k][l][t] e_t x E_iq
-                out_off = (i * n + q) * d
-                row_off = (i * n + j) * d
-                col_off = (j * n + q) * d
-                for kk in range(d):
-                    plane = mult[row_off + kk]
-                    pairs = a._pairs[kk]
-                    for ll in range(d):
-                        row = plane[col_off + ll]
-                        for t, c in pairs[ll]:
-                            row[out_off + t] = c
     unit = [ZERO] * dim
     for i in range(n):
         off = (i * n + i) * d
         for k, c in enumerate(a.unit):
             unit[off + k] = c
-    big = Algebra(dim, labels, tuple(unit),
-                  tuple(tuple(tuple(r) for r in plane) for plane in mult))
+    big = Algebra(dim, labels, tuple(unit), _block_table(a.table, n, d, d, d))
     return MatrixAlgebra(a, n, big)
 
 
 def matrix_bimodule(m: Bimodule, n: int) -> MatrixBimodule:
-    """M_n(m) over M_n(A): (a x E_ij).(f x E_kl) = [j=k] (a.f x E_il) and
-    (f x E_kl).(a x E_ij) = [l=i] (f.a x E_kj)."""
+    """M_n(m) over M_n(A): (a x E_ij).(f x E_jl) = a.f x E_il and
+    (f x E_ij).(a x E_jl) = f.a x E_il, all other block pairs giving 0."""
     if n < 2:
         raise ValueError("matrix extension needs n >= 2")
     d, md = m.algebra_dim, m.dim
-    adim, mdim = n * n * d, n * n * md
-    left = [[[ZERO] * mdim for _ in range(mdim)] for _ in range(adim)]
-    right = [[[ZERO] * mdim for _ in range(adim)] for _ in range(mdim)]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                a_off = (i * n + j) * d
-                f_off = (j * n + l) * md
-                out_off = (i * n + l) * md
-                for aa in range(d):
-                    plane = left[a_off + aa]
-                    pairs = m._left_pairs[aa]
-                    for pp in range(md):
-                        row = plane[f_off + pp]
-                        for q, c in pairs[pp]:
-                            row[out_off + q] = c
-    for kk in range(n):
-        for i in range(n):
-            for j in range(n):
-                f_off = (kk * n + i) * md
-                a_off = (i * n + j) * d
-                out_off = (kk * n + j) * md
-                for pp in range(md):
-                    plane = right[f_off + pp]
-                    pairs = m._right_pairs[pp]
-                    for aa in range(d):
-                        row = plane[a_off + aa]
-                        for q, c in pairs[aa]:
-                            row[out_off + q] = c
-    big = Bimodule(mdim, adim,
-                   tuple(tuple(tuple(r) for r in plane) for plane in left),
-                   tuple(tuple(tuple(r) for r in plane) for plane in right))
+    big = Bimodule(n * n * md, n * n * d,
+                   _block_table(m.left_table, n, d, md, md),
+                   _block_table(m.right_table, n, md, d, md))
     return MatrixBimodule(m, n, big)
 
 
@@ -306,130 +264,48 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     matrix pair; each result carries the first offending index tuple."""
     if not D.certified:
         raise ValueError("verify_lemma22 requires a certified derivation")
-    n, d = ma.n, ma.base.dim
+    d = ma.base.dim
     base_m = mm.base
-    unit = ma.base.unit
-    comp: dict[tuple[int, int, int, int], LinearMap] = {}
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                for s in range(n):
-                    comp[(i, j, r, s)] = component(D, ma, mm, i, j, r, s)
-    of_unit = {key: c.apply(unit) for key, c in comp.items()}
+    N, K = range(ma.n), range(d)
+    comp = {(i, j, r, s): component(D, ma, mm, i, j, r, s)
+            for i in N for j in N for r in N for s in N}
+    of_unit = {key: c.apply(ma.base.unit) for key, c in comp.items()}
+    cols = {key: [c.matrix.col(k) for k in K] for key, c in comp.items()}
+
+    def act_basis(side: str, k: int, g: Vector) -> Vector:
+        return act(base_m, side, basis_vec(d, k), g)
+
+    searches = (
+        # (i) zero component when both rows and both columns differ
+        ("i", ((i, j, r, s) for i in N for j in N for r in N for s in N
+               if i != r and j != s and not comp[(i, j, r, s)].is_zero())),
+        # (ii) off-diagonal rows: (i,j|r,j) is right multiplication by the
+        # unit value of (i,m|r,m), independent of the column index
+        ("ii", ((i, j, r, m_, k) for i in N for r in N if i != r
+                for j in N for m_ in N for k in K
+                if cols[(i, j, r, j)][k] != cols[(i, m_, r, m_)][k]
+                or cols[(i, j, r, j)][k] != act_basis("right", k, of_unit[(i, m_, r, m_)]))),
+        # (iii) off-diagonal columns: (i,j|i,s) is left multiplication by the
+        # unit value of (m,j|m,s), independent of the row index
+        ("iii", ((i, j, s, m_, k) for j in N for s in N if j != s
+                 for i in N for m_ in N for k in K
+                 if cols[(i, j, i, s)][k] != cols[(m_, j, m_, s)][k]
+                 or cols[(i, j, i, s)][k] != act_basis("left", k, of_unit[(m_, j, m_, s)]))),
+        # (iv) antisymmetry of the unit values across the diagonal
+        ("iv", ((i, j, m_) for i in N for j in N for m_ in N
+                if of_unit[(i, m_, j, m_)] != tuple(-x for x in of_unit[(m_, j, m_, i)]))),
+        # (v) diagonal components differ from the corner component by an
+        # inner derivation of unit values
+        ("v", ((i, j, m_, k) for i in N for j in N for m_ in N for k in K
+               if cols[(i, j, i, j)][k] != vadd(
+                   vsub(act_basis("right", k, of_unit[(i, m_, i, m_)]),
+                        act_basis("left", k, of_unit[(j, m_, j, m_)])),
+                   cols[(m_, m_, m_, m_)][k]))),
+    )
     results = []
-
-    # (i) zero component when both rows and both columns differ
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if i != r and j != s and not comp[(i, j, r, s)].is_zero():
-                        bad = (i, j, r, s)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(IdentityResult("i", bad is None, bad))
-
-    # (ii) off-diagonal rows: (i,j|r,j) is right multiplication by the
-    # unit value of (i,m|r,m), independent of the column index
-    bad = None
-    for i in range(n):
-        for r in range(n):
-            if i == r:
-                continue
-            for j in range(n):
-                cij = comp[(i, j, r, j)]
-                for m_ in range(n):
-                    g = of_unit[(i, m_, r, m_)]
-                    for k in range(d):
-                        lhs = cij.matrix.col(k)
-                        if (lhs != comp[(i, m_, r, m_)].matrix.col(k)
-                                or lhs != act(base_m, "right", basis_vec(d, k), g)):
-                            bad = (i, j, r, m_, k)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(IdentityResult("ii", bad is None, bad))
-
-    # (iii) off-diagonal columns: (i,j|i,s) is left multiplication by the
-    # unit value of (m,j|m,s), independent of the row index
-    bad = None
-    for j in range(n):
-        for s in range(n):
-            if j == s:
-                continue
-            for i in range(n):
-                cis = comp[(i, j, i, s)]
-                for m_ in range(n):
-                    g = of_unit[(m_, j, m_, s)]
-                    for k in range(d):
-                        lhs = cis.matrix.col(k)
-                        if (lhs != comp[(m_, j, m_, s)].matrix.col(k)
-                                or lhs != act(base_m, "left", basis_vec(d, k), g)):
-                            bad = (i, j, s, m_, k)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(IdentityResult("iii", bad is None, bad))
-
-    # (iv) antisymmetry of the unit values across the diagonal
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for m_ in range(n):
-                if of_unit[(i, m_, j, m_)] != tuple(-x for x in of_unit[(m_, j, m_, i)]):
-                    bad = (i, j, m_)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(IdentityResult("iv", bad is None, bad))
-
-    # (v) diagonal components differ from the corner component by an inner
-    # derivation of unit values
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for m_ in range(n):
-                gi = of_unit[(i, m_, i, m_)]
-                gj = of_unit[(j, m_, j, m_)]
-                dm = comp[(m_, m_, m_, m_)]
-                cij = comp[(i, j, i, j)]
-                for k in range(d):
-                    ek = basis_vec(d, k)
-                    want = vadd(tuple(x - y for x, y in
-                                      zip(act(base_m, "right", ek, gi),
-                                          act(base_m, "left", ek, gj))),
-                                dm.matrix.col(k))
-                    if cij.matrix.col(k) != want:
-                        bad = (i, j, m_, k)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(IdentityResult("v", bad is None, bad))
-
+    for name, failures in searches:
+        bad = next(failures, None)
+        results.append(IdentityResult(name, bad is None, bad))
     return Lemma22Report(tuple(results))
 
 

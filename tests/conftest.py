@@ -72,6 +72,19 @@ def innerspaces(pairs, mpairs):
     return get
 
 
+def dense_to_triples(tensor):
+    """{(i, j, k): c} for the nonzero entries of a dense 3-index tensor, in
+    the form Algebra.from_sparse and Bimodule.from_sparse take."""
+    return {(i, j, k): c for i, plane in enumerate(tensor)
+            for j, row in enumerate(plane) for k, c in enumerate(row) if c}
+
+
+def swap_outer(triples):
+    """Exchange the first two indices: left-action triples (i, p, q) become
+    right-action triples (p, i, q) and back."""
+    return {(j, i, k): c for (i, j, k), c in triples.items()}
+
+
 def write_map_file(path, lin, algebra="field", module="regular",
                    kind="derivation"):
     """Serialize a LinearMap as a MapFile the cli commands accept."""

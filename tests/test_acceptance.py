@@ -25,7 +25,7 @@ from matderiv import (Algebra, Bimodule, LinearMap, Matrix, act, agreement_failu
 from matderiv.dercalc import Derivation
 from matderiv.twolocal import NotTwoLocalError
 
-from conftest import CATALOG
+from conftest import CATALOG, dense_to_triples, swap_outer
 from oracles import (commutant_dim_oracle, derivation_dim_oracle,
                      h1_dim_oracle, inner_dim_oracle)
 
@@ -33,14 +33,6 @@ from oracles import (commutant_dim_oracle, derivation_dim_oracle,
 def _within(t0, limit):
     elapsed = time.perf_counter() - t0
     assert elapsed < limit, f"budget exceeded: {elapsed:.2f}s >= {limit}s"
-
-
-def _freeze3(t):
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
-
-
-def _unfreeze3(t):
-    return [[list(row) for row in plane] for plane in t]
 
 
 def test_criterion_01_validation(pairs):
@@ -54,30 +46,26 @@ def test_criterion_01_validation(pairs):
 
     # 1*eps tampered to 2*eps: left unit law breaks at basis index 1
     a, _ = pairs("dual_numbers")
-    mult = _unfreeze3(a.mult)
-    mult[0][1][1] = F(2)
-    v = validate_algebra(Algebra(a.dim, a.labels, a.unit, _freeze3(mult)))
+    mult = dense_to_triples(a.mult)
+    mult[(0, 1, 1)] = F(2)
+    v = validate_algebra(Algebra.from_sparse(a.dim, a.labels, a.unit, mult))
     assert v and (v[0].axiom, v[0].indices) == ("left unit law", (1,))
 
     # unit row of the left action scaled by 2: unit action breaks
     a, m = pairs("dual_numbers")
-    left = _unfreeze3(m.left)
-    for p in range(m.dim):
-        for q in range(m.dim):
-            left[0][p][q] *= 2
-    v = validate_bimodule(a, Bimodule(m.dim, m.algebra_dim, _freeze3(left),
-                                      m.right))
+    left = {(i, p, q): 2 * c if i == 0 else c
+            for (i, p, q), c in dense_to_triples(m.left).items()}
+    v = validate_bimodule(a, Bimodule.from_sparse(m.dim, m.algebra_dim, left,
+                                                  dense_to_triples(m.right)))
     assert v and (v[0].axiom, v[0].indices) == ("left unit action", (0,))
 
     # swapped actions on the regular bimodule of full_matrix_2: the
     # documented exhibit triple (E12, E21, E11) violates left associativity
     a, m = pairs("full_matrix_2")
-    new_left = _freeze3([[[m.right[p][i][q] for q in range(m.dim)]
-                          for p in range(m.dim)] for i in range(a.dim)])
-    new_right = _freeze3([[[m.left[i][p][q] for q in range(m.dim)]
-                           for i in range(a.dim)] for p in range(m.dim)])
-    v = validate_bimodule(a, Bimodule(m.dim, m.algebra_dim, new_left,
-                                      new_right))
+    new_left = swap_outer(dense_to_triples(m.right))
+    new_right = swap_outer(dense_to_triples(m.left))
+    v = validate_bimodule(a, Bimodule.from_sparse(m.dim, m.algebra_dim,
+                                                  new_left, new_right))
     assert ("left associativity", (1, 2, 0)) in [(x.axiom, x.indices)
                                                  for x in v]
     _within(t0, 1)

@@ -10,15 +10,7 @@ from matderiv import (Algebra, Bimodule, CATALOG_NAMES, basis_vec, catalog,
                       catalog_algebra, commutes, direct_sum, multiply,
                       regular_bimodule, act, validate_algebra,
                       validate_bimodule, vadd, vscale, zero_vec)
-from conftest import CATALOG
-
-
-def unfreeze3(t):
-    return [[list(row) for row in plane] for plane in t]
-
-
-def freeze3(t):
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+from conftest import CATALOG, dense_to_triples, swap_outer
 
 
 def rand_elt(rng, dim):
@@ -107,9 +99,9 @@ def test_multiply_bilinear(pairs):
 def test_tamper_unit_row_of_mult():
     # 1*eps changed to 2*eps: the left unit law breaks at basis index 1
     a, _ = catalog("dual_numbers")
-    mult = unfreeze3(a.mult)
-    mult[0][1][1] = F(2)
-    bad = Algebra(a.dim, a.labels, a.unit, freeze3(mult))
+    mult = dense_to_triples(a.mult)
+    mult[(0, 1, 1)] = F(2)
+    bad = Algebra.from_sparse(a.dim, a.labels, a.unit, mult)
     violations = validate_algebra(bad)
     assert violations, "tampering must be rejected"
     assert violations[0].axiom == "left unit law"
@@ -120,11 +112,10 @@ def test_tamper_unit_row_of_mult():
 def test_tamper_module_unit_action():
     # left action of the unit scaled by 2: u.f = 2f breaks the unit action
     a, m = catalog("dual_numbers")
-    left = unfreeze3(m.left)
-    for p in range(m.dim):
-        for q in range(m.dim):
-            left[0][p][q] *= 2
-    bad = Bimodule(m.dim, m.algebra_dim, freeze3(left), m.right)
+    left = {(i, p, q): 2 * c if i == 0 else c
+            for (i, p, q), c in dense_to_triples(m.left).items()}
+    bad = Bimodule.from_sparse(m.dim, m.algebra_dim, left,
+                               dense_to_triples(m.right))
     violations = validate_bimodule(a, bad)
     assert violations
     assert violations[0].axiom == "left unit action"
@@ -136,11 +127,9 @@ def test_tamper_swapped_actions():
     # the first broken axiom is left associativity at (E12, E21, E11),
     # and no mixed-associativity violation occurs anywhere
     a, m = catalog("full_matrix_2")
-    new_left = freeze3([[ [m.right[p][i][q] for q in range(m.dim)]
-                          for p in range(m.dim)] for i in range(a.dim)])
-    new_right = freeze3([[ [m.left[i][p][q] for q in range(m.dim)]
-                           for i in range(a.dim)] for p in range(m.dim)])
-    bad = Bimodule(m.dim, m.algebra_dim, new_left, new_right)
+    new_left = swap_outer(dense_to_triples(m.right))
+    new_right = swap_outer(dense_to_triples(m.left))
+    bad = Bimodule.from_sparse(m.dim, m.algebra_dim, new_left, new_right)
     violations = validate_bimodule(a, bad)
     assert violations
     # first in scan order: (E11 E12).E11 = E12 but E11.(E12.E11) = 0 swapped
@@ -157,9 +146,9 @@ def test_retamper_eps_square_one_is_valid():
     # eps^2 = 1 with the unit untouched is still a legal algebra (it is the
     # C2 group algebra in disguise), so validation accepts it
     a, _ = catalog("dual_numbers")
-    mult = unfreeze3(a.mult)
-    mult[1][1][0] = F(1)
-    retampered = Algebra(a.dim, a.labels, a.unit, freeze3(mult))
+    mult = dense_to_triples(a.mult)
+    mult[(1, 1, 0)] = F(1)
+    retampered = Algebra.from_sparse(a.dim, a.labels, a.unit, mult)
     assert validate_algebra(retampered) == []
     c2, _ = catalog("group_algebra_C2")
     assert retampered.mult == c2.mult
@@ -211,9 +200,31 @@ def test_from_sparse_round_trip():
 
 
 def test_algebra_shape_validation():
+    empty = (((), ()),) * 2
     with pytest.raises(ValueError):
-        Algebra(2, ("1",), (F(1), F(0)),
-                freeze3([[[F(0)] * 2] * 2] * 2))  # label count mismatch
+        Algebra(2, ("1",), (F(1), F(0)), empty)  # label count mismatch
     with pytest.raises(ValueError):
-        Algebra(2, ("1", "x"), (F(1),),
-                freeze3([[[F(0)] * 2] * 2] * 2))  # unit length mismatch
+        Algebra(2, ("1", "x"), (F(1),), empty)  # unit length mismatch
+
+
+def test_table_canonical_form():
+    # from_sparse drops zero coefficients and ignores insertion order
+    a, m = catalog("full_matrix_2")
+    items = list(dense_to_triples(a.mult).items())
+    items += [((1, 1, 0), F(0)), ((3, 0, 2), F(0))]
+    random.Random(3).shuffle(items)
+    assert Algebra.from_sparse(a.dim, a.labels, a.unit, dict(items)) == a
+    # hand-built tables must already be canonical
+    for cell in (((1, F(1)), (0, F(1))),   # k not increasing
+                 ((0, F(1)), (0, F(2))),   # k repeated
+                 ((0, F(0)),),             # zero coefficient
+                 ((4, F(1)),)):            # k out of range
+        table = [list(plane) for plane in a.table]
+        table[0][0] = cell
+        table = tuple(tuple(plane) for plane in table)
+        with pytest.raises(ValueError):
+            Algebra(a.dim, a.labels, a.unit, table)
+        with pytest.raises(ValueError):
+            Bimodule(m.dim, m.algebra_dim, table, m.right_table)
+    with pytest.raises(ValueError):
+        Algebra.from_sparse(a.dim, a.labels, a.unit, {(0, 0, 4): F(1)})

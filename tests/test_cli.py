@@ -276,6 +276,14 @@ def test_twolocal_bad_kind(capsys, inner_e11_file):
     assert "unknown perturbation kind" in err
 
 
+def test_twolocal_rejects_negative_samples(capsys, inner_e11_file):
+    rc, out, err = run_cli(capsys, "twolocal", "field", "-n", "2",
+                           "--oracle", inner_e11_file, "--samples", "-5")
+    assert rc == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_twolocal_reports_are_byte_identical(capsys, inner_e11_file):
     args = ("twolocal", "field", "-n", "2", "--oracle", inner_e11_file,
             "--seed", "7", "--samples", "25")

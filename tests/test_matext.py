@@ -8,10 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from matderiv import (Decomposition, DecompositionError, Derivation,
-                      LinearMap, basis_vec, catalog, certify, decompose,
+                      LinearMap, Matrix, basis_vec, catalog, certify, decompose,
                       derivation_space, inner_derivation, is_zero_vec, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
-                      reblock_iso, regular_bimodule, transport_derivation,
+                      multiply, reblock_iso, regular_bimodule, transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, zero_vec)
 from conftest import CATALOG
@@ -43,13 +43,24 @@ def test_matrix_pair_validates(mpairs):
         assert validate_bimodule(ma.algebra, mm.bimodule) == []
 
 
-def test_matrix_bimodule_is_regular_of_matrix_algebra():
-    a, m = catalog("dual_numbers")
-    ma = matrix_algebra(a, 2)
-    mm = matrix_bimodule(regular_bimodule(a), 2)
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", CATALOG)
+def test_matrix_bimodule_is_regular_of_matrix_algebra(name, n):
+    a, m = catalog(name)
+    ma = matrix_algebra(a, n)
+    mm = matrix_bimodule(m, n)
     reg = regular_bimodule(ma.algebra)
-    assert mm.bimodule.left == reg.left
-    assert mm.bimodule.right == reg.right
+    assert mm.bimodule.left_table == reg.left_table
+    assert mm.bimodule.right_table == reg.right_table
+    # the product itself, from the base product: (x E_ij)(y E_kl) = [j=k] xy E_il
+    dim = ma.algebra.dim
+    for s in range(dim):
+        i, j, x = ma.unflat(s)
+        for t in range(dim):
+            k, l, y = ma.unflat(t)
+            want = (ma.embed(multiply(a, basis_vec(a.dim, x), basis_vec(a.dim, y)), i, l)
+                    if j == k else zero_vec(dim))
+            assert multiply(ma.algebra, basis_vec(dim, s), basis_vec(dim, t)) == want
 
 
 def test_flat_unflat_bijection():
@@ -283,6 +294,23 @@ def test_lemma22_forged_transpose_fails(mpairs):
     assert by_name["iii"].passed
     assert not by_name["iv"].passed and by_name["iv"].counterexample == (0, 0, 0)
     assert not by_name["v"].passed and by_name["v"].counterexample == (0, 1, 0, 0)
+
+
+def test_lemma22_counterexample_layout(mpairs):
+    # two one-entry maps on M_3(dual_numbers), forged as derivations: (ii)
+    # reports (i, j, r, m, k) found in loop order i, r, j, m, k, and (iii)
+    # reports (i, j, s, m, k) found in loop order j, s, i, m, k
+    ma, mm = mpairs("dual_numbers", 3)
+    dim = ma.algebra.dim
+    rows = [[F(0)] * dim for _ in range(dim)]
+    rows[mm.flat(0, 0, 1)][ma.flat(2, 0, 0)] = F(1)
+    rows[mm.flat(0, 2, 0)][ma.flat(0, 1, 0)] = F(1)
+    forged = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))),
+                        certified=True)
+    report = verify_lemma22(forged, ma, mm)
+    assert {r.name: r.counterexample for r in report.results} == {
+        "i": None, "ii": (0, 0, 2, 1, 0), "iii": (0, 2, 1, 0, 1),
+        "iv": (0, 2, 0), "v": None}
 
 
 # ---------------------------------------------------------------------------
