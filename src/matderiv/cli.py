@@ -160,14 +160,25 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
     return Bimodule.from_sparse(dim, a.dim, triples["left"], triples["right"])
 
 
-def resolve_algebra(ref: str) -> Algebra:
-    """Catalog name, or a path to an AlgebraFile; catalog names win."""
+def _require_valid(what: str, violations, labels=None) -> None:
+    if violations:
+        raise CliInputError(f"{what}: {_count(violations)} of the axioms, "
+                            f"first: {violations[0].describe(labels)}")
+
+
+def resolve_algebra(ref: str, check: bool = True) -> Algebra:
+    """Catalog name, or a path to an AlgebraFile; catalog names win.  An
+    algebra read from a file must satisfy the algebra axioms (input error
+    otherwise) unless check=False; catalog algebras are trusted."""
     try:
         return catalog_algebra(ref)
     except ValueError as exc:
         catalog_err = exc
     if os.path.exists(ref):
-        return load_algebra_file(ref)
+        a = load_algebra_file(ref)
+        if check:
+            _require_valid(f"algebra {ref}", validate_algebra(a), a.labels)
+        return a
     raise CliInputError(
         f"{ref!r} is neither a catalog name nor a readable file ({catalog_err})")
 
@@ -208,6 +219,7 @@ def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
     module_path = getattr(args, "module", None)
     if module_path:
         base_mod = load_bimodule_file(module_path, base)
+        _require_valid(f"module {module_path}", validate_bimodule(base, base_mod))
         header.append(f"module: {module_path}")
     else:
         base_mod = regular_bimodule(base)
@@ -245,7 +257,7 @@ def _certified_map(path: str, a: Algebra, m: Bimodule,
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, out: TextIO) -> int:
-    a = resolve_algebra(args.algebra)
+    a = resolve_algebra(args.algebra, check=False)
     print(f"algebra: {args.algebra}", file=out)
     print(f"dim: {a.dim}", file=out)
     violations = validate_algebra(a)

@@ -10,13 +10,18 @@ Row reduction internally runs on integer-scaled rows (each row multiplied by
 the lcm of its denominators and divided by the gcd of its entries) and divides
 back to fractions at the end.  Scaling a row never changes the row space, so
 the result is the same unique RREF a textbook fraction-by-fraction elimination
-produces.
+produces.  Matrix-vector products run on integer-scaled rows too: each row is
+kept once as its denominator and sparse integer numerators, the vector is
+scaled by the lcm of its denominators, and each output entry is one integer
+dot product turned into a single reduced fraction, the same exact value a
+fraction-by-fraction sum gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -109,16 +114,30 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Each row as (lcm of its denominators, ((column, numerator over that
+        lcm), ...) over its nonzero entries)."""
         out = []
         for r in self.entries:
-            acc = ZERO
-            for a, x in zip(r, v):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
+            den, nums = _scaled(r)
+            out.append((den, tuple((j, a) for j, a in enumerate(nums) if a)))
+        return tuple(out)
+
+    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
+        """The exact product of this matrix with v (Fraction or int entries),
+        as a tuple of Fractions.  v is scaled to integers by the lcm of its
+        denominators, so each entry is one integer dot product over the row's
+        nonzeros, reduced once."""
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch in matrix-vector product")
+        den, nums = _scaled(v)
+        out = []
+        for row_den, pairs in self._int_rows:
+            acc = 0
+            for j, a in pairs:
+                acc += a * nums[j]
+            out.append(Fraction(acc, row_den * den) if acc else ZERO)
         return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -162,12 +181,18 @@ def _primitive(row: list[int]) -> None:
                 row[t] = v // g
 
 
-def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
+def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d*x for x in xs]) for d the lcm of the denominators of xs
+    (Fractions or ints), so that every d*x is an integer."""
     den = 1
-    for x in frac_row:
-        if x:
+    for x in xs:
+        if den % x.denominator:
             den = lcm(den, x.denominator)
-    row = [x.numerator * (den // x.denominator) if x else 0 for x in frac_row]
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
+    row = _scaled(frac_row)[1]
     _primitive(row)
     return row
 
@@ -177,10 +202,7 @@ def _primitive_pairs(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, 
     sorted by column.  Two rows give the same pairs exactly when they are
     equal up to a positive scale."""
     pairs = sorted((c, x) for c, x in items if x)
-    den = 1
-    for _, x in pairs:
-        den = lcm(den, x.denominator)
-    vals = [x.numerator * (den // x.denominator) for _, x in pairs]
+    vals = _scaled([x for _, x in pairs])[1]
     _primitive(vals)
     return tuple((c, v) for (c, _), v in zip(pairs, vals))
 

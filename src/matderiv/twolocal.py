@@ -43,7 +43,10 @@ class TwoLocalOracle:
         self.query_log: list[tuple[Vector, Vector]] = []
 
     def evaluate(self, x: Sequence[Fraction]) -> Vector:
-        xt = tuple(Fraction(c) for c in x)
+        """Query the black box at x, logging (x, Delta(x)).  x is passed on
+        as a tuple of Fractions; coordinates that are Fractions already are
+        kept as they are, others go through Fraction()."""
+        xt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in x)
         y = self._fn(xt)
         self.query_log.append((xt, y))
         return y
@@ -235,14 +238,20 @@ DEFAULT_SEED = 42
 
 _NUMERATOR_RANGE = (-9, 9)
 _DENOMINATORS = (1, 2, 3)
+# every value a sample coordinate can take, keyed by (numerator, denominator)
+_SAMPLE_VALUES = {(p, q): Fraction(p, q)
+                  for p in range(_NUMERATOR_RANGE[0], _NUMERATOR_RANGE[1] + 1)
+                  for q in _DENOMINATORS}
 
 
 def seeded_elements(dim: int, count: int = DEFAULT_SAMPLES,
                     seed: int = DEFAULT_SEED) -> list[Vector]:
     """Deterministic sample elements: numerators in [-9, 9], denominators in
-    {1, 2, 3}."""
+    {1, 2, 3}.  Each coordinate draws rng.randint for the numerator, then
+    rng.choice for the denominator, and takes the shared Fraction for that
+    pair from a table of the 57 possible values."""
     rng = random.Random(seed)
     lo, hi = _NUMERATOR_RANGE
-    return [tuple(Fraction(rng.randint(lo, hi), rng.choice(_DENOMINATORS))
+    return [tuple(_SAMPLE_VALUES[rng.randint(lo, hi), rng.choice(_DENOMINATORS)]
                   for _ in range(dim))
             for _ in range(count)]

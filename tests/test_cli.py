@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
-                      lift, matrix_pair, LinearMap)
+                      lift, matrix_pair, validate_algebra, LinearMap)
 from matderiv.cli import main, parse_rational, CliInputError
 from conftest import write_algebra_file, write_map_file, write_module_file
 from fractions import Fraction as F
@@ -291,6 +291,77 @@ def test_twolocal_reports_are_byte_identical(capsys, inner_e11_file):
     rc2, out2, _ = run_cli(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# file inputs are validated before any command computes on them
+# ---------------------------------------------------------------------------
+
+def _unit_law_broken(tmp_path):
+    # dim 1 with e*e = 0 although e is the unit
+    return write_algebra_file(tmp_path / "z.json", "z", 1, ["e"], ["1"], {})
+
+
+def _non_associative(tmp_path):
+    # (xy)y = x but x(yy) = 0; both unit laws hold
+    mult = {(0, 0, 0): "1", (0, 1, 1): "1", (1, 0, 1): "1", (0, 2, 2): "1",
+            (2, 0, 2): "1", (1, 2, 1): "1"}
+    return write_algebra_file(tmp_path / "nonassoc.json", "nonassoc", 3,
+                              ["1", "x", "y"], ["1", "0", "0"], mult)
+
+
+def _one_entry_map(tmp_path):
+    # a 1 at row 1, column 0 of a map on the 4-dimensional M_2 level
+    lin = LinearMap.from_columns([basis_vec(4, 1)] + [(F(0),) * 4] * 3)
+    return write_map_file(tmp_path / "m.json", lin, algebra="z")
+
+
+def test_invalid_algebra_file_is_input_error(capsys, tmp_path):
+    z = _unit_law_broken(tmp_path)
+    m = _one_entry_map(tmp_path)
+    for argv in (("decompose", z, "-n", "2", "--derivation", m),
+                 ("lemma22", z, "-n", "2", "--derivation", m),
+                 ("twolocal", z, "-n", "2", "--oracle", m),
+                 ("derspace", z)):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == (f"error: algebra {z}: 2 violations of the axioms, "
+                       "first: left unit law violated at (e): lhs=[0] rhs=[1]\n")
+
+
+def test_derspace_rejects_non_associative_file(capsys, tmp_path):
+    path = _non_associative(tmp_path)
+    for argv in (("derspace", path), ("derspace", path, "-n", "2")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "associativity violated at (x,y,y)" in err
+
+
+def test_derspace_rejects_invalid_module_file(capsys, tmp_path):
+    # one module coordinate on which the unit acts as zero
+    path = tmp_path / "zero_mod.json"
+    path.write_text(json.dumps({"dim": 1, "left": [], "right": []}),
+                    encoding="utf-8")
+    rc, out, err = run_cli(capsys, "derspace", "dual_numbers", "--module",
+                           str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: module {path}: ")
+    assert "unit action violated" in err
+
+
+def test_validate_checks_a_file_once(capsys, tmp_path, monkeypatch):
+    # validate reports violations itself (exit 1) and runs the check once
+    import matderiv.cli as cli
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return validate_algebra(a)
+    monkeypatch.setattr(cli, "validate_algebra", counted)
+    rc, out, _ = run_cli(capsys, "validate", _non_associative(tmp_path))
+    assert rc == 1
+    assert "algebra axioms: FAIL" in out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact rational linear algebra: frozen small examples plus seeded
-randomized properties (RREF canonicity, rank-nullity, membership, solve)."""
+randomized properties (RREF canonicity, rank-nullity, membership, solve,
+the integer matrix-vector kernel)."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matderiv import (Matrix, Subspace, basis_vec, is_zero_vec, member,
                       nullspace, nullspace_sparse, quotient_dim, rref,
@@ -179,3 +182,51 @@ def test_degenerate_shapes():
     assert solve(empty, (F(1), F(0))) is None
     assert zero_vec(0) == ()
     assert vsub((F(3),), (F(1),)) == (F(2),)
+
+
+# ---------------------------------------------------------------------------
+# matrix-vector kernel against a plain Fraction dot product
+# ---------------------------------------------------------------------------
+
+_BIG = 2 ** 70     # numerators and denominators well past 64 bits
+
+_rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    entries = tuple(tuple(F(0) if r in zero_rows else draw(_rationals)
+                          for _ in range(cols)) for r in range(rows))
+    v = tuple(draw(st.one_of(_rationals, st.integers(-_BIG, _BIG)))
+              for _ in range(cols))
+    return Matrix(rows, cols, entries), v
+
+
+def _reference_mul_vec(m, v):
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0))
+                 for row in m.entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrix_and_vector())
+@example((Matrix.zeros(3, 2), (F(1, 2), 5)))
+@example((mat([[F(1, 2), F(-1, 3)], [0, 0], [F(2, 3), F(1, 6)]]),
+          (F(3, 4), 2)))
+def test_mul_vec_matches_fraction_reference(case):
+    m, v = case
+    got = m.mul_vec(v)
+    assert got == _reference_mul_vec(m, v)
+    assert len(got) == m.rows
+    assert all(type(c) is F for c in got)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        m.mul_vec(v + (F(1),))
+    # the integer rows cached by mul_vec are not part of the value
+    twin = Matrix(m.rows, m.cols, m.entries)
+    assert m == twin and hash(m) == hash(twin)
+    assert [f.name for f in dataclasses.fields(Matrix)] == ["rows", "cols", "entries"]
+    assert twin.mul_vec(v) == got

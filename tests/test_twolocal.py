@@ -38,6 +38,14 @@ def test_seeded_elements_defaults():
     assert len(seeded_elements(2)) == 100
 
 
+def test_seeded_elements_pinned():
+    # frozen draws: the value table must not change which samples come out
+    assert seeded_elements(4, 10, 42)[:3] == [
+        (F(-6), F(-1), F(-2), F(-2)),
+        (F(8), F(9, 2), F(-8), F(-7)),
+        (F(-2, 3), F(-3), F(-1), F(4))]
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -284,6 +292,52 @@ def test_sign_flip_control(mpairs, derspaces):
     bad = agreement_failures(orc, cand, seeded_elements(4, 100, 42))
     assert len(bad) == 54
     assert bad[:3] == [0, 2, 4]
+
+
+def _fraction_apply(matrix, x):
+    """Independent evaluation: one Fraction product and sum per entry."""
+    return tuple(sum((a * c for a, c in zip(row, x)), F(0))
+                 for row in matrix.entries)
+
+
+@pytest.mark.parametrize("name,n", [("full_matrix_2", 2), ("dual_numbers", 3)])
+def test_agreement_indices_match_fraction_evaluation(mpairs, derspaces, name, n):
+    # every disagreement index of three failing oracles equals the one an
+    # evaluation in plain Fraction arithmetic gives, sample by sample
+    ma, mm = mpairs(name, n)
+    sp = derspaces(name, n)
+    dim = ma.algebra.dim
+    # an inner derivation as (S, T) sees it, so the flip alone is caught
+    w = seeded_elements(mm.bimodule.dim, 1, 3)[0]
+    d0 = reconstruct(wrap_derivation(inner_derivation(ma.algebra, mm.bimodule, w)),
+                     sp, ma)
+    # the lift of a base derivation vanishes at S and T: a blind spot of the
+    # two queries (non-inner for dual_numbers, inner for full_matrix_2)
+    dlift = lift(derivation_space(*catalog(name)).basis[0], ma, mm)
+    blind = Derivation(d0.linmap + dlift.linmap, certified=True)
+    t_col, out_pos = ma.flat(0, 1, 0), mm.flat(0, 1, 0)
+
+    def flipped(x):
+        y = _fraction_apply(d0.matrix, x)
+        return tuple(-c for c in y) if x[t_col] < 0 else y
+
+    def quadratic(x):
+        y = list(_fraction_apply(d0.matrix, x))
+        y[out_pos] += x[t_col] * x[t_col]
+        return tuple(y)
+
+    cases = (
+        (perturbed_oracle(d0, "sign_flip_offdiag", ma, mm), flipped),
+        (perturbed_oracle(d0, "quadratic_block", ma, mm), quadratic),
+        (wrap_derivation(blind), lambda x: _fraction_apply(blind.matrix, x)))
+    samples = seeded_elements(dim, 150, 17) + [basis_vec(dim, t) for t in range(dim)]
+    for oracle, reference in cases:
+        cand = reconstruct(oracle, sp, ma)
+        bad = agreement_failures(oracle, cand, samples)
+        want = [idx for idx, x in enumerate(samples)
+                if reference(x) != _fraction_apply(cand.matrix, x)]
+        assert bad == want, oracle.label
+        assert 0 < len(bad) < len(samples), oracle.label
 
 
 # ---------------------------------------------------------------------------
