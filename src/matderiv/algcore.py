@@ -6,11 +6,14 @@ strictly increasing, together with the coordinates of its unit.  A Bimodule
 over an algebra stores its left and right actions as tables of the same
 form.  The canonical form makes equal algebras have equal tables.  Dense
 tensors c[i][j][k] (mult, left, right) are derived views, built on first use.
-Elements are plain tuples of Fraction over the owning basis.
+Elements are plain tuples of Fraction over the owning basis; multiply and act
+collect the nonzeros of their inner operand once.
 
 Validators check the defining axioms on every basis tuple and report each
-violation with the offending indices and both expansions; everything else in
-the package assumes its inputs have already been validated.
+violation with the offending indices and both expansions.  Both expand the
+associativity axioms from the tables, summing only the products that occur.
+Everything else in the package assumes its inputs have already been
+validated.
 """
 
 from __future__ import annotations
@@ -151,18 +154,22 @@ class Bimodule:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def _nonzeros(v: Sequence) -> list[tuple[int, Fraction]]:
+    """(index, entry) for the nonzero entries of v (Fractions or ints)."""
+    return [(t, x) for t, x in enumerate(v) if x]
+
+
 def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Product of two elements in a's basis coordinates."""
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("element length does not match algebra dimension")
     acc = [ZERO] * a.dim
+    y_nz = _nonzeros(y)
     for i, xi in enumerate(x):
         if not xi:
             continue
         row = a.table[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
+        for j, yj in y_nz:
             s = xi * yj
             for k, c in row[j]:
                 acc[k] += s * c
@@ -176,24 +183,22 @@ def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
         raise ValueError("element length mismatch in module action")
     acc = [ZERO] * m.dim
     if side == "left":
+        f_nz = _nonzeros(f_coords)
         for i, ai in enumerate(a_coords):
             if not ai:
                 continue
             plane = m.left_table[i]
-            for p, fp in enumerate(f_coords):
-                if not fp:
-                    continue
+            for p, fp in f_nz:
                 s = ai * fp
                 for q, c in plane[p]:
                     acc[q] += s * c
     elif side == "right":
+        a_nz = _nonzeros(a_coords)
         for p, fp in enumerate(f_coords):
             if not fp:
                 continue
             plane = m.right_table[p]
-            for i, ai in enumerate(a_coords):
-                if not ai:
-                    continue
+            for i, ai in a_nz:
                 s = fp * ai
                 for q, c in plane[i]:
                     acc[q] += s * c
@@ -276,9 +281,24 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     return out
 
 
+def _expand(cell: tuple[SparseEntry, ...],
+            rows: Sequence[tuple[SparseEntry, ...]]) -> dict[int, Fraction]:
+    """The nonzero coordinates of sum c * rows[t] over the entries (t, c) of a
+    table cell, where each rows[t] is a table cell too."""
+    acc: dict[int, Fraction] = {}
+    for t, c in cell:
+        for s, c2 in rows[t]:
+            acc[s] = acc.get(s, ZERO) + c * c2
+    return {s: v for s, v in acc.items() if v}
+
+
 def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     """Check the four bimodule axioms on all basis tuples:
     (xy).f = x.(y.f), f.(xy) = (f.x).y, (x.f).y = x.(f.y), 1.f = f = f.1.
+
+    The unit actions are checked first.  Each associativity axiom is expanded
+    from the tables on the basis tuple, so only products that appear in the
+    tables are summed; both sides are reported as dense vectors.
     """
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
@@ -292,25 +312,28 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
         rhs = act(m, "right", a.unit, fp)
         if rhs != fp:
             out.append(Violation("right unit action", (p,), rhs, fp))
+    left, right = m.left_table, m.right_table
+    # left_by_p[p][t] = left[t][p] and right_by_j[j][s] = right[s][j]
+    left_by_p = tuple(zip(*left))
+    right_by_j = tuple(zip(*right))
+
+    def report(axiom, indices, lhs, rhs):
+        if lhs != rhs:
+            out.append(Violation(axiom, indices,
+                                 tuple(lhs.get(q, ZERO) for q in range(mdim)),
+                                 tuple(rhs.get(q, ZERO) for q in range(mdim))))
+
     for i in range(dim):
-        ei = a.basis_element(i)
+        left_i = left[i]
         for j in range(dim):
-            ej = a.basis_element(j)
-            prod = multiply(a, ei, ej)
+            ij = a.table[i][j]
             for p in range(mdim):
-                fp = m.basis_element(p)
-                lhs = act(m, "left", prod, fp)
-                rhs = act(m, "left", ei, act(m, "left", ej, fp))
-                if lhs != rhs:
-                    out.append(Violation("left associativity", (i, j, p), lhs, rhs))
-                lhs = act(m, "right", prod, fp)
-                rhs = act(m, "right", ej, act(m, "right", ei, fp))
-                if lhs != rhs:
-                    out.append(Violation("right associativity", (p, i, j), lhs, rhs))
-                lhs = act(m, "right", ej, act(m, "left", ei, fp))
-                rhs = act(m, "left", ei, act(m, "right", ej, fp))
-                if lhs != rhs:
-                    out.append(Violation("mixed associativity", (i, p, j), lhs, rhs))
+                report("left associativity", (i, j, p),           # (e_i e_j).f_p
+                       _expand(ij, left_by_p[p]), _expand(left[j][p], left_i))
+                report("right associativity", (p, i, j),          # f_p.(e_i e_j)
+                       _expand(ij, right[p]), _expand(right[p][i], right_by_j[j]))
+                report("mixed associativity", (i, p, j),          # (e_i.f_p).e_j
+                       _expand(left_i[p], right_by_j[j]), _expand(right[p][j], left_i))
     return out
 
 

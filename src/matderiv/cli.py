@@ -96,6 +96,11 @@ def _require(data: dict, key: str, path: str) -> Any:
     return data[key]
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: true and false are bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_algebra_file(path: str) -> Algebra:
     """AlgebraFile: {name, dim, basis_labels, unit, mult: [{i,j,k,c}]}."""
     data = _load_json(path)
@@ -104,7 +109,7 @@ def load_algebra_file(path: str) -> Algebra:
     labels = _require(data, "basis_labels", path)
     unit = _require(data, "unit", path)
     mult = _require(data, "mult", path)
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_int(dim) or dim <= 0:
         raise CliInputError(f"{path}: dim must be a positive integer")
     if (not isinstance(labels, list) or len(labels) != dim
             or not all(isinstance(s, str) for s in labels)):
@@ -120,7 +125,7 @@ def load_algebra_file(path: str) -> Algebra:
             raise CliInputError(f"{path}: mult entries need fields i, j, k, c")
         i, j, k = ent["i"], ent["j"], ent["k"]
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_int(idx) or not 0 <= idx < dim:
                 raise CliInputError(f"{path}: mult index {idx!r} out of range")
         key = (i, j, k)
         if key in triples:
@@ -136,7 +141,7 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
     given algebra."""
     data = _load_json(path)
     dim = _require(data, "dim", path)
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_int(dim) or dim <= 0:
         raise CliInputError(f"{path}: dim must be a positive integer")
     triples: dict[str, dict[tuple[int, int, int], Fraction]] = {}
     for field, ranges in (("left", (a.dim, dim, dim)), ("right", (dim, a.dim, dim))):
@@ -151,7 +156,7 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
                     f"{path}: {field} entries need fields {', '.join(keys)}, c")
             idx = tuple(ent[k] for k in keys)
             for val, bound in zip(idx, ranges):
-                if not isinstance(val, int) or not 0 <= val < bound:
+                if not _is_int(val) or not 0 <= val < bound:
                     raise CliInputError(
                         f"{path}: {field} index {val!r} out of range")
             if idx in found:

@@ -10,6 +10,12 @@ of e_k, i.e. images of basis vectors are concatenated in basis order.
 
 Inner derivations use the sign convention delta_w(x) = w.x - x.w (module
 element on the left of the algebra element in the first term).
+
+Certification iterates only over table entries and the nonzeros of the map:
+leibniz_failures scales the map and the tables to integers (a common
+positive scale does not change which basis pairs fail) and sums each pair's
+residual in a small dict, and inner_derivation builds each column from the
+action tables over the nonzero coordinates of the witness.
 """
 
 from __future__ import annotations
@@ -18,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .algcore import Algebra, Bimodule, act, multiply
-from .exactlin import (Matrix, Subspace, Vector, ZERO, basis_vec, member,
-                       nullspace, nullspace_sparse, quotient_dim, solve, vsub,
-                       zero_vec)
+from .algcore import Algebra, Bimodule, Table, _nonzeros
+from .exactlin import (Matrix, Subspace, Vector, ZERO, _scaled, basis_vec,
+                       nullspace, nullspace_sparse, quotient_dim, solve)
 
 
 @dataclass(frozen=True)
@@ -95,34 +100,50 @@ class Derivation:
         return self.linmap.matrix
 
 
+def _int_tables(*tables: Table) -> tuple[Table, ...]:
+    """The tables with every coefficient multiplied by one common positive
+    scale, the lcm of all their denominators, so that all are integers."""
+    coeffs = [c for t in tables for plane in t for cell in plane for _, c in cell]
+    nums = iter(_scaled(coeffs)[1])
+    return tuple(tuple(tuple(tuple([(k, next(nums)) for k, _ in cell]) if cell else ()
+                             for cell in plane) for plane in t)
+                 for t in tables)
+
+
 def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
                      stop_early: bool = True) -> list[tuple[int, int]]:
-    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j)."""
+    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
+    in lexicographic order (only the first one when stop_early).
+
+    The residual is checked scaled by one positive integer: the map by the lcm
+    of its denominators and the three tables by the lcm of theirs, which
+    leaves the pairs that fail unchanged.  Each map column is kept as its
+    sparse (row, numerator) pairs, and the residual of a pair is summed in a
+    dict over the nonzero products only: table[i][j] against the columns it
+    names, right_table[p][j] over the nonzeros p of column i, and
+    left_table[i][p] over the nonzeros p of column j.
+    """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
-    d, md = a.dim, m.dim
-    cols = [f.matrix.col(j) for j in range(d)]
+    d = a.dim
+    nums = _scaled([x for row in f.matrix.entries for x in row])[1]
+    cols = [_nonzeros(nums[j::d]) for j in range(d)]
+    table, left, right = _int_tables(a.table, m.left_table, m.right_table)
     bad: list[tuple[int, int]] = []
     for i in range(d):
-        ci = cols[i]
-        ci_nz = [(p, v) for p, v in enumerate(ci) if v]
+        ci, row, plane = cols[i], table[i], left[i]
         for j in range(d):
-            cj = cols[j]
-            acc = [ZERO] * md
-            for k, c in a.table[i][j]:
-                ck = cols[k]
-                for q in range(md):
-                    if ck[q]:
-                        acc[q] += c * ck[q]
-            for p, v in ci_nz:                       # delta(e_i).e_j
-                for q, c in m.right_table[p][j]:
-                    acc[q] -= v * c
-            plane = m.left_table[i]                  # e_i.delta(e_j)
-            for p, v in enumerate(cj):
-                if v:
-                    for q, c in plane[p]:
-                        acc[q] -= v * c
-            if any(acc):
+            acc: dict[int, int] = {}
+            for k, c in row[j]:                      # delta(e_i e_j)
+                for q, v in cols[k]:
+                    acc[q] = acc.get(q, 0) + c * v
+            for p, v in ci:                          # - delta(e_i).e_j
+                for q, c in right[p][j]:
+                    acc[q] = acc.get(q, 0) - v * c
+            for p, v in cols[j]:                     # - e_i.delta(e_j)
+                for q, c in plane[p]:
+                    acc[q] = acc.get(q, 0) - v * c
+            if any(acc.values()):
                 bad.append((i, j))
                 if stop_early:
                     return bad
@@ -265,13 +286,22 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
 # ---------------------------------------------------------------------------
 
 def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
-    """delta_w(x) = w.x - x.w.  Always a derivation, so certified."""
+    """delta_w(x) = w.x - x.w.  Always a derivation, so certified.
+
+    Column j is sum_p w_p (f_p.e_j - e_j.f_p), read off right_table[p][j]
+    and left_table[j][p] over the nonzero coordinates w_p."""
     if len(w) != m.dim:
         raise ValueError("witness length does not match module dimension")
+    nz = _nonzeros(w)
     cols = []
     for j in range(a.dim):
-        ej = basis_vec(a.dim, j)
-        cols.append(vsub(act(m, "right", ej, w), act(m, "left", ej, w)))
+        acc = [ZERO] * m.dim
+        for p, wp in nz:
+            for q, c in m.right_table[p][j]:
+                acc[q] += wp * c
+            for q, c in m.left_table[j][p]:
+                acc[q] -= wp * c
+        cols.append(acc)
     return Derivation(LinearMap.from_columns(cols), certified=True)
 
 

@@ -5,8 +5,18 @@ suite query the same objects."""
 import json
 
 import pytest
+from hypothesis import settings
 
-from matderiv import (catalog, derivation_space, inner_space, matrix_pair)
+from fractions import Fraction as F
+
+from matderiv import (Algebra, catalog, derivation_space, inner_space,
+                      matrix_pair)
+
+# Every property test runs under this profile: reproducible examples, no
+# example database, no per-example deadline.  Each test sets max_examples.
+settings.register_profile("matderiv", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("matderiv")
 
 CATALOG = ("field", "dual_numbers", "group_algebra_C2", "full_matrix_2",
            "upper_triangular_2", "direct_sum(field,field)")
@@ -70,6 +80,19 @@ def innerspaces(pairs, mpairs):
         return cache[(name, n)]
 
     return get
+
+
+def mixed_basis_full_matrix_2():
+    """M_2(Q) in the basis u = E11+E22, h = E11-E22, x = E12, y = E21, where
+    products have several terms (xy = (u+h)/2) that can cancel in sums."""
+    half = F(1, 2)
+    triples = {(0, k, k): F(1) for k in range(4)}
+    triples.update({(k, 0, k): F(1) for k in range(1, 4)})
+    triples.update({(1, 1, 0): F(1), (1, 2, 2): F(1), (2, 1, 2): F(-1),
+                    (1, 3, 3): F(-1), (3, 1, 3): F(1),
+                    (2, 3, 0): half, (2, 3, 1): half,
+                    (3, 2, 0): half, (3, 2, 1): -half})
+    return Algebra.from_sparse(4, ("u", "h", "x", "y"), (1, 0, 0, 0), triples)
 
 
 def dense_to_triples(tensor):

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from matderiv import (Algebra, Bimodule, CATALOG_NAMES, basis_vec, catalog,
-                      catalog_algebra, commutes, direct_sum, multiply,
-                      regular_bimodule, act, validate_algebra,
-                      validate_bimodule, vadd, vscale, zero_vec)
-from conftest import CATALOG, dense_to_triples, swap_outer
+from matderiv import (Algebra, Bimodule, CATALOG_NAMES, Violation, basis_vec,
+                      catalog, catalog_algebra, commutes, direct_sum,
+                      matrix_pair, multiply, regular_bimodule, act,
+                      validate_algebra, validate_bimodule, vadd, vscale,
+                      zero_vec)
+from conftest import (CATALOG, dense_to_triples, mixed_basis_full_matrix_2,
+                      swap_outer)
 
 
 def rand_elt(rng, dim):
@@ -228,3 +230,105 @@ def test_table_canonical_form():
             Bimodule(m.dim, m.algebra_dim, table, m.right_table)
     with pytest.raises(ValueError):
         Algebra.from_sparse(a.dim, a.labels, a.unit, {(0, 0, 4): F(1)})
+
+
+# ---------------------------------------------------------------------------
+# table-based bimodule validation against the element-action version
+# ---------------------------------------------------------------------------
+
+def _reference_act(m, side, x, f):
+    """x.f or f.x by scanning both coordinate vectors for nonzeros."""
+    acc = [F(0)] * m.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for p, fp in enumerate(f):
+            if not fp:
+                continue
+            cell = m.left_table[i][p] if side == "left" else m.right_table[p][i]
+            for q, c in cell:
+                acc[q] += xi * fp * c
+    return tuple(acc)
+
+
+def _reference_validate_bimodule(a, m):
+    """validate_bimodule written with seven element actions per basis tuple,
+    kept here as the reference for the table expansion."""
+    def act_(side, x, f):
+        return _reference_act(m, side, x, f)
+
+    out = []
+    for p in range(m.dim):
+        fp = basis_vec(m.dim, p)
+        lhs = act_("left", a.unit, fp)
+        if lhs != fp:
+            out.append(Violation("left unit action", (p,), lhs, fp))
+        rhs = act_("right", a.unit, fp)
+        if rhs != fp:
+            out.append(Violation("right unit action", (p,), rhs, fp))
+    for i in range(a.dim):
+        ei = basis_vec(a.dim, i)
+        for j in range(a.dim):
+            ej = basis_vec(a.dim, j)
+            prod = a.mult[i][j]
+            for p in range(m.dim):
+                fp = basis_vec(m.dim, p)
+                lhs = act_("left", prod, fp)
+                rhs = act_("left", ei, act_("left", ej, fp))
+                if lhs != rhs:
+                    out.append(Violation("left associativity", (i, j, p), lhs, rhs))
+                lhs = act_("right", prod, fp)
+                rhs = act_("right", ej, act_("right", ei, fp))
+                if lhs != rhs:
+                    out.append(Violation("right associativity", (p, i, j), lhs, rhs))
+                lhs = act_("right", ej, act_("left", ei, fp))
+                rhs = act_("left", ei, act_("right", ej, fp))
+                if lhs != rhs:
+                    out.append(Violation("mixed associativity", (i, p, j), lhs, rhs))
+    return out
+
+
+def _tampered_modules():
+    """The documented tamperings plus one seeded single-entry tamper of the
+    regular bimodule of M_2(A) for every catalog A."""
+    a, m = catalog("dual_numbers")
+    left = {(i, p, q): 2 * c if i == 0 else c
+            for (i, p, q), c in dense_to_triples(m.left).items()}
+    yield "unit action", a, Bimodule.from_sparse(m.dim, m.algebra_dim, left,
+                                                 dense_to_triples(m.right))
+    b, mb = catalog("full_matrix_2")
+    yield "swapped", b, Bimodule.from_sparse(
+        mb.dim, mb.algebra_dim, swap_outer(dense_to_triples(mb.right)),
+        swap_outer(dense_to_triples(mb.left)))
+    bases = []
+    for name in CATALOG:
+        ma, mm = matrix_pair(*catalog(name), 2)
+        bases.append((f"M_2({name})", ma.algebra, mm.bimodule))
+    mixed = mixed_basis_full_matrix_2()
+    bases.append(("mixed basis M_2(Q)", mixed, regular_bimodule(mixed)))
+    for label, a, m in bases:
+        rng = random.Random(f"tamper:{label}")
+        sides = {"left": dense_to_triples(m.left),
+                 "right": dense_to_triples(m.right)}
+        side = rng.choice(("left", "right"))
+        key = tuple(rng.randrange(m.dim if s else a.dim)
+                    for s in ((0, 1, 1) if side == "left" else (1, 0, 1)))
+        sides[side][key] = sides[side].get(key, F(0)) + F(rng.choice((-3, -1, 1, 2)),
+                                                         rng.choice((1, 2, 5)))
+        yield (f"{label} {side} {key}", a,
+               Bimodule.from_sparse(m.dim, a.dim, sides["left"], sides["right"]))
+
+
+@pytest.mark.parametrize("case", list(_tampered_modules()), ids=lambda c: c[0])
+def test_validate_bimodule_matches_action_reference(case):
+    _, a, m = case
+    got = validate_bimodule(a, m)
+    assert got, "every tamper breaks an axiom"
+    assert got == _reference_validate_bimodule(a, m)
+
+
+def test_validate_with_cancelling_products():
+    # in this basis xy = (u+h)/2, so (xy).y = (u.y + h.y)/2 = 0 cancels
+    a = mixed_basis_full_matrix_2()
+    assert validate_algebra(a) == []
+    assert validate_bimodule(a, regular_bimodule(a)) == []

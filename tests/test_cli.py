@@ -380,3 +380,48 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Der=1 Inner=0 H1=1" in proc.stdout
+
+
+# JSON true/false are Python ints; they are not dimensions or indices
+_BOOL_ALGEBRAS = (
+    ({"dim": True}, "dim must be a positive integer"),
+    ({"mult": [{"i": False, "j": 0, "k": 0, "c": "1"}]},
+     "mult index False out of range"),
+    ({"mult": [{"i": 0, "j": 0, "k": True, "c": "1"}]},
+     "mult index True out of range"),
+)
+
+
+@pytest.mark.parametrize("tamper,message", _BOOL_ALGEBRAS,
+                         ids=("dim", "i", "k"))
+def test_algebra_file_rejects_booleans(capsys, tmp_path, tamper, message):
+    data = {"name": "b", "dim": 1, "basis_labels": ["e"], "unit": ["1"],
+            "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}], **tamper}
+    path = tmp_path / "bool_alg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (("validate", str(path)), ("derspace", str(path))):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == f"error: {path}: {message}\n"
+
+
+_BOOL_MODULES = (
+    ({"dim": True}, "dim must be a positive integer"),
+    ({"left": [{"i": False, "p": 0, "q": 0, "c": "1"}]},
+     "left index False out of range"),
+    ({"right": [{"p": 0, "i": 0, "q": False, "c": "1"}]},
+     "right index False out of range"),
+)
+
+
+@pytest.mark.parametrize("tamper,message", _BOOL_MODULES,
+                         ids=("dim", "left", "right"))
+def test_module_file_rejects_booleans(capsys, tmp_path, tamper, message):
+    data = {"dim": 1, "left": [{"i": 0, "p": 0, "q": 0, "c": "1"}],
+            "right": [{"p": 0, "i": 0, "q": 0, "c": "1"}], **tamper}
+    path = tmp_path / "bool_mod.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for cmd in ("validate", "derspace"):
+        rc, out, err = run_cli(capsys, cmd, "field", "--module", str(path))
+        assert rc == 2, cmd
+        assert err == f"error: {path}: {message}\n"

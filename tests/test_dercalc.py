@@ -8,14 +8,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matderiv import (Derivation, LinearMap, Matrix, basis_vec, catalog,
-                      certify, derivation_space, h1_dim, inner_derivation,
+from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
+                      basis_vec, catalog, certify,
+                      derivation_space, h1_dim, inner_derivation,
                       inner_space, is_inner, is_zero_vec,
                       jordan_derivation_space, leibniz_check,
-                      leibniz_failures, member, same_space, vadd, vscale,
-                      zero_vec)
-from conftest import CATALOG
+                      leibniz_failures, member, regular_bimodule, same_space,
+                      vadd, validate_algebra, validate_bimodule, vscale,
+                      vsub, zero_vec)
+from conftest import CATALOG, mixed_basis_full_matrix_2
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
 # (Der, Inner, H1) for every catalog pair, derived by hand and re-derived by
@@ -218,3 +221,153 @@ def test_linear_combinations_of_derivations(pairs, derspaces):
         for d in ds.basis:
             lin = lin + d.linmap.scale(F(rng.randint(-4, 4)))
         assert leibniz_check(a, m, lin)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against the dense Fraction loops they replace
+# ---------------------------------------------------------------------------
+
+def _dense_leibniz_failures(a, m, f, stop_early):
+    """The Leibniz check as a dense Fraction loop over every module
+    coordinate, kept here as the reference for leibniz_failures."""
+    d, md = a.dim, m.dim
+    cols = [f.matrix.col(j) for j in range(d)]
+    bad = []
+    for i in range(d):
+        ci = cols[i]
+        ci_nz = [(p, v) for p, v in enumerate(ci) if v]
+        for j in range(d):
+            cj = cols[j]
+            acc = [F(0)] * md
+            for k, c in a.table[i][j]:
+                ck = cols[k]
+                for q in range(md):
+                    if ck[q]:
+                        acc[q] += c * ck[q]
+            for p, v in ci_nz:
+                for q, c in m.right_table[p][j]:
+                    acc[q] -= v * c
+            plane = m.left_table[i]
+            for p, v in enumerate(cj):
+                if v:
+                    for q, c in plane[p]:
+                        acc[q] -= v * c
+            if any(acc):
+                bad.append((i, j))
+                if stop_early:
+                    return bad
+    return bad
+
+
+def _column_module():
+    """T_2 acting on Q^2: columns on the left, the character E22 -> 1 on the
+    right, in the basis f_0 = e_1, f_1 = e_2/3 (so E12.f_1 = f_0/3)."""
+    a = catalog("upper_triangular_2")[0]
+    m = Bimodule.from_sparse(
+        2, 3, {(0, 0, 0): F(1), (1, 1, 0): F(1, 3), (2, 1, 1): F(1)},
+        {(0, 2, 0): F(1), (1, 2, 1): F(1)})
+    return a, m
+
+
+def _scaled_c2():
+    """C2 in the basis 1, g/2: (g/2)^2 = 1/4, a non-integer table."""
+    a = Algebra.from_sparse(2, ("1", "h"), (1, 0),
+                            {(0, 0, 0): F(1), (0, 1, 1): F(1),
+                             (1, 0, 1): F(1), (1, 1, 0): F(1, 4)})
+    return a, regular_bimodule(a)
+
+
+def _mixed_basis_m2():
+    a = mixed_basis_full_matrix_2()
+    return a, regular_bimodule(a)
+
+
+_CATALOG_AND_M2 = tuple((name, None) for name in CATALOG) + (
+    ("dual_numbers", 2), ("full_matrix_2", 2), ("upper_triangular_2", 2))
+_KERNEL_PAIRS = _CATALOG_AND_M2 + (
+    ("dual_numbers", 3), ("upper_triangular_2", 3),
+    ("column_module", None), ("scaled_C2", None), ("mixed_basis_M2", None))
+
+_SPECIAL_PAIRS = {
+    "column_module": _column_module,
+    "scaled_C2": _scaled_c2,
+    "mixed_basis_M2": _mixed_basis_m2,
+}
+
+
+def _kernel_pair(name, n, pairs, mpairs):
+    if name in _SPECIAL_PAIRS:
+        return _SPECIAL_PAIRS[name]()
+    if n is None:
+        return pairs(name)
+    ma, mm = mpairs(name, n)
+    return ma.algebra, mm.bimodule
+
+
+_BIG = 2 ** 70     # numerators and denominators well past 64 bits
+
+_nonzero = st.one_of(
+    st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 12)),
+    st.builds(F, st.integers(-_BIG, _BIG).filter(bool), st.integers(1, _BIG)))
+
+
+@st.composite
+def _linear_maps(draw, a, m):
+    """The zero map, one-entry maps, inner derivations of sparse witnesses
+    plus up to two one-entry changes, and sparse random maps."""
+    kind = draw(st.sampled_from(("zero", "one entry", "inner", "random")))
+    rows = [[F(0)] * a.dim for _ in range(m.dim)]
+    if kind == "inner":
+        w = [draw(st.one_of(st.just(F(0)), _nonzero)) for _ in range(m.dim)]
+        rows = [list(r) for r in inner_derivation(a, m, w).matrix.entries]
+    changes = {"zero": 0, "one entry": 1, "inner": draw(st.integers(0, 2)),
+               "random": draw(st.integers(1, 8))}[kind]
+    for _ in range(changes):
+        r = draw(st.integers(0, m.dim - 1))
+        c = draw(st.integers(0, a.dim - 1))
+        rows[r][c] += draw(_nonzero)
+    return LinearMap(Matrix(m.dim, a.dim, tuple(tuple(r) for r in rows)))
+
+
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_leibniz_failures_match_dense_reference(name, n, data, pairs, mpairs):
+    a, m = _kernel_pair(name, n, pairs, mpairs)
+    f = data.draw(_linear_maps(a, m))
+    full = leibniz_failures(a, m, f, stop_early=False)
+    assert full == _dense_leibniz_failures(a, m, f, stop_early=False)
+    first = leibniz_failures(a, m, f)
+    assert first == _dense_leibniz_failures(a, m, f, stop_early=True)
+    assert first == full[:1]
+    if full:
+        i, j = full[0]
+        with pytest.raises(ValueError) as err:
+            certify(a, m, f)
+        assert str(err.value) == \
+            f"map violates the Leibniz rule at basis pair ({i},{j})"
+    else:
+        assert certify(a, m, f).certified
+
+
+def test_kernel_test_modules_are_bimodules():
+    for build in _SPECIAL_PAIRS.values():
+        a, m = build()
+        assert validate_algebra(a) == []
+        assert validate_bimodule(a, m) == []
+
+
+@pytest.mark.parametrize("name,n", _CATALOG_AND_M2)
+def test_inner_derivation_matches_actions(name, n, pairs, mpairs):
+    a, m = _kernel_pair(name, n, pairs, mpairs)
+    rng = random.Random(f"inner:{name}:{n}")
+    for trial in range(5):
+        w = [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+             if rng.random() < 0.5 else F(0) for _ in range(m.dim)]
+        d = inner_derivation(a, m, w)
+        assert d.certified
+        for j in range(a.dim):
+            ej = basis_vec(a.dim, j)
+            col = d.matrix.col(j)
+            assert col == vsub(act(m, "right", ej, w), act(m, "left", ej, w))
+            assert all(type(c) is F for c in col)

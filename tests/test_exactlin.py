@@ -212,7 +212,7 @@ def _reference_mul_vec(m, v):
                  for row in m.entries)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_matrix_and_vector())
 @example((Matrix.zeros(3, 2), (F(1, 2), 5)))
 @example((mat([[F(1, 2), F(-1, 3)], [0, 0], [F(2, 3), F(1, 6)]]),
