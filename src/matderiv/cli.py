@@ -6,8 +6,9 @@ algebra argument may also be a catalog name (field, dual_numbers,
 group_algebra_C2, full_matrix_2, upper_triangular_2, direct_sum(x,y)).
 
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 input
-error.  Reports are plain text and byte-identical across runs for identical
-inputs, flags, and seed.
+error.  Every command reads and parses all its inputs before it prints, so
+an input error leaves stdout empty.  Reports are plain text and
+byte-identical across runs for identical inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .exactlin import Matrix, Vector
 from .matext import (MatrixAlgebra, MatrixBimodule, decompose, matrix_algebra,
                      matrix_bimodule, verify_lemma22)
 from .twolocal import (DEFAULT_SAMPLES, DEFAULT_SEED, NotTwoLocalError,
-                       PERTURBATION_KINDS, TwoLocalOracle, agreement_failures,
+                       PERTURBATION_KINDS, agreement_failures,
                        perturbed_oracle, reconstruct, seeded_elements,
                        wrap_derivation)
 
@@ -242,12 +243,11 @@ def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
     return ma.algebra, mm.bimodule, ma, mm, header
 
 
-def _certified_map(path: str, a: Algebra, m: Bimodule,
+def _certified_map(lin: LinearMap, a: Algebra, m: Bimodule,
                    out: TextIO, bypass: bool = False) -> Derivation | None:
-    """Load a MapFile on the pair (a, m) and certify it; on Leibniz failure
-    print the failing pair and return None (exit 1 at the caller).  With
-    bypass=True the map is wrapped unchecked (negative-control door)."""
-    kind, lin = load_map_file(path, m.dim, a.dim)
+    """Certify a loaded map on the pair (a, m); on Leibniz failure print the
+    failing pair and return None (exit 1 at the caller).  With bypass=True
+    the map is wrapped unchecked (negative-control door)."""
     if bypass:
         return Derivation(lin, certified=True)
     try:
@@ -263,20 +263,19 @@ def _certified_map(path: str, a: Algebra, m: Bimodule,
 
 def cmd_validate(args, out: TextIO) -> int:
     a = resolve_algebra(args.algebra, check=False)
+    violations = validate_algebra(a)
+    label = getattr(args, "module", None)
+    # a module file is read before any output, and only for a valid algebra
+    m = load_bimodule_file(label, a) if label and not violations else None
     print(f"algebra: {args.algebra}", file=out)
     print(f"dim: {a.dim}", file=out)
-    violations = validate_algebra(a)
     if violations:
         print(f"algebra axioms: FAIL ({_count(violations)})", file=out)
         print(violations[0].describe(a.labels), file=out)
         return 1
     print("algebra axioms: ok", file=out)
-    if getattr(args, "module", None):
-        m = load_bimodule_file(args.module, a)
-        label = args.module
-    else:
-        m = regular_bimodule(a)
-        label = "regular"
+    if m is None:
+        m, label = regular_bimodule(a), "regular"
     mv = validate_bimodule(a, m)
     if mv:
         print(f"module {label} axioms: FAIL ({_count(mv)})", file=out)
@@ -316,9 +315,10 @@ def cmd_decompose(args, out: TextIO) -> int:
         raise CliInputError("decompose requires -n SIZE with SIZE >= 2")
     ma = matrix_algebra(base, n)
     mm = matrix_bimodule(base_mod, n)
+    lin = load_map_file(args.derivation, mm.bimodule.dim, ma.algebra.dim)[1]
     print(f"algebra: {args.algebra}", file=out)
     print(f"matrix level: n={n}", file=out)
-    d = _certified_map(args.derivation, ma.algebra, mm.bimodule, out)
+    d = _certified_map(lin, ma.algebra, mm.bimodule, out)
     if d is None:
         return 1
     dec = decompose(d, ma, mm)
@@ -341,9 +341,10 @@ def cmd_lemma22(args, out: TextIO) -> int:
         raise CliInputError("lemma22 requires -n SIZE with SIZE >= 2")
     ma = matrix_algebra(base, n)
     mm = matrix_bimodule(base_mod, n)
+    lin = load_map_file(args.derivation, mm.bimodule.dim, ma.algebra.dim)[1]
     print(f"algebra: {args.algebra}", file=out)
     print(f"matrix level: n={n}", file=out)
-    d = _certified_map(args.derivation, ma.algebra, mm.bimodule, out,
+    d = _certified_map(lin, ma.algebra, mm.bimodule, out,
                        bypass=args.bypass_certify)
     if d is None:
         return 1
@@ -356,26 +357,17 @@ def cmd_lemma22(args, out: TextIO) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_oracle_spec(spec: str, a: Algebra, m: Bimodule,
-                       ma: MatrixAlgebra, mm: MatrixBimodule,
-                       out: TextIO) -> TwoLocalOracle | None:
-    if spec.startswith("perturb:"):
-        rest = spec[len("perturb:"):]
-        kind, sep, path = rest.partition(":")
-        if not sep or not path:
-            raise CliInputError(
-                "oracle spec must be PATH or perturb:<kind>:<PATH>")
-        if kind not in PERTURBATION_KINDS:
-            raise CliInputError(f"unknown perturbation kind {kind!r}; "
-                                f"expected one of {PERTURBATION_KINDS}")
-        d = _certified_map(path, a, m, out)
-        if d is None:
-            return None
-        return perturbed_oracle(d, kind, ma, mm)
-    d = _certified_map(spec, a, m, out)
-    if d is None:
-        return None
-    return wrap_derivation(d)
+def _parse_oracle_spec(spec: str) -> tuple[str | None, str]:
+    """(perturbation kind or None, map path) of an oracle spec."""
+    if not spec.startswith("perturb:"):
+        return None, spec
+    kind, sep, path = spec[len("perturb:"):].partition(":")
+    if not sep or not path:
+        raise CliInputError("oracle spec must be PATH or perturb:<kind>:<PATH>")
+    if kind not in PERTURBATION_KINDS:
+        raise CliInputError(f"unknown perturbation kind {kind!r}; "
+                            f"expected one of {PERTURBATION_KINDS}")
+    return kind, path
 
 
 def cmd_twolocal(args, out: TextIO) -> int:
@@ -389,13 +381,16 @@ def cmd_twolocal(args, out: TextIO) -> int:
     ma = matrix_algebra(base, n)
     mm = matrix_bimodule(base_mod, n)
     a, m = ma.algebra, mm.bimodule
+    kind, path = _parse_oracle_spec(args.oracle)
+    lin = load_map_file(path, m.dim, a.dim)[1]
     print(f"algebra: {args.algebra}", file=out)
     print(f"matrix level: n={n}", file=out)
     print(f"oracle: {args.oracle}", file=out)
     print(f"samples: {args.samples} seed: {args.seed}", file=out)
-    oracle = _parse_oracle_spec(args.oracle, a, m, ma, mm, out)
-    if oracle is None:
+    d = _certified_map(lin, a, m, out)
+    if d is None:
         return 1
+    oracle = wrap_derivation(d) if kind is None else perturbed_oracle(d, kind, ma, mm)
     space = derivation_space(a, m)
     try:
         cand = reconstruct(oracle, space, ma)

@@ -6,15 +6,17 @@ columns, and nullspace bases use the canonical free-variable parametrization
 (entry 1 at the free column, other free columns 0), so every output is
 deterministic for a given input.
 
-Row reduction internally runs on integer-scaled rows (each row multiplied by
-the lcm of its denominators and divided by the gcd of its entries) and divides
-back to fractions at the end.  Scaling a row never changes the row space, so
-the result is the same unique RREF a textbook fraction-by-fraction elimination
-produces.  Matrix-vector products run on integer-scaled rows too: each row is
-kept once as its denominator and sparse integer numerators, the vector is
-scaled by the lcm of its denominators, and each output entry is one integer
-dot product turned into a single reduced fraction, the same exact value a
-fraction-by-fraction sum gives.
+Every elimination (rref, nullspace, nullspace_sparse, solve, from_span) goes
+through _echelonize.  It takes sparse integer-scaled rows (each row times the
+lcm of its denominators, divided by the gcd of its entries), splits them into
+components of columns that share a row, reduces each component on its own
+and divides back to fractions at the end.  Scaling a row never changes the
+row space, and rows of different components have disjoint supports, so the
+result is the unique RREF a textbook fraction-by-fraction elimination of the
+whole system produces.  Matrix-vector products run on integer-scaled rows
+too: each row is kept once as its denominator and sparse integer numerators,
+and each output entry is one integer dot product turned into a single
+reduced fraction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -166,19 +168,15 @@ class Matrix:
 
 _GROWTH_LIMIT = 1 << 64
 
+SparseRow = Sequence[tuple[int, int]]
+PivotRow = tuple[int, list[tuple[int, Fraction]]]
+
 
 def _primitive(row: list[int]) -> None:
     """Divide an integer row by the gcd of its entries, in place."""
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
+    g = gcd(*row)
     if g > 1:
-        for t, v in enumerate(row):
-            if v:
-                row[t] = v // g
+        row[:] = [v // g for v in row]
 
 
 def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -191,114 +189,118 @@ def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
-    row = _scaled(frac_row)[1]
-    _primitive(row)
-    return row
-
-
 def _primitive_pairs(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, int], ...]:
     """Integer-scaled, gcd-primitive (column, value) pairs of a sparse row,
-    sorted by column.  Two rows give the same pairs exactly when they are
-    equal up to a positive scale."""
+    sorted by column, zeros dropped.  Two rows give the same pairs exactly
+    when they are equal up to a positive scale."""
     pairs = sorted((c, x) for c, x in items if x)
     vals = _scaled([x for _, x in pairs])[1]
     _primitive(vals)
     return tuple((c, v) for (c, _), v in zip(pairs, vals))
 
 
-class _Echelon:
-    """Incremental integer row-echelon accumulator.
+def _rref_dense(rows: Iterable[list[int]], w: int) -> list[PivotRow]:
+    """The RREF of dense integer rows of width w, as (pivot column, sparse
+    fraction row) pairs in pivot order, each row with entry 1 at its pivot.
 
-    Pivot rows are gcd-primitive with positive leading entry and are not
-    touched again until finish(), so their supports can be cached.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.by_col: dict[int, list[int]] = {}
-        self.support: dict[int, list[int]] = {}
-
-    def insert(self, row: list[int]) -> None:
-        w = self.width
-        j = -1
-        for t in range(w):
-            if row[t]:
-                j = t
-                break
-        while j >= 0:
-            p = self.by_col.get(j)
+    Forward pass: each leading entry b of a row is cleared by row <- a*row -
+    b*p, for p the pivot row of that column and a its positive leading entry,
+    and a nonzero rest becomes a new pivot row.  Pivot rows are not touched
+    again until the back pass, so their nonzeros are cached.  A row whose
+    leading entry grows past _GROWTH_LIMIT is divided by its content."""
+    pivots: dict[int, list[int]] = {}
+    support: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        j = 0
+        while j < w and not row[j]:
+            j += 1
+        while j < w:
+            p = pivots.get(j)
             if p is None:
                 if row[j] < 0:
-                    for t in range(j, w):
-                        if row[t]:
-                            row[t] = -row[t]
-                self.by_col[j] = row
-                self.support[j] = [t for t in range(j, w) if row[t]]
-                return
-            a = p[j]
-            b = row[j]
-            if a == 1:
-                for t in self.support[j]:
-                    row[t] -= b * p[t]
-            else:
-                for t in range(j, w):
-                    rt = row[t]
-                    pt = p[t]
-                    if pt:
-                        row[t] = rt * a - b * pt
-                    elif rt:
-                        row[t] = rt * a
-            nxt = -1
-            for t in range(j + 1, w):
-                if row[t]:
-                    nxt = t
-                    break
-            if nxt >= 0 and abs(row[nxt]) > _GROWTH_LIMIT:
+                    row = [-v for v in row]
+                pivots[j] = row
+                support[j] = [(t, row[t]) for t in range(j, w) if row[t]]
+                break
+            a, b = p[j], row[j]
+            if a != 1:
+                row = [v * a for v in row]
+            for t, pt in support[j]:
+                row[t] -= b * pt
+            j += 1
+            while j < w and not row[j]:
+                j += 1
+            if j < w and abs(row[j]) > _GROWTH_LIMIT:
                 _primitive(row)
-            j = nxt
-
-    def finish(self) -> tuple[list[Vector], list[int]]:
-        """Back-reduce to RREF and return (fraction pivot rows, pivot columns)."""
-        w = self.width
-        cols = sorted(self.by_col)
-        for c in reversed(cols):
-            p = self.by_col[c]
-            supp = [t for t in range(c, w) if p[t]]
-            a = p[c]
-            for c2 in cols:
-                if c2 >= c:
-                    break
-                r = self.by_col[c2]
-                b = r[c]
-                if not b:
-                    continue
-                if a == 1:
-                    for t in supp:
-                        r[t] -= b * p[t]
-                else:
-                    for t in range(w):
-                        rt = r[t]
-                        pt = p[t] if t >= c else 0
-                        if pt:
-                            r[t] = rt * a - b * pt
-                        elif rt:
-                            r[t] = rt * a
+    cols = sorted(pivots)
+    for k in range(len(cols) - 1, 0, -1):
+        c = cols[k]
+        p = pivots[c]
+        a = p[c]
+        supp = [(t, p[t]) for t in range(c, w) if p[t]]
+        for c2 in cols[:k]:
+            r = pivots[c2]
+            b = r[c]
+            if b:
+                if a != 1:
+                    r = pivots[c2] = [v * a for v in r]
+                for t, pt in supp:
+                    r[t] -= b * pt
+                if a != 1:
                     _primitive(r)
-        frac_rows: list[Vector] = []
-        for c in cols:
-            p = self.by_col[c]
-            pv = p[c]
-            frac_rows.append(tuple(Fraction(v, pv) if v else ZERO for v in p))
-        return frac_rows, cols
+    return [(c, [(t, Fraction(v, pivots[c][c])) for t, v in enumerate(pivots[c]) if v])
+            for c in cols]
 
 
-def _echelonize(int_rows: Iterable[list[int]], width: int) -> tuple[list[Vector], list[int]]:
-    ech = _Echelon(width)
-    for row in int_rows:
-        if any(row):
-            ech.insert(row)
-    return ech.finish()
+def _echelonize(rows: Iterable[SparseRow], width: int) -> list[PivotRow]:
+    """The RREF of an integer system given as sparse rows of (column, value)
+    pairs with no zero values (an empty row is skipped), as (pivot column,
+    [(column, value), ...]) pairs in pivot order; each row is sparse, sorted
+    by column and has value 1 at its pivot.
+
+    Union-find joins the columns that share a row, and each component is
+    reduced on its own columns, renumbered in increasing order.  Rows of
+    different components have disjoint supports, so the RREF of the whole
+    system is the union of the RREFs of its components: the same pivots,
+    the same free columns and the same rows.  A column in no row is free.
+    """
+    rows = [r for r in rows if r]
+    parent = list(range(width))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for r in rows:
+        root = find(r[0][0])
+        for c, _ in r:
+            parent[find(c)] = root
+    components: dict[int, list[SparseRow]] = {}
+    for r in rows:
+        components.setdefault(find(r[0][0]), []).append(r)
+    out: list[PivotRow] = []
+    for comp in components.values():
+        cols = sorted({c for r in comp for c, _ in r})
+        local = {c: t for t, c in enumerate(cols)}
+        dense = [[0] * len(cols) for _ in comp]
+        for row, r in zip(dense, comp):
+            for c, v in r:
+                row[local[c]] = v
+        out.extend((cols[p], [(cols[t], x) for t, x in prow])
+                   for p, prow in _rref_dense(dense, len(cols)))
+    return sorted(out)
+
+
+def _dense(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vector:
+    v = [ZERO] * width
+    for c, x in pairs:
+        v[c] = x
+    return tuple(v)
+
+
+def _matrix_rows(m: Matrix) -> Iterator[SparseRow]:
+    return (_primitive_pairs(enumerate(r)) for r in m.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -314,47 +316,40 @@ class RrefResult:
 
 def rref(m: Matrix) -> RrefResult:
     """The unique reduced row echelon form of m, with pivot columns and rank."""
-    frac_rows, cols = _echelonize((_int_row(r) for r in m.entries), m.cols)
-    padded = frac_rows + [zero_vec(m.cols)] * (m.rows - len(frac_rows))
-    return RrefResult(Matrix(m.rows, m.cols, tuple(padded)), tuple(cols), len(cols))
+    piv = _echelonize(_matrix_rows(m), m.cols)
+    padded = [_dense(r, m.cols) for _, r in piv] + [zero_vec(m.cols)] * (m.rows - len(piv))
+    cols = tuple(c for c, _ in piv)
+    return RrefResult(Matrix(m.rows, m.cols, tuple(padded)), cols, len(cols))
 
 
-def _nullspace_core(frac_rows: list[Vector], pivots: list[int], width: int) -> "Subspace":
-    pivset = set(pivots)
-    free = [c for c in range(width) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * width
+def _nullspace_core(pivot_rows: list[PivotRow], width: int) -> "Subspace":
+    """The free-variable basis of the solutions of the given RREF rows: the
+    vector of free column f has 1 at f and -row[f] at the pivot of each row.
+    A non-pivot entry of an RREF row always sits in a free column."""
+    pivots = {p for p, _ in pivot_rows}
+    vecs = {f: [ZERO] * width for f in range(width) if f not in pivots}
+    for f, v in vecs.items():
         v[f] = ONE
-        for row, p in zip(frac_rows, pivots):
-            if row[f]:
-                v[p] = -row[f]
-        basis.append(tuple(v))
-    return Subspace(width, tuple(basis), tuple(free))
+    for p, pairs in pivot_rows:
+        for c, x in pairs:
+            if c != p:
+                vecs[c][p] = -x
+    return Subspace(width, tuple(map(tuple, vecs.values())), tuple(vecs))
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Solution space of m v = 0, canonically parametrized by free variables."""
-    frac_rows, cols = _echelonize((_int_row(r) for r in m.entries), m.cols)
-    return _nullspace_core(frac_rows, cols, m.cols)
+    return _nullspace_core(_echelonize(_matrix_rows(m), m.cols), m.cols)
 
 
 def nullspace_sparse(rows: Iterable[Iterable[tuple[int, Fraction]]], width: int) -> "Subspace":
     """nullspace() for a constraint system supplied row by row as sparse
     (column, coefficient) pairs.  A row equal to an earlier one up to a
-    positive scale is skipped; the solution space does not depend on it."""
-    def distinct_rows():
-        seen: set[tuple] = set()
-        for r in rows:
-            key = _primitive_pairs(r)
-            if key and key not in seen:
-                seen.add(key)
-                row = [0] * width
-                for c, v in key:
-                    row[c] = v
-                yield row
-    frac_rows, cols = _echelonize(distinct_rows(), width)
-    return _nullspace_core(frac_rows, cols, width)
+    positive scale is skipped; the solution space does not depend on it.
+    The distinct rows reach _echelonize sparse, which solves each component
+    of the system on its own (a derivation system has thousands)."""
+    distinct = dict.fromkeys(_primitive_pairs(r) for r in rows)
+    return _nullspace_core(_echelonize(distinct, width), width)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
@@ -362,14 +357,16 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
     or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    w = m.cols + 1
-    aug = (_int_row(tuple(r) + (Fraction(bv),)) for r, bv in zip(m.entries, b))
-    frac_rows, cols = _echelonize(aug, w)
-    if m.cols in cols:
-        return None
-    x = [ZERO] * m.cols
-    for row, p in zip(frac_rows, cols):
-        x[p] = row[-1]
+    w = m.cols
+    aug = (_primitive_pairs(enumerate(tuple(r) + (Fraction(bv),)))
+           for r, bv in zip(m.entries, b))
+    x = [ZERO] * w
+    for p, pairs in _echelonize(aug, w + 1):
+        if p == w:
+            return None
+        c, v = pairs[-1]
+        if c == w:
+            x[p] = v
     return tuple(x)
 
 
@@ -413,12 +410,14 @@ class Subspace:
 
     @classmethod
     def from_span(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
-        rows = [_int_row(tuple(Fraction(x) for x in v)) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        frac_rows, cols = _echelonize(rows, ambient_dim)
-        return cls(ambient_dim, tuple(frac_rows), tuple(cols))
+            rows.append(_primitive_pairs((c, Fraction(x)) for c, x in enumerate(v) if x))
+        piv = _echelonize(rows, ambient_dim)
+        return cls(ambient_dim, tuple(_dense(r, ambient_dim) for _, r in piv),
+                   tuple(c for c, _ in piv))
 
 
 def member(s: Subspace, v: Sequence[Fraction]) -> bool:

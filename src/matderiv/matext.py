@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algcore import Algebra, Bimodule, Table, act, multiply, regular_bimodule
+from .algcore import (Algebra, Bimodule, Table, _nonzeros, act, multiply,
+                      regular_bimodule)
 from .dercalc import Derivation, LinearMap, certify, leibniz_failures
 from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, vsub, zero_vec
 
@@ -207,11 +208,16 @@ class Decomposition:
     lifted_part: Derivation
 
 
+def _nonzero_entries(m: Matrix) -> dict[tuple[int, int], Fraction]:
+    return {(r, c): x for r, row in enumerate(m.entries) for c, x in _nonzeros(row)}
+
+
 def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
     """Split a derivation of the matrix pair as inner-by-B plus a lifted base
     derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0); delta is the
-    (0,0|0,0) component.  The recomposition is checked exactly and a failure
-    raises DecompositionError."""
+    (0,0|0,0) component.  The recomposition is checked exactly, as a sum over
+    the nonzero entries of the two parts, and a failure raises
+    DecompositionError."""
     if not D.certified:
         raise ValueError("decompose requires a certified derivation")
     if (D.linmap.algebra_dim != ma.algebra.dim
@@ -233,7 +239,10 @@ def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposi
     delta = certify(base_a, base_m, component(D, ma, mm, 0, 0, 0, 0))
     inner_part = inner_derivation(ma.algebra, mm.bimodule, witness_v)
     lifted_part = lift(delta, ma, mm)
-    if (inner_part.matrix + lifted_part.matrix).entries != D.matrix.entries:
+    total = _nonzero_entries(inner_part.matrix)
+    for key, x in _nonzero_entries(lifted_part.matrix).items():
+        total[key] = total.get(key, ZERO) + x
+    if {key: x for key, x in total.items() if x} != _nonzero_entries(D.matrix):
         raise DecompositionError(
             "recomposition failed: inner part plus lifted part != D")
     return Decomposition(witness_v, delta, inner_part, lifted_part)

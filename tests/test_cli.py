@@ -425,3 +425,62 @@ def test_module_file_rejects_booleans(capsys, tmp_path, tamper, message):
         rc, out, err = run_cli(capsys, cmd, "field", "--module", str(path))
         assert rc == 2, cmd
         assert err == f"error: {path}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# an input error (exit 2) prints nothing on stdout
+# ---------------------------------------------------------------------------
+
+def _zero_denominator_map(tmp_path):
+    # an 8 x 8 map on M_2(dual_numbers) with one entry "1/0"
+    matrix = [["0"] * 8 for _ in range(8)]
+    matrix[0][0] = "1/0"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "derivation", "algebra": "dual_numbers",
+                                "module": "regular", "matrix": matrix}),
+                    encoding="utf-8")
+    return str(path)
+
+
+_LATE_INPUT_ERRORS = {
+    "decompose": (("decompose", "dual_numbers", "-n", "2", "--derivation", "{m}"),
+                  "zero denominator"),
+    "lemma22": (("lemma22", "dual_numbers", "-n", "2", "--derivation", "{m}"),
+                "zero denominator"),
+    "lemma22-bypass": (("lemma22", "dual_numbers", "-n", "2", "--derivation",
+                        "{m}", "--bypass-certify"), "zero denominator"),
+    "twolocal": (("twolocal", "dual_numbers", "-n", "2", "--oracle", "{m}"),
+                 "zero denominator"),
+    "twolocal-perturb": (("twolocal", "dual_numbers", "-n", "2", "--oracle",
+                          "perturb:quadratic_block:{m}"), "zero denominator"),
+    "twolocal-missing": (("twolocal", "field", "-n", "2", "--oracle", "bogus"),
+                         "cannot read bogus"),
+    "twolocal-kind": (("twolocal", "field", "-n", "2", "--oracle",
+                       "perturb:bogus:{inner}"), "unknown perturbation kind"),
+    "twolocal-spec": (("twolocal", "field", "-n", "2", "--oracle",
+                       "perturb:quadratic_block"), "oracle spec must be"),
+    "validate-module": (("validate", "dual_numbers", "--module", "{mod}"),
+                        "zero denominator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_INPUT_ERRORS))
+def test_input_error_leaves_stdout_empty(capsys, tmp_path, inner_e11_file, case):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"dim": 1, "left": [{"i": 0, "p": 0, "q": 0, "c": "1/0"}],
+                               "right": []}), encoding="utf-8")
+    files = {"m": _zero_denominator_map(tmp_path), "inner": inner_e11_file,
+             "mod": str(mod)}
+    argv, message = _LATE_INPUT_ERRORS[case]
+    rc, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_validate_reads_module_only_for_valid_algebra(capsys, tmp_path):
+    # an algebra that fails its axioms is reported (exit 1) before the
+    # module file is read, as before
+    rc, out, _ = run_cli(capsys, "validate", _non_associative(tmp_path),
+                         "--module", str(tmp_path / "missing.json"))
+    assert rc == 1
+    assert "algebra axioms: FAIL" in out

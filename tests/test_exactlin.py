@@ -1,16 +1,18 @@
 """Exact rational linear algebra: frozen small examples plus seeded
 randomized properties (RREF canonicity, rank-nullity, membership, solve,
-the integer matrix-vector kernel)."""
+the integer matrix-vector kernel, the component split of the elimination
+against the unsplit elimination it replaced)."""
 
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matderiv import (Matrix, Subspace, basis_vec, is_zero_vec, member,
-                      nullspace, nullspace_sparse, quotient_dim, rref,
+from matderiv import (Matrix, RrefResult, Subspace, basis_vec, is_zero_vec,
+                      member, nullspace, nullspace_sparse, quotient_dim, rref,
                       same_space, solve, vadd, vscale, vsub, zero_vec)
 from oracles import gauss_rank
 
@@ -230,3 +232,187 @@ def test_mul_vec_matches_fraction_reference(case):
     assert m == twin and hash(m) == hash(twin)
     assert [f.name for f in dataclasses.fields(Matrix)] == ["rows", "cols", "entries"]
     assert twin.mul_vec(v) == got
+
+
+# ---------------------------------------------------------------------------
+# the component split against the unsplit elimination it replaced
+# ---------------------------------------------------------------------------
+# A local copy of the elimination that reduced every system as one block of
+# full-width integer rows, and of the five callers built on it.
+
+def _ref_primitive(row):
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+    if g > 1:
+        for t, v in enumerate(row):
+            row[t] = v // g
+
+
+def _ref_int_row(frac_row):
+    den = 1
+    for x in frac_row:
+        den = lcm(den, F(x).denominator)
+    row = [int(F(x) * den) for x in frac_row]
+    _ref_primitive(row)
+    return row
+
+
+class _RefEchelon:
+    def __init__(self, width):
+        self.width = width
+        self.by_col = {}
+
+    def insert(self, row):
+        w = self.width
+        j = next((t for t in range(w) if row[t]), -1)
+        while j >= 0:
+            p = self.by_col.get(j)
+            if p is None:
+                if row[j] < 0:
+                    row = [-v for v in row]
+                self.by_col[j] = row
+                return
+            a, b = p[j], row[j]
+            row = [rt * a - b * pt for rt, pt in zip(row, p)]
+            j = next((t for t in range(j + 1, w) if row[t]), -1)
+            if j >= 0 and abs(row[j]) > 1 << 64:
+                _ref_primitive(row)
+
+    def finish(self):
+        cols = sorted(self.by_col)
+        for c in reversed(cols):
+            p = self.by_col[c]
+            for c2 in cols:
+                if c2 >= c:
+                    break
+                r = self.by_col[c2]
+                if r[c]:
+                    b = r[c]
+                    r[:] = [rt * p[c] - b * pt for rt, pt in zip(r, p)]
+                    _ref_primitive(r)
+        return ([tuple(F(v, self.by_col[c][c]) for v in self.by_col[c])
+                 for c in cols], cols)
+
+
+def _ref_echelonize(int_rows, width):
+    ech = _RefEchelon(width)
+    for row in int_rows:
+        if any(row):
+            ech.insert(row)
+    return ech.finish()
+
+
+def _ref_nullspace_core(frac_rows, pivots, width):
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [F(0)] * width
+        v[f] = F(1)
+        for row, p in zip(frac_rows, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return Subspace(width, tuple(basis), tuple(free))
+
+
+def _ref_nullspace(m):
+    return _ref_nullspace_core(
+        *_ref_echelonize([_ref_int_row(r) for r in m.entries], m.cols), m.cols)
+
+
+def _ref_nullspace_sparse(rows, width):
+    dense = []
+    for r in rows:
+        row = [F(0)] * width
+        for c, x in r:
+            row[c] = F(x)
+        dense.append(row)
+    return _ref_nullspace_core(
+        *_ref_echelonize([_ref_int_row(r) for r in dense], width), width)
+
+
+def _ref_rref(m):
+    frac_rows, cols = _ref_echelonize([_ref_int_row(r) for r in m.entries], m.cols)
+    padded = frac_rows + [zero_vec(m.cols)] * (m.rows - len(frac_rows))
+    return RrefResult(Matrix(m.rows, m.cols, tuple(padded)), tuple(cols), len(cols))
+
+
+def _ref_solve(m, b):
+    aug = [_ref_int_row(tuple(r) + (F(bv),)) for r, bv in zip(m.entries, b)]
+    frac_rows, cols = _ref_echelonize(aug, m.cols + 1)
+    if m.cols in cols:
+        return None
+    x = [F(0)] * m.cols
+    for row, p in zip(frac_rows, cols):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def _ref_from_span(vectors, dim):
+    frac_rows, cols = _ref_echelonize([_ref_int_row(v) for v in vectors], dim)
+    return Subspace(dim, tuple(frac_rows), tuple(cols))
+
+
+_entries = st.one_of(
+    st.sampled_from((F(0), F(0), F(1), F(-1), F(2))),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def _block_systems(draw):
+    """Blocks of random rows on disjoint column sets under a random column
+    permutation, with columns in no row, empty rows, zero-only rows and
+    possibly one row joining two blocks, in random row order."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
+                           min_size=1, max_size=4))
+    width = sum(w for w, _ in shapes) + draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(width)))
+    blocks, rows, start = [], [], 0
+    for w, nrows in shapes:
+        cols = perm[start:start + w]
+        start += w
+        blocks.append(cols)
+        rows += [[(c, draw(_entries)) for c in cols] for _ in range(nrows)]
+    if len(blocks) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(blocks))))[:2]
+        rows.append([(draw(st.sampled_from(blocks[i])), F(1)),
+                     (draw(st.sampled_from(blocks[j])), F(-3, 2))])
+    rows += [[]] * draw(st.integers(0, 2))
+    rows += [[(c, F(0)) for c in draw(st.sampled_from(blocks))]] * draw(st.integers(0, 1))
+    rows = [rows[t] for t in draw(st.permutations(range(len(rows))))]
+    x = tuple(draw(_entries) for _ in range(width))
+    b = tuple(draw(_entries) for _ in rows)
+    return width, rows, x, b
+
+
+def _dense_matrix(width, rows):
+    dense = []
+    for r in rows:
+        row = [F(0)] * width
+        for c, v in r:
+            row[c] = v
+        dense.append(tuple(row))
+    return Matrix(len(dense), width, tuple(dense))
+
+
+@settings(max_examples=300)
+@given(_block_systems())
+@example((3, [[(0, F(1)), (1, F(1))], [(0, F(1)), (1, F(1))], [(2, F(2))]],
+          (F(0), F(0), F(0)), (F(1), F(2), F(0))))            # inconsistent
+@example((4, [[], [(3, F(0))], [(1, F(2 ** 65 + 1, 3))]],
+          (F(1),) * 4, (F(0), F(0), F(5))))
+def test_split_kernel_matches_unsplit_reference(case):
+    width, rows, x, b = case
+    m = _dense_matrix(width, rows)
+    got = nullspace_sparse(rows, width)
+    assert got == _ref_nullspace_sparse(rows, width)
+    assert all(type(c) is F for v in got.basis for c in v)
+    assert nullspace(m) == _ref_nullspace(m)
+    r = rref(m)
+    assert r == _ref_rref(m)
+    assert all(type(c) is F for row in r.reduced.entries for c in row)
+    assert Subspace.from_span(m.entries, width) == _ref_from_span(m.entries, width)
+    consistent = m.mul_vec(x)
+    assert solve(m, consistent) == _ref_solve(m, consistent) is not None
+    assert solve(m, b) == _ref_solve(m, b)

@@ -11,7 +11,8 @@ from matderiv import (Decomposition, DecompositionError, Derivation,
                       LinearMap, Matrix, basis_vec, catalog, certify, decompose,
                       derivation_space, inner_derivation, is_zero_vec, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
-                      multiply, reblock_iso, regular_bimodule, transport_derivation,
+                      multiply, reblock_iso, regular_bimodule, Subspace,
+                      transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, zero_vec)
 from conftest import CATALOG
@@ -254,6 +255,52 @@ def test_decompose_non_uniqueness_noncommuting():
     lifted = lift(zeta, ma, mm)
     assert inner_big.matrix == lifted.matrix
     assert not inner_big.matrix.is_zero()
+
+
+@pytest.mark.parametrize("name", ("full_matrix_2", "dual_numbers"))
+def test_derivation_space_is_inner_plus_lift_at_n4(name, pairs, mpairs, derspaces):
+    # the first theorem, Der(M_4(A)) = Inner + lift(Der(A)), computed as a
+    # span with no constraint assembly: the RREF of that span with its
+    # columns reversed, reversed back, is the nullspace's free-variable basis
+    a, m = pairs(name)
+    ma, mm = mpairs(name, 4)
+    big_a, big_m = ma.algebra, mm.bimodule
+    gens = [inner_derivation(big_a, big_m, basis_vec(big_m.dim, p)).linmap.flatten()
+            for p in range(big_m.dim)]
+    gens += [lift(d, ma, mm).linmap.flatten() for d in derivation_space(a, m).basis]
+    width = big_a.dim * big_m.dim
+    span = Subspace.from_span([v[::-1] for v in gens], width)
+    der = derspaces(name, 4).subspace
+    assert tuple(v[::-1] for v in reversed(span.basis)) == der.basis
+    assert tuple(width - 1 - p for p in reversed(span.pivot_cols)) == der.pivot_cols
+
+
+def test_decompose_raises_when_recomposition_fails():
+    # a forged "derivation" of M_2(Q) whose only nonzero entry, E22 -> E12,
+    # is invisible to the witness and to the corner component: both parts
+    # are zero, so the recomposition check must catch it
+    f, fm = catalog("field")
+    ma, mm = matrix_pair(f, fm, 2)
+    cols = [zero_vec(4)] * 3 + [basis_vec(4, mm.flat(0, 1, 0))]
+    forged = Derivation(LinearMap.from_columns(cols), certified=True)
+    with pytest.raises(DecompositionError, match="recomposition failed"):
+        decompose(forged, ma, mm)
+
+
+def test_decompose_recomposition_with_cancelling_parts(mpairs):
+    # on a noncommutative base, inner and lifted parts overlap and cancel
+    rng = random.Random(5)
+    ma, mm = mpairs("full_matrix_2", 3)
+    cancelled = 0
+    for trial in range(3):
+        w = rand_elt(rng, mm.bimodule.dim)
+        d = inner_derivation(ma.algebra, mm.bimodule, w)
+        dec = decompose(d, ma, mm)
+        for row_d, row_i, row_l in zip(d.matrix.entries, dec.inner_part.matrix.entries,
+                                       dec.lifted_part.matrix.entries):
+            assert vadd(row_i, row_l) == row_d
+            cancelled += sum(1 for x, y, z in zip(row_d, row_i, row_l) if y and z and not x)
+    assert cancelled, "want entries where the two parts cancel"
 
 
 def test_decompose_rejects_uncertified(mpairs):
