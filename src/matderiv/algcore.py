@@ -5,7 +5,9 @@ the tuple of (k, c) pairs with e_i e_j = sum c e_k, every c nonzero and k
 strictly increasing, together with the coordinates of its unit.  A Bimodule
 over an algebra stores its left and right actions as tables of the same
 form.  The canonical form makes equal algebras have equal tables.  Dense
-tensors c[i][j][k] (mult, left, right) are derived views, built on first use.
+tensors c[i][j][k] (mult, left, right) and the integer views (int_table,
+int_tables: the tables times the lcm of their denominators) are derived
+views, built on first use.
 Elements are plain tuples of Fraction over the owning basis; multiply and act
 collect the nonzeros of their inner operand once.
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .exactlin import ZERO, Vector, basis_vec
+from .exactlin import ZERO, Vector, _scaled, basis_vec
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
@@ -78,6 +80,16 @@ def _dense(table: Table, dim2: int) -> Tensor3:
     return tuple(out)
 
 
+def _int_view(*tables: Table) -> tuple:
+    """(L, *views): L is the positive lcm of the denominators of all the
+    tables' coefficients, and each view is its table times L, in ints."""
+    scale, nums = _scaled([c for t in tables for plane in t for cell in plane
+                           for _, c in cell])
+    it = iter(nums)
+    return (scale, *(tuple(tuple(tuple([(k, next(it)) for k, _ in cell]) if cell else ()
+                                 for cell in plane) for plane in t) for t in tables))
+
+
 @dataclass(frozen=True)
 class Algebra:
     """Unital associative algebra given by basis labels, unit and the sparse
@@ -105,6 +117,11 @@ class Algebra:
     def mult(self) -> Tensor3:
         """Dense view: mult[i][j][k] is the coefficient of e_k in e_i e_j."""
         return _dense(self.table, self.dim)
+
+    @cached_property
+    def int_table(self) -> tuple:
+        """Integer view (L_a, table times L_a), L_a the lcm of its denominators."""
+        return _int_view(self.table)
 
     def basis_element(self, i: int) -> Vector:
         return basis_vec(self.dim, i)
@@ -145,6 +162,11 @@ class Bimodule:
     def right(self) -> Tensor3:
         """Dense view: right[p][i][q] is the coefficient of f_q in f_p . e_i."""
         return _dense(self.right_table, self.dim)
+
+    @cached_property
+    def int_tables(self) -> tuple:
+        """Integer view (L_m, left, right): both tables times their joint lcm."""
+        return _int_view(self.left_table, self.right_table)
 
     def basis_element(self, p: int) -> Vector:
         return basis_vec(self.dim, p)

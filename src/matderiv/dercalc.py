@@ -11,10 +11,11 @@ of e_k, i.e. images of basis vectors are concatenated in basis order.
 Inner derivations use the sign convention delta_w(x) = w.x - x.w (module
 element on the left of the algebra element in the first term).
 
-Certification iterates only over table entries and the nonzeros of the map:
-leibniz_failures scales the map and the tables to integers (a common
-positive scale does not change which basis pairs fail) and sums each pair's
-residual in a small dict, and inner_derivation builds each column from the
+Constraint assembly, certification and the inner space read the integer
+views Algebra.int_table (scale L_a) and Bimodule.int_tables (scale L_m); a
+positive scale changes no row space and no failing pair.  Constraint rows
+leave as canonical keys (exactlin._canonical), so rows equal up to a
+nonzero scale collapse.  inner_derivation builds each column from the
 action tables over the nonzero coordinates of the witness.
 """
 
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from math import gcd
+from typing import Iterator, Sequence
 
-from .algcore import Algebra, Bimodule, Table, _nonzeros
-from .exactlin import (Matrix, Subspace, Vector, ZERO, _scaled, basis_vec,
-                       nullspace, nullspace_sparse, quotient_dim, solve)
+from .algcore import Algebra, Bimodule, _nonzeros
+from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical, _scaled,
+                       nullspace_sparse, quotient_dim, solve)
 
 
 @dataclass(frozen=True)
@@ -100,47 +102,40 @@ class Derivation:
         return self.linmap.matrix
 
 
-def _int_tables(*tables: Table) -> tuple[Table, ...]:
-    """The tables with every coefficient multiplied by one common positive
-    scale, the lcm of all their denominators, so that all are integers."""
-    coeffs = [c for t in tables for plane in t for cell in plane for _, c in cell]
-    nums = iter(_scaled(coeffs)[1])
-    return tuple(tuple(tuple(tuple([(k, next(nums)) for k, _ in cell]) if cell else ()
-                             for cell in plane) for plane in t)
-                 for t in tables)
-
-
 def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
                      stop_early: bool = True) -> list[tuple[int, int]]:
     """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
     in lexicographic order (only the first one when stop_early).
 
-    The residual is checked scaled by one positive integer: the map by the lcm
-    of its denominators and the three tables by the lcm of theirs, which
-    leaves the pairs that fail unchanged.  Each map column is kept as its
-    sparse (row, numerator) pairs, and the residual of a pair is summed in a
-    dict over the nonzero products only: table[i][j] against the columns it
-    names, right_table[p][j] over the nonzeros p of column i, and
-    left_table[i][p] over the nonzeros p of column j.
+    The residual is checked scaled by lcm(L_a, L_m) = L_a*L_m/g and the map
+    by the lcm of its denominators: the table view meets the map columns
+    times L_m/g and the action views meet them times L_a/g.  The residual of
+    a pair is summed in a dict over the nonzero products only: table[i][j]
+    against the columns it names, right[p][j] over the nonzeros p of column
+    i, and left[i][p] over the nonzeros p of column j.
     """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
     d = a.dim
+    la, table = a.int_table
+    lm, left, right = m.int_tables
     nums = _scaled([x for row in f.matrix.entries for x in row])[1]
     cols = [_nonzeros(nums[j::d]) for j in range(d)]
-    table, left, right = _int_tables(a.table, m.left_table, m.right_table)
+    g = gcd(la, lm)
+    cols_t = cols if lm == g else [[(p, v * (lm // g)) for p, v in col] for col in cols]
+    cols_m = cols if la == g else [[(p, v * (la // g)) for p, v in col] for col in cols]
     bad: list[tuple[int, int]] = []
     for i in range(d):
-        ci, row, plane = cols[i], table[i], left[i]
+        ci, row, plane = cols_m[i], table[i], left[i]
         for j in range(d):
             acc: dict[int, int] = {}
             for k, c in row[j]:                      # delta(e_i e_j)
-                for q, v in cols[k]:
+                for q, v in cols_t[k]:
                     acc[q] = acc.get(q, 0) + c * v
             for p, v in ci:                          # - delta(e_i).e_j
                 for q, c in right[p][j]:
                     acc[q] = acc.get(q, 0) - v * c
-            for p, v in cols[j]:                     # - e_i.delta(e_j)
+            for p, v in cols_m[j]:                   # - e_i.delta(e_j)
                 for q, c in plane[p]:
                     acc[q] = acc.get(q, 0) - v * c
             if any(acc.values()):
@@ -166,73 +161,55 @@ def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
 # constraint assembly
 # ---------------------------------------------------------------------------
 
-def _action_by_output(m: Bimodule):
-    """right_q[i][q] = [(p, R[p][i][q])], left_q[i][q] = [(p, L[i][p][q])]
-    over the nonzero tensor entries."""
-    d, md = m.algebra_dim, m.dim
-    right_q = [[[] for _ in range(md)] for _ in range(d)]
-    for p in range(md):
-        plane = m.right_table[p]
-        for i in range(d):
-            for q, v in plane[i]:
-                right_q[i][q].append((p, v))
-    left_q = [[[] for _ in range(md)] for _ in range(d)]
-    for i in range(d):
-        plane = m.left_table[i]
-        for p in range(md):
-            for q, v in plane[p]:
-                left_q[i][q].append((p, v))
-    return right_q, left_q
+def _by_output(table, scale: int, md: int) -> list[list[list[tuple[int, int]]]]:
+    """out[i][q] = [(p, -scale*c)] over the entries (q, c) of table[i][p]."""
+    out = []
+    for plane in table:
+        by_q = [[] for _ in range(md)]
+        for p, cell in enumerate(plane):
+            for q, c in cell:
+                by_q[q].append((p, -scale * c))
+        out.append(by_q)
+    return out
 
 
 def _constraint_rows(a: Algebra, m: Bimodule,
-                     jordan: bool) -> Iterator[Iterable[tuple[int, Fraction]]]:
-    """Sparse constraint rows in lexicographic (i, j, module coordinate) order.
+                     jordan: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Sparse constraint rows in lexicographic (i, j, module coordinate) order,
+    each as its canonical key (exactlin._canonical).
 
     Leibniz:   delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0
     Jordan (polarized): the same expression symmetrized over (i, j).
+
+    Each row is read off the integer views times lcm(L_a, L_m) = L_a*L_m/g.
     """
     d, md = a.dim, m.dim
-    right_q, left_q = _action_by_output(m)
+    la, table = a.int_table
+    lm, left, right = m.int_tables
+    g = gcd(la, lm)
+    # right_q[i][q] = [(p, -R[p][i][q])] and left_q[i][q] = [(p, -L[i][p][q])], scaled
+    right_q = _by_output(zip(*right), la // g, md)
+    left_q = _by_output(left, la // g, md)
     for i in range(d):
         for j in range(d):
-            rows: list[dict[int, Fraction]] = [dict() for _ in range(md)]
-
-            def add_product(kk: int, jj: int):
-                # - delta(e_kk).e_jj  contributes -R[p][jj][q] at column kk*md+p
-                for q in range(md):
-                    row = rows[q]
-                    for p, v in right_q[jj][q]:
-                        col = kk * md + p
-                        row[col] = row.get(col, ZERO) - v
-
-            def add_left(ii: int, kk: int):
-                # - e_ii.delta(e_kk)  contributes -L[ii][p][q] at column kk*md+p
-                for q in range(md):
-                    row = rows[q]
-                    for p, v in left_q[ii][q]:
-                        col = kk * md + p
-                        row[col] = row.get(col, ZERO) - v
-
-            def add_image(ii: int, jj: int):
-                # + delta(e_ii e_jj) contributes c[ii][jj][k] at column k*md+q
-                for k, c in a.table[ii][jj]:
-                    base = k * md
-                    for q in range(md):
-                        row = rows[q]
-                        col = base + q
-                        row[col] = row.get(col, ZERO) + c
-
-            add_image(i, j)
-            add_product(i, j)
-            add_left(i, j)
-            if jordan:
-                add_image(j, i)
-                add_product(j, i)
-                add_left(j, i)
+            # (e_ii e_jj as (k*md, c), right_q[jj], ii*md, left_q[ii], jj*md)
+            terms = [([(k * md, lm // g * c) for k, c in table[ii][jj]], right_q[jj],
+                      ii * md, left_q[ii], jj * md)
+                     for ii, jj in (((i, j), (j, i)) if jordan else ((i, j),))]
             for q in range(md):
-                if rows[q]:
-                    yield rows[q].items()
+                row: dict[int, int] = {}
+                for image, rq, base_ii, lq, base_jj in terms:
+                    for base, c in image:        # + delta(e_ii e_jj): column k*md+q
+                        col = base + q
+                        row[col] = row.get(col, 0) + c
+                    for p, v in rq[q]:           # - delta(e_ii).e_jj: column ii*md+p
+                        col = base_ii + p
+                        row[col] = row.get(col, 0) + v
+                    for p, v in lq[q]:           # - e_ii.delta(e_jj): column jj*md+p
+                        col = base_jj + p
+                        row[col] = row.get(col, 0) + v
+                if row:
+                    yield _canonical(sorted([cv for cv in row.items() if cv[1]]))
 
 
 @dataclass(frozen=True)
@@ -305,12 +282,19 @@ def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivati
     return Derivation(LinearMap.from_columns(cols), certified=True)
 
 
-def _inner_matrix(a: Algebra, m: Bimodule) -> Matrix:
-    """(d*m) x m matrix whose column p is the flattened delta_{f_p}."""
-    cols = [inner_derivation(a, m, basis_vec(m.dim, p)).linmap.flatten()
-            for p in range(m.dim)]
-    rows = tuple(tuple(col[t] for col in cols) for t in range(a.dim * m.dim))
-    return Matrix(a.dim * m.dim, m.dim, rows)
+def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
+    """Row j*md + q of the (d*md) x md matrix of w -> delta_w times L_m, as
+    {p: value}: the f_q-coordinate of delta_{f_p}(e_j) = f_p.e_j - e_j.f_p,
+    read off the integer views right[p][j] and left[j][p]."""
+    _, left, right = m.int_tables
+    rows = []
+    for rq, lq in zip(_by_output(zip(*right), -1, m.dim), _by_output(left, 1, m.dim)):
+        for q in range(m.dim):
+            row = dict(rq[q])
+            for p, v in lq[q]:
+                row[p] = row.get(p, 0) + v
+            rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -321,11 +305,16 @@ class InnerSpace:
 
 def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
     """Image (flattened inner derivations) and kernel (module elements
-    commuting with the whole algebra) of w -> delta_w."""
-    phi = _inner_matrix(a, m)
-    image = Subspace.from_span([phi.col(p) for p in range(m.dim)], phi.rows)
-    kernel = nullspace(phi)
-    return InnerSpace(image, kernel)
+    commuting with the whole algebra) of w -> delta_w: the span of the
+    columns and the nullspace of the rows of _inner_rows."""
+    width = a.dim * m.dim
+    rows = _inner_rows(m)
+    cols = [[0] * width for _ in range(m.dim)]
+    for t, row in enumerate(rows):
+        for p, x in row.items():
+            cols[p][t] = x
+    return InnerSpace(Subspace.from_span(cols, width),
+                      nullspace_sparse((r.items() for r in rows), m.dim))
 
 
 def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:
@@ -334,7 +323,8 @@ def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:
         raise ValueError("is_inner requires a certified derivation")
     if d.linmap.algebra_dim != a.dim or d.linmap.module_dim != m.dim:
         raise ValueError("derivation shape does not match the pair")
-    return solve(_inner_matrix(a, m), d.linmap.flatten())
+    phi = Matrix.from_rows([row.get(p, 0) for p in range(m.dim)] for row in _inner_rows(m))
+    return solve(phi, [m.int_tables[0] * x for x in d.linmap.flatten()])
 
 
 def h1_dim(a: Algebra, m: Bimodule) -> int:

@@ -7,15 +7,17 @@ columns, and nullspace bases use the canonical free-variable parametrization
 deterministic for a given input.
 
 Every elimination (rref, nullspace, nullspace_sparse, solve, from_span) goes
-through _echelonize.  It takes sparse integer-scaled rows (each row times the
-lcm of its denominators, divided by the gcd of its entries), splits them into
-components of columns that share a row, reduces each component on its own
-and divides back to fractions at the end.  Scaling a row never changes the
-row space, and rows of different components have disjoint supports, so the
-result is the unique RREF a textbook fraction-by-fraction elimination of the
-whole system produces.  Matrix-vector products run on integer-scaled rows
-too: each row is kept once as its denominator and sparse integer numerators,
-and each output entry is one integer dot product turned into a single
+through _echelonize.  It takes sparse rows in the canonical key form of
+_primitive_pairs (each row times the lcm of its denominators, divided by the
+gcd of its entries and signed so that its first entry is positive; rows equal
+up to a nonzero scale have the same key), splits them into components of
+columns that share a row, reduces each component on its own and divides
+back to fractions at the end.  Scaling a row never changes the row space,
+and rows of different components have disjoint supports, so the result is
+the unique RREF a textbook fraction-by-fraction elimination of the whole
+system produces.  Matrix-vector products run on integer-scaled rows too:
+each row is kept once as its denominator and sparse integer numerators, and
+each output entry is one integer dot product turned into a single
 reduced fraction.
 """
 
@@ -182,21 +184,29 @@ def _primitive(row: list[int]) -> None:
 def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(d, [d*x for x in xs]) for d the lcm of the denominators of xs
     (Fractions or ints), so that every d*x is an integer."""
-    den = 1
-    for x in xs:
-        if den % x.denominator:
-            den = lcm(den, x.denominator)
-    return den, [x.numerator * (den // x.denominator) for x in xs]
+    dens = [x.denominator for x in xs]
+    den = lcm(*dens)
+    return den, [x.numerator * (den // d) for x, d in zip(xs, dens)]
+
+
+def _canonical(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The canonical key of nonzero integer (column, value) pairs sorted by
+    column: divided by their gcd and signed so the first value is positive."""
+    if not pairs:
+        return ()
+    g = gcd(*[v for _, v in pairs])
+    if pairs[0][1] < 0:
+        g = -g
+    return tuple(pairs) if g == 1 else tuple([(c, v // g) for c, v in pairs])
 
 
 def _primitive_pairs(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, int], ...]:
-    """Integer-scaled, gcd-primitive (column, value) pairs of a sparse row,
-    sorted by column, zeros dropped.  Two rows give the same pairs exactly
-    when they are equal up to a positive scale."""
-    pairs = sorted((c, x) for c, x in items if x)
-    vals = _scaled([x for _, x in pairs])[1]
-    _primitive(vals)
-    return tuple((c, v) for (c, _), v in zip(pairs, vals))
+    """The canonical key of a sparse row: its (column, value) pairs sorted by
+    column, zeros dropped, scaled to integers by the lcm of the denominators
+    and passed through _canonical.  Two rows give the same key exactly when
+    they are equal up to a nonzero scale."""
+    pairs = sorted([cx for cx in items if cx[1]])
+    return _canonical([(c, v) for (c, _), v in zip(pairs, _scaled([x for _, x in pairs])[1])])
 
 
 def _rref_dense(rows: Iterable[list[int]], w: int) -> list[PivotRow]:
@@ -344,11 +354,12 @@ def nullspace(m: Matrix) -> "Subspace":
 
 def nullspace_sparse(rows: Iterable[Iterable[tuple[int, Fraction]]], width: int) -> "Subspace":
     """nullspace() for a constraint system supplied row by row as sparse
-    (column, coefficient) pairs.  A row equal to an earlier one up to a
-    positive scale is skipped; the solution space does not depend on it.
-    The distinct rows reach _echelonize sparse, which solves each component
-    of the system on its own (a derivation system has thousands)."""
-    distinct = dict.fromkeys(_primitive_pairs(r) for r in rows)
+    (column, coefficient) pairs.  Rows are deduplicated as given, and only
+    the distinct ones are normalised to canonical keys, so a row equal to an
+    earlier one up to a nonzero scale is skipped.  The distinct rows reach
+    _echelonize sparse, which solves each component of the system on its
+    own (a derivation system has thousands)."""
+    distinct = dict.fromkeys(map(_primitive_pairs, dict.fromkeys(map(tuple, rows))))
     return _nullspace_core(_echelonize(distinct, width), width)
 
 

@@ -2,11 +2,14 @@
 byte-for-byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matderiv
 from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
                       lift, matrix_pair, validate_algebra, LinearMap)
 from matderiv.cli import main, parse_rational, CliInputError
@@ -375,9 +378,13 @@ def test_catalog_name_takes_precedence_and_errors_inform(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package under test, with or without PYTHONPATH
+    src = str(Path(matderiv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "matderiv.cli", "derspace", "dual_numbers"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "Der=1 Inner=0 H1=1" in proc.stdout
 

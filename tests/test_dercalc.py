@@ -6,6 +6,7 @@ assembly and the element-level spanning-set oracle from oracles.py.
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,11 @@ from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
                       derivation_space, h1_dim, inner_derivation,
                       inner_space, is_inner, is_zero_vec,
                       jordan_derivation_space, leibniz_check,
-                      leibniz_failures, member, regular_bimodule, same_space,
-                      vadd, validate_algebra, validate_bimodule, vscale,
-                      vsub, zero_vec)
+                      leibniz_failures, member, nullspace, regular_bimodule,
+                      same_space, Subspace, vadd, validate_algebra,
+                      validate_bimodule, vscale, vsub, zero_vec)
+from matderiv.dercalc import _constraint_rows
+from matderiv.exactlin import _echelonize, _nullspace_core
 from conftest import CATALOG, mixed_basis_full_matrix_2
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
@@ -371,3 +374,140 @@ def test_inner_derivation_matches_actions(name, n, pairs, mpairs):
             col = d.matrix.col(j)
             assert col == vsub(act(m, "right", ej, w), act(m, "left", ej, w))
             assert all(type(c) is F for c in col)
+
+
+# ---------------------------------------------------------------------------
+# the integer form against the Fraction assembly and dense inner matrix it
+# replaced
+# ---------------------------------------------------------------------------
+
+def _unscaled(view, scale):
+    return tuple(tuple(tuple((k, F(v, scale)) for k, v in cell) for cell in plane)
+                 for plane in view)
+
+
+def _denominators(*tables):
+    return [c.denominator for t in tables for plane in t for cell in plane
+            for _, c in cell]
+
+
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+def test_integer_views_scale_the_tables(name, n, pairs, mpairs):
+    a, m = _kernel_pair(name, n, pairs, mpairs)
+    la, table = a.int_table
+    lm, left, right = m.int_tables
+    assert la == lcm(*_denominators(a.table)) > 0
+    assert lm == lcm(*_denominators(m.left_table, m.right_table)) > 0
+    for view in (table, left, right):
+        assert all(type(v) is int for plane in view for cell in plane
+                   for _, v in cell)
+    assert _unscaled(table, la) == a.table
+    assert _unscaled(left, lm) == m.left_table
+    assert _unscaled(right, lm) == m.right_table
+
+
+def test_integer_views_cover_distinct_scales():
+    a, m = _column_module()
+    assert (a.int_table[0], m.int_tables[0]) == (1, 3)
+    a, m = _scaled_c2()
+    assert (a.int_table[0], m.int_tables[0]) == (4, 4)
+
+
+def test_cached_views_leave_equality_and_hash_alone():
+    a, m = _column_module()
+    a2, m2 = _column_module()
+    a.int_table, a.mult, m.int_tables, m.left, m.right
+    assert "int_table" in vars(a) and "int_tables" in vars(m)
+    assert "int_table" not in vars(a2) and "int_tables" not in vars(m2)
+    assert a == a2 and hash(a) == hash(a2)
+    assert m == m2 and hash(m) == hash(m2)
+
+
+def _ref_primitive_pairs(items):
+    """The positive-scale dedupe key the canonical key replaced: Fraction
+    pairs sorted by column, times the lcm of their denominators, over the
+    gcd of the results."""
+    pairs = sorted((c, x) for c, x in items if x)
+    den = lcm(*(x.denominator for _, x in pairs))
+    vals = [int(x * den) for _, x in pairs]
+    g = gcd(*vals) or 1
+    return tuple((c, v // g) for (c, _), v in zip(pairs, vals))
+
+
+def _ref_constraint_rows(a, m, jordan):
+    """The Fraction assembly: one dict per module coordinate q of each basis
+    pair (i, j), built from the Fraction tables, in (i, j, q) order."""
+    d, md = a.dim, m.dim
+    for i in range(d):
+        for j in range(d):
+            rows = [{} for _ in range(md)]
+            for ii, jj in ((i, j), (j, i)) if jordan else ((i, j),):
+                for k, c in a.table[ii][jj]:            # + delta(e_ii e_jj)
+                    for q in range(md):
+                        rows[q][k * md + q] = rows[q].get(k * md + q, F(0)) + c
+                for p in range(md):                     # - delta(e_ii).e_jj
+                    for q, v in m.right_table[p][jj]:
+                        col = ii * md + p
+                        rows[q][col] = rows[q].get(col, F(0)) - v
+                for p in range(md):                     # - e_ii.delta(e_jj)
+                    for q, v in m.left_table[ii][p]:
+                        col = jj * md + p
+                        rows[q][col] = rows[q].get(col, F(0)) - v
+            yield from (r.items() for r in rows if r)
+
+
+def _ref_inner_matrix(a, m):
+    """(d*m) x m Fraction matrix whose column p is the flattened delta_{f_p},
+    built column by column from inner_derivation."""
+    cols = [inner_derivation(a, m, basis_vec(m.dim, p)).linmap.flatten()
+            for p in range(m.dim)]
+    rows = tuple(tuple(col[t] for col in cols) for t in range(a.dim * m.dim))
+    return Matrix(a.dim * m.dim, m.dim, rows)
+
+
+def _same_up_to_scale(r, s):
+    return ([c for c, _ in r] == [c for c, _ in s]
+            and all(x * s[0][1] == y * r[0][1] for (_, x), (_, y) in zip(r, s)))
+
+
+_scales = st.sampled_from((F(1), F(-1), F(2), F(-1, 3), F(5, 2), F(-4, 7)))
+
+
+@st.composite
+def _rebased_pairs(draw, a, m):
+    """The pair in the basis s_i e_i of the algebra and t_p f_p of the module,
+    for nonzero rationals s and t (all 1 in the simplest example)."""
+    s = [draw(_scales) for _ in range(a.dim)]
+    t = [draw(_scales) for _ in range(m.dim)]
+    mult = {(i, j, k): s[i] * s[j] / s[k] * c for i, plane in enumerate(a.table)
+            for j, cell in enumerate(plane) for k, c in cell}
+    left = {(i, p, q): s[i] * t[p] / t[q] * c for i, plane in enumerate(m.left_table)
+            for p, cell in enumerate(plane) for q, c in cell}
+    right = {(p, i, q): t[p] * s[i] / t[q] * c for p, plane in enumerate(m.right_table)
+             for i, cell in enumerate(plane) for q, c in cell}
+    unit = [u / s[k] for k, u in enumerate(a.unit)]
+    return (Algebra.from_sparse(a.dim, a.labels, unit, mult),
+            Bimodule.from_sparse(m.dim, a.dim, left, right))
+
+
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpairs):
+    a, m = data.draw(_rebased_pairs(*_kernel_pair(name, n, pairs, mpairs)))
+    width = a.dim * m.dim
+    for jordan, space in ((False, derivation_space), (True, jordan_derivation_space)):
+        got = list(_constraint_rows(a, m, jordan))
+        ref = [_ref_primitive_pairs(r) for r in _ref_constraint_rows(a, m, jordan)]
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g == r == () or _same_up_to_scale(g, r)
+            assert g == () or (g[0][1] > 0 and gcd(*(v for _, v in g)) == 1)
+        ref_space = _nullspace_core(_echelonize(list(dict.fromkeys(ref)), width), width)
+        sub = space(a, m).subspace
+        assert (sub.basis, sub.pivot_cols) == (ref_space.basis, ref_space.pivot_cols)
+    assert all(d.certified for d in derivation_space(a, m).basis)
+    phi = _ref_inner_matrix(a, m)
+    inn = inner_space(a, m)
+    assert inn.image == Subspace.from_span([phi.col(p) for p in range(m.dim)], width)
+    assert inn.kernel == nullspace(phi)

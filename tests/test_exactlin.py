@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from matderiv import (Matrix, RrefResult, Subspace, basis_vec, is_zero_vec,
                       member, nullspace, nullspace_sparse, quotient_dim, rref,
                       same_space, solve, vadd, vscale, vsub, zero_vec)
+from matderiv.exactlin import _primitive_pairs
 from oracles import gauss_rank
 
 
@@ -362,8 +363,9 @@ _entries = st.one_of(
 @st.composite
 def _block_systems(draw):
     """Blocks of random rows on disjoint column sets under a random column
-    permutation, with columns in no row, empty rows, zero-only rows and
-    possibly one row joining two blocks, in random row order."""
+    permutation, with columns in no row, empty rows, zero-only rows,
+    possibly one row joining two blocks and negated or rescaled copies of
+    some rows, in random row order."""
     shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
                            min_size=1, max_size=4))
     width = sum(w for w, _ in shapes) + draw(st.integers(0, 3))
@@ -380,6 +382,11 @@ def _block_systems(draw):
                      (draw(st.sampled_from(blocks[j])), F(-3, 2))])
     rows += [[]] * draw(st.integers(0, 2))
     rows += [[(c, F(0)) for c in draw(st.sampled_from(blocks))]] * draw(st.integers(0, 1))
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            row = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((F(-1), F(-2, 3), F(7, 5), -F(2 ** 66, 3))))
+            rows.append([(c, scale * v) for c, v in row])
     rows = [rows[t] for t in draw(st.permutations(range(len(rows))))]
     x = tuple(draw(_entries) for _ in range(width))
     b = tuple(draw(_entries) for _ in rows)
@@ -404,6 +411,9 @@ def _dense_matrix(width, rows):
           (F(1),) * 4, (F(0), F(0), F(5))))
 def test_split_kernel_matches_unsplit_reference(case):
     width, rows, x, b = case
+    for row in rows:
+        key = _primitive_pairs(row)
+        assert key == () or (key[0][1] > 0 and gcd(*(v for _, v in key)) == 1)
     m = _dense_matrix(width, rows)
     got = nullspace_sparse(rows, width)
     assert got == _ref_nullspace_sparse(rows, width)
