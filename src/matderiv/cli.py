@@ -67,7 +67,9 @@ def fmt_rational(x: Fraction) -> str:
 
 
 def fmt_vector(v: Sequence[Fraction]) -> str:
-    return "[" + " ".join(fmt_rational(c) for c in v) + "]"
+    """Entries separated by spaces in brackets; a zero entry is "0", which
+    is what fmt_rational prints for it."""
+    return "[" + " ".join(fmt_rational(c) if c else "0" for c in v) + "]"
 
 
 def fmt_matrix(m: Matrix) -> str:
@@ -440,10 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derspace",
                        help="derivation space, inner space, and H1")
     add_algebra(p)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--module", help="path to a bimodule JSON file")
-    g.add_argument("--regular", action="store_true",
-                   help="use the regular bimodule (default)")
+    p.add_argument("--module", help="path to a bimodule JSON file "
+                                    "(default: the regular bimodule)")
     p.add_argument("-n", type=int, default=None,
                    help="compute on the n-by-n matrix extension")
     p.add_argument("--jordan", action="store_true",

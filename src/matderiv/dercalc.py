@@ -15,7 +15,11 @@ Constraint assembly, certification and the inner space read the integer
 views Algebra.int_table (scale L_a) and Bimodule.int_tables (scale L_m); a
 positive scale changes no row space and no failing pair.  Constraint rows
 leave as canonical keys (exactlin._canonical), so rows equal up to a
-nonzero scale collapse.  inner_derivation builds each column from the
+nonzero scale collapse, and a row with a single term (a shifted copy of a
+pattern of the tables) is emitted once per pattern and shift.  One Leibniz
+kernel certifies maps: leibniz_failures is its one-map case, and
+derivation_space checks its whole basis in one pass, each map in its own
+lane of one Python integer.  inner_derivation builds each column from the
 action tables over the nonzero coordinates of the witness.
 """
 
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .algcore import Algebra, Bimodule, _nonzeros
-from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical, _scaled,
+from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical,
                        nullspace_sparse, quotient_dim, solve)
 
 
@@ -102,33 +106,98 @@ class Derivation:
         return self.linmap.matrix
 
 
-def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
-                     stop_early: bool = True) -> list[tuple[int, int]]:
-    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
-    in lexicographic order (only the first one when stop_early).
-
-    The residual is checked scaled by lcm(L_a, L_m) = L_a*L_m/g and the map
-    by the lcm of its denominators: the table view meets the map columns
-    times L_m/g and the action views meet them times L_a/g.  The residual of
-    a pair is summed in a dict over the nonzero products only: table[i][j]
-    against the columns it names, right[p][j] over the nonzeros p of column
-    i, and left[i][p] over the nonzeros p of column j.
-    """
-    if f.algebra_dim != a.dim or f.module_dim != m.dim:
-        raise ValueError("map shape does not match the algebra/bimodule pair")
-    d = a.dim
+def _residual_bound(a: Algebra, m: Bimodule) -> int:
+    """C = (L_m/g) max_{i,j} sum_k |T[i][j][k]| + (L_a/g) (max_{j,q}
+    sum_p |R[p][j][q]| + max_{i,q} sum_p |L[i][p][q]|) over the integer
+    views T, L, R, g = gcd(L_a, L_m): a map with integer entries of absolute
+    value at most N has every partial Leibniz residual at most N*C."""
+    d, md = a.dim, m.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
-    nums = _scaled([x for row in f.matrix.entries for x in row])[1]
-    cols = [_nonzeros(nums[j::d]) for j in range(d)]
+    g = gcd(la, lm)
+    by_right, by_left = [0] * (d * md), [0] * (d * md)
+    for p in range(md):
+        for j in range(d):
+            for q, c in right[p][j]:
+                by_right[j * md + q] += abs(c)
+            for q, c in left[j][p]:
+                by_left[j * md + q] += abs(c)
+    product = max(sum(abs(c) for _, c in cell) for plane in table for cell in plane)
+    return lm // g * product + la // g * (max(by_right) + max(by_left))
+
+
+def _nonzero_lanes(values: Iterable[int], width: int, count: int) -> set[int]:
+    """The lanes t < count with a nonzero balanced digit x_t in
+    [-2^(width-1), 2^(width-1)) in any of the values sum_t x_t 2^(width*t)."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    found = set()
+    for x in values:
+        for lane in range(count):
+            if not x:
+                break
+            r = x & mask
+            if r >= half:
+                r -= mask + 1
+            if r:
+                found.add(lane)
+            x = (x - r) >> width
+    return found
+
+
+def _leibniz_kernel(a: Algebra, m: Bimodule,
+                    maps: Sequence[Sequence[tuple[int, Fraction]]],
+                    stop_early: bool) -> list[list[tuple[int, int]]]:
+    """The failing basis pairs of each map, as leibniz_failures reports them;
+    each map is given by the nonzero (t, value) entries of its flattening
+    (t = k*md + p for the f_p-coordinate of the image of e_k).
+
+    Each map is scaled to integers by the lcm of its own denominators and
+    the residual by lcm(L_a, L_m) = L_a*L_m/g: the table view meets the map
+    columns times L_m/g and the action views meet them times L_a/g.  The
+    residual of a pair is summed in a dict over the nonzero products only:
+    table[i][j] against the columns it names, right[p][j] over the nonzeros
+    p of column i, and left[i][p] over the nonzeros p of column j.
+
+    Several maps are checked in one pass, map t in lane t of one Python
+    integer: entry x of map t enters as x * 2^(B*t).  The residual is linear
+    in the entries, so the packed residual at (i, j, q) is sum_t r_t 2^(B*t)
+    for r_t the residual of map t there.  If every scaled entry of every
+    map is at most N in absolute value, every r_t and every partial sum of
+    its products is at most N*C by the triangle inequality, C as in
+    _residual_bound.  With B = bitlen(N*C) + 1, N*C < 2^(B-1), so each r_t
+    is the balanced base-2^B digit of the packed residual in [-2^(B-1),
+    2^(B-1)): the digits decode exactly, lane by lane, and the packed
+    residual is zero exactly when every r_t is.  A single map is not packed.
+    """
+    if not maps:
+        return []
+    d, md = a.dim, m.dim
+    la, table = a.int_table
+    lm, left, right = m.int_tables
+    nums = []
+    for flat in maps:
+        den = lcm(*[x.denominator for _, x in flat])
+        nums.append([(t, x.numerator * (den // x.denominator)) for t, x in flat])
+    width, packed = 0, nums[0]
+    if len(nums) > 1:
+        top = max((abs(v) for lane in nums for _, v in lane), default=0)
+        width = (top * _residual_bound(a, m)).bit_length() + 1
+        sums: dict[int, int] = {}
+        for lane, entries in enumerate(nums):
+            for t, v in entries:
+                sums[t] = sums.get(t, 0) + (v << (width * lane))
+        packed = sums.items()
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for t, v in packed:
+        cols[t // md].append((t % md, v))
     g = gcd(la, lm)
     cols_t = cols if lm == g else [[(p, v * (lm // g)) for p, v in col] for col in cols]
     cols_m = cols if la == g else [[(p, v * (la // g)) for p, v in col] for col in cols]
-    bad: list[tuple[int, int]] = []
+    bad: list[list[tuple[int, int]]] = [[] for _ in nums]
     for i in range(d):
         ci, row, plane = cols_m[i], table[i], left[i]
         for j in range(d):
-            acc: dict[int, int] = {}
+            acc = {}
             for k, c in row[j]:                      # delta(e_i e_j)
                 for q, v in cols_t[k]:
                     acc[q] = acc.get(q, 0) + c * v
@@ -138,22 +207,41 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
             for p, v in cols_m[j]:                   # - e_i.delta(e_j)
                 for q, c in plane[p]:
                     acc[q] = acc.get(q, 0) - v * c
-            if any(acc.values()):
-                bad.append((i, j))
-                if stop_early:
-                    return bad
+            if not any(acc.values()):
+                continue
+            for lane in _nonzero_lanes(acc.values(), width, len(nums)) if width else (0,):
+                if not (stop_early and bad[lane]):
+                    bad[lane].append((i, j))
+            if stop_early and all(bad):
+                return bad
     return bad
+
+
+def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
+                     stop_early: bool = True) -> list[tuple[int, int]]:
+    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
+    in lexicographic order (only the first one when stop_early): the
+    one-map case of _leibniz_kernel, read off the nonzero entries of f."""
+    if f.algebra_dim != a.dim or f.module_dim != m.dim:
+        raise ValueError("map shape does not match the algebra/bimodule pair")
+    md = m.dim
+    flat = [(k * md + p, x) for p, row in enumerate(f.matrix.entries)
+            for k, x in enumerate(row) if x]
+    return _leibniz_kernel(a, m, [flat], stop_early)[0]
 
 
 def leibniz_check(a: Algebra, m: Bimodule, f: LinearMap) -> bool:
     return not leibniz_failures(a, m, f)
 
 
+def _violation(pair: tuple[int, int]) -> ValueError:
+    return ValueError(f"map violates the Leibniz rule at basis pair ({pair[0]},{pair[1]})")
+
+
 def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
     bad = leibniz_failures(a, m, f)
     if bad:
-        i, j = bad[0]
-        raise ValueError(f"map violates the Leibniz rule at basis pair ({i},{j})")
+        raise _violation(bad[0])
     return Derivation(f, certified=True)
 
 
@@ -173,43 +261,95 @@ def _by_output(table, scale: int, md: int) -> list[list[list[tuple[int, int]]]]:
     return out
 
 
+def _merge(*parts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The sum of sparse (index, value) lists, sorted, zeros dropped."""
+    acc: dict[int, int] = {}
+    for part in parts:
+        for c, v in part:
+            acc[c] = acc.get(c, 0) + v
+    return sorted([cv for cv in acc.items() if cv[1]])
+
+
 def _constraint_rows(a: Algebra, m: Bimodule,
                      jordan: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Sparse constraint rows in lexicographic (i, j, module coordinate) order,
-    each as its canonical key (exactlin._canonical).
+    """Sparse constraint rows as canonical keys (exactlin._canonical), in
+    lexicographic (i, j, module coordinate q) order of their first emission.
 
     Leibniz:   delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0
-    Jordan (polarized): the same expression symmetrized over (i, j).
+    Jordan (polarized): the same expression symmetrized over (i, j), so only
+    the pairs i <= j are visited.
 
-    Each row is read off the integer views times lcm(L_a, L_m) = L_a*L_m/g.
+    Each row is read off the integer views times lcm(L_a, L_m) = L_a*L_m/g,
+    as the sum of up to three terms: the product term table[i][j] at output
+    q (columns k*md + q), the part placed at block i (columns i*md + p) and
+    the part placed at block j.  For Leibniz these parts are the right
+    action of e_j and the left action of e_i on the q-th output; for Jordan
+    they are the sums of both actions of e_j and of e_i.
+
+    A row with one nonempty term is a shifted copy of a pattern that depends
+    on fewer indices: the product term on (table cell, q), the block-i part
+    on (j, q) shifted by i*md, the block-j part on (i, q) shifted by j*md.
+    Each pattern is put in canonical form once; shifting a canonical key by
+    a constant keeps it canonical, so each (pattern, shift) is emitted once.
+    Rows with two or three terms are built and emitted one by one.  Only
+    repeats disappear: the set of distinct keys is that of every (i, j, q).
     """
     d, md = a.dim, m.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
     g = gcd(la, lm)
-    # right_q[i][q] = [(p, -R[p][i][q])] and left_q[i][q] = [(p, -L[i][p][q])], scaled
-    right_q = _by_output(zip(*right), la // g, md)
-    left_q = _by_output(left, la // g, md)
+    # at_i[j][q] = [(p, -R[p][j][q])] and at_j[i][q] = [(p, -L[i][p][q])], scaled
+    at_i = _by_output(zip(*right), la // g, md)
+    at_j = _by_output(left, la // g, md)
+    if jordan:
+        at_i = at_j = [[_merge(r, l) for r, l in zip(rx, lx)]
+                       for rx, lx in zip(at_i, at_j)]
+    patterns: list[tuple[tuple[int, int], ...]] = []
+    ids: dict[tuple[tuple[int, int], ...], int] = {}
+
+    def intern(pairs: list[tuple[int, int]]) -> int:
+        key = _canonical(pairs)
+        if key not in ids:
+            ids[key] = len(patterns)
+            patterns.append(key)
+        return ids[key]
+
+    ids_i = [[intern(part) if part else -1 for part in by_q] for by_q in at_i]
+    ids_j = ids_i if jordan else [[intern(part) if part else -1 for part in by_q]
+                                  for by_q in at_j]
+    emitted: set[tuple[int, int]] = set()
     for i in range(d):
-        for j in range(d):
-            # (e_ii e_jj as (k*md, c), right_q[jj], ii*md, left_q[ii], jj*md)
-            terms = [([(k * md, lm // g * c) for k, c in table[ii][jj]], right_q[jj],
-                      ii * md, left_q[ii], jj * md)
-                     for ii, jj in (((i, j), (j, i)) if jordan else ((i, j),))]
+        for j in range(i if jordan else 0, d):
+            cell = _merge(table[i][j], table[j][i]) if jordan else table[i][j]
+            image = [(k * md, lm // g * c) for k, c in cell]
+            pid = intern(image) if image else -1
+            ui, uj, base_i, base_j = at_i[j], at_j[i], i * md, j * md
             for q in range(md):
-                row: dict[int, int] = {}
-                for image, rq, base_ii, lq, base_jj in terms:
-                    for base, c in image:        # + delta(e_ii e_jj): column k*md+q
-                        col = base + q
-                        row[col] = row.get(col, 0) + c
-                    for p, v in rq[q]:           # - delta(e_ii).e_jj: column ii*md+p
-                        col = base_ii + p
-                        row[col] = row.get(col, 0) + v
-                    for p, v in lq[q]:           # - e_ii.delta(e_jj): column jj*md+p
-                        col = base_jj + p
-                        row[col] = row.get(col, 0) + v
-                if row:
-                    yield _canonical(sorted([cv for cv in row.items() if cv[1]]))
+                u, v = ui[q], uj[q]
+                if image and (u or v) or u and v:
+                    row: dict[int, int] = {}
+                    for base, c in image:        # + delta(e_i e_j): column k*md+q
+                        row[base + q] = c
+                    for p, x in u:               # block i: column i*md+p
+                        row[base_i + p] = row.get(base_i + p, 0) + x
+                    for p, x in v:               # block j: column j*md+p
+                        row[base_j + p] = row.get(base_j + p, 0) + x
+                    pairs = sorted([cv for cv in row.items() if cv[1]])
+                    if pairs:
+                        yield _canonical(pairs)
+                    continue
+                if image:
+                    key = (pid, q)
+                elif u:
+                    key = (ids_i[j][q], base_i)
+                elif v:
+                    key = (ids_j[i][q], base_j)
+                else:
+                    continue
+                if key not in emitted:
+                    emitted.add(key)
+                    pattern, shift = patterns[key[0]], key[1]
+                    yield tuple([(c + shift, x) for c, x in pattern])
 
 
 @dataclass(frozen=True)
@@ -239,11 +379,17 @@ class JordanDerivationSpace:
 
 
 def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
-    """All derivations A -> M, as the nullspace of the Leibniz constraints."""
+    """All derivations A -> M, as the nullspace of the Leibniz constraints.
+    Every basis map is Leibniz-checked, all in one _leibniz_kernel pass over
+    the nonzeros of the basis vectors; a failing map raises certify's
+    ValueError for the first one in basis order."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     sub = nullspace_sparse(_constraint_rows(a, m, jordan=False), a.dim * m.dim)
-    basis = tuple(certify(a, m, LinearMap.unflatten(v, m.dim, a.dim))
+    for bad in _leibniz_kernel(a, m, [_nonzeros(v) for v in sub.basis], stop_early=True):
+        if bad:
+            raise _violation(bad[0])
+    basis = tuple(Derivation(LinearMap.unflatten(v, m.dim, a.dim), certified=True)
                   for v in sub.basis)
     return DerivationSpace(a, m, basis, sub)
 

@@ -131,7 +131,7 @@ def test_validate_rejects_bad_rational(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_derspace_dual_numbers(capsys):
-    rc, out, _ = run_cli(capsys, "derspace", "dual_numbers", "--regular")
+    rc, out, _ = run_cli(capsys, "derspace", "dual_numbers")
     assert rc == 0
     assert out == ("algebra: dual_numbers\n"
                    "module: regular\n"
@@ -143,13 +143,13 @@ def test_derspace_dual_numbers(capsys):
 
 
 def test_derspace_full_matrix(capsys):
-    rc, out, _ = run_cli(capsys, "derspace", "full_matrix_2", "--regular")
+    rc, out, _ = run_cli(capsys, "derspace", "full_matrix_2")
     assert rc == 0
     assert "Der=3 Inner=3 H1=0" in out
 
 
 def test_derspace_matrix_level(capsys):
-    rc, out, _ = run_cli(capsys, "derspace", "field", "--regular", "-n", "2")
+    rc, out, _ = run_cli(capsys, "derspace", "field", "-n", "2")
     assert rc == 0
     assert "matrix level: n=2" in out
     assert "Der=3 Inner=3 H1=0" in out
@@ -162,10 +162,18 @@ def test_derspace_jordan(capsys):
     assert "jordan basis 1:" in out
 
 
+def test_derspace_rejects_regular_flag(capsys):
+    # the regular bimodule is the default; the flag that named it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["derspace", "dual_numbers", "--regular"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_derspace_module_file_matches_regular(capsys, tmp_path):
     a, m = catalog("dual_numbers")
     path = write_module_file(tmp_path / "reg.json", m)
-    rc1, out1, _ = run_cli(capsys, "derspace", "dual_numbers", "--regular")
+    rc1, out1, _ = run_cli(capsys, "derspace", "dual_numbers")
     rc2, out2, _ = run_cli(capsys, "derspace", "dual_numbers", "--module", path)
     assert rc1 == rc2 == 0
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("module:")]

@@ -19,7 +19,8 @@ from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
                       leibniz_failures, member, nullspace, regular_bimodule,
                       same_space, Subspace, vadd, validate_algebra,
                       validate_bimodule, vscale, vsub, zero_vec)
-from matderiv.dercalc import _constraint_rows
+from matderiv import dercalc
+from matderiv.dercalc import _constraint_rows, _leibniz_kernel
 from matderiv.exactlin import _echelonize, _nullspace_core
 from conftest import CATALOG, mixed_basis_full_matrix_2
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
@@ -314,11 +315,14 @@ _nonzero = st.one_of(
     st.builds(F, st.integers(-_BIG, _BIG).filter(bool), st.integers(1, _BIG)))
 
 
+_MAP_KINDS = ("zero", "one entry", "inner", "random")
+
+
 @st.composite
-def _linear_maps(draw, a, m):
+def _linear_maps(draw, a, m, kinds=_MAP_KINDS):
     """The zero map, one-entry maps, inner derivations of sparse witnesses
     plus up to two one-entry changes, and sparse random maps."""
-    kind = draw(st.sampled_from(("zero", "one entry", "inner", "random")))
+    kind = draw(st.sampled_from(kinds))
     rows = [[F(0)] * a.dim for _ in range(m.dim)]
     if kind == "inner":
         w = [draw(st.one_of(st.just(F(0)), _nonzero)) for _ in range(m.dim)]
@@ -351,6 +355,64 @@ def test_leibniz_failures_match_dense_reference(name, n, data, pairs, mpairs):
             f"map violates the Leibniz rule at basis pair ({i},{j})"
     else:
         assert certify(a, m, f).certified
+
+
+def _flat_nonzeros(f):
+    return [(t, x) for t, x in enumerate(f.flatten()) if x]
+
+
+@st.composite
+def _map_batches(draw, a, m):
+    """1 to 6 maps; lanes drawn among the first, a middle and the last get
+    maps that mostly fail (one-entry and random ones), the others maps that
+    mostly pass (zero maps and inner derivations)."""
+    count = draw(st.integers(1, 6))
+    places = draw(st.sets(st.sampled_from((0, count // 2, count - 1))))
+    return [draw(_linear_maps(a, m, ("one entry", "random") if lane in places
+                              else ("zero", "inner")))
+            for lane in range(count)]
+
+
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_batched_leibniz_kernel_matches_dense_reference(name, n, data, pairs, mpairs):
+    a, m = _kernel_pair(name, n, pairs, mpairs)
+    maps = data.draw(_map_batches(a, m))
+    flats = [_flat_nonzeros(f) for f in maps]
+    for stop_early in (False, True):
+        assert _leibniz_kernel(a, m, flats, stop_early) == \
+            [_dense_leibniz_failures(a, m, f, stop_early) for f in maps]
+
+
+def test_batched_leibniz_kernel_at_the_lane_bound():
+    # f(eps) = -2^70 on dual numbers: the residual at (eps, eps) is 2^71, two
+    # thirds of the bound 3 * 2^70, and a lane one bit narrower would carry
+    # it into the zero map's lane
+    a, m = catalog("dual_numbers")
+    f = [(2, F(-2 ** 70))]
+    assert _leibniz_kernel(a, m, [f, []], False) == [[(1, 1)], []]
+    assert _leibniz_kernel(a, m, [[], f, []], True) == [[], [(1, 1)], []]
+
+
+def test_derivation_space_rejects_a_corrupted_basis(monkeypatch):
+    a, m = catalog("full_matrix_2")
+    true = derivation_space(a, m).subspace
+    width = true.ambient_dim
+    free = [t for t in range(width) if t not in true.pivot_cols]
+    basis = [list(v) for v in true.basis]
+    basis[1][free[-1]] += 1            # the first bad map in basis order
+    basis[2][free[0]] += 1             # fails at an earlier pair
+    maps = [LinearMap.unflatten(v, m.dim, a.dim) for v in basis]
+    first, later = (leibniz_failures(a, m, f) for f in maps[1:])
+    assert first and later and later < first
+    with pytest.raises(ValueError) as want:
+        certify(a, m, maps[1])
+    corrupted = Subspace(width, tuple(map(tuple, basis)), true.pivot_cols)
+    monkeypatch.setattr(dercalc, "nullspace_sparse", lambda rows, w: corrupted)
+    with pytest.raises(ValueError) as got:
+        derivation_space(a, m)
+    assert str(got.value) == str(want.value)
 
 
 def test_kernel_test_modules_are_bimodules():
@@ -465,9 +527,10 @@ def _ref_inner_matrix(a, m):
     return Matrix(a.dim * m.dim, m.dim, rows)
 
 
-def _same_up_to_scale(r, s):
-    return ([c for c, _ in r] == [c for c, _ in s]
-            and all(x * s[0][1] == y * r[0][1] for (_, x), (_, y) in zip(r, s)))
+def _signed(r):
+    """A reference key with its first value made positive, as in the
+    canonical key: rows equal up to sign then have the same key."""
+    return tuple((c, -v) for c, v in r) if r and r[0][1] < 0 else r
 
 
 _scales = st.sampled_from((F(1), F(-1), F(2), F(-1, 3), F(5, 2), F(-4, 7)))
@@ -499,10 +562,9 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     for jordan, space in ((False, derivation_space), (True, jordan_derivation_space)):
         got = list(_constraint_rows(a, m, jordan))
         ref = [_ref_primitive_pairs(r) for r in _ref_constraint_rows(a, m, jordan)]
-        assert len(got) == len(ref)
-        for g, r in zip(got, ref):
-            assert g == r == () or _same_up_to_scale(g, r)
-            assert g == () or (g[0][1] > 0 and gcd(*(v for _, v in g)) == 1)
+        for g in got:
+            assert g and g[0][1] > 0 and gcd(*(v for _, v in g)) == 1
+        assert set(got) == {_signed(r) for r in ref} - {()}
         ref_space = _nullspace_core(_echelonize(list(dict.fromkeys(ref)), width), width)
         sub = space(a, m).subspace
         assert (sub.basis, sub.pivot_cols) == (ref_space.basis, ref_space.pivot_cols)
@@ -511,3 +573,14 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     inn = inner_space(a, m)
     assert inn.image == Subspace.from_span([phi.col(p) for p in range(m.dim)], width)
     assert inn.kernel == nullspace(phi)
+
+
+def test_assembly_emits_repeated_rows_once(mpairs):
+    # single-term rows of M_3(full_matrix_2) are shifted copies of few
+    # patterns, and the Jordan rows of (i, j) and (j, i) are equal
+    ma, mm = mpairs("full_matrix_2", 3)
+    a, m = ma.algebra, mm.bimodule
+    for jordan, most in ((False, F(1, 3)), (True, F(1, 2))):
+        ref = sum(1 for _ in _ref_constraint_rows(a, m, jordan))
+        assert ref == (31026 if jordan else 19656)
+        assert len(list(_constraint_rows(a, m, jordan))) <= most * ref
