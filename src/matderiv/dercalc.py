@@ -16,11 +16,10 @@ views Algebra.int_table (scale L_a) and Bimodule.int_tables (scale L_m); a
 positive scale changes no row space and no failing pair.  Constraint rows
 leave as canonical keys (exactlin._canonical), so rows equal up to a
 nonzero scale collapse, and a row with a single term (a shifted copy of a
-pattern of the tables) is emitted once per pattern and shift.  One Leibniz
-kernel certifies maps: leibniz_failures is its one-map case, and
-derivation_space checks its whole basis in one pass, each map in its own
-lane of one Python integer.  inner_derivation builds each column from the
-action tables over the nonzero coordinates of the witness.
+pattern of the tables) is emitted once per pattern and shift.
+leibniz_failures reads only the nonzero entries of the map it checks, and
+inner_derivation builds each column from the action tables over the
+nonzero coordinates of the witness.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algcore import Algebra, Bimodule, _nonzeros
 from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical,
@@ -106,98 +105,38 @@ class Derivation:
         return self.linmap.matrix
 
 
-def _residual_bound(a: Algebra, m: Bimodule) -> int:
-    """C = (L_m/g) max_{i,j} sum_k |T[i][j][k]| + (L_a/g) (max_{j,q}
-    sum_p |R[p][j][q]| + max_{i,q} sum_p |L[i][p][q]|) over the integer
-    views T, L, R, g = gcd(L_a, L_m): a map with integer entries of absolute
-    value at most N has every partial Leibniz residual at most N*C."""
-    d, md = a.dim, m.dim
-    la, table = a.int_table
-    lm, left, right = m.int_tables
-    g = gcd(la, lm)
-    by_right, by_left = [0] * (d * md), [0] * (d * md)
-    for p in range(md):
-        for j in range(d):
-            for q, c in right[p][j]:
-                by_right[j * md + q] += abs(c)
-            for q, c in left[j][p]:
-                by_left[j * md + q] += abs(c)
-    product = max(sum(abs(c) for _, c in cell) for plane in table for cell in plane)
-    return lm // g * product + la // g * (max(by_right) + max(by_left))
+def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
+                     stop_early: bool = True) -> list[tuple[int, int]]:
+    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
+    in lexicographic order (only the first one when stop_early).
 
-
-def _nonzero_lanes(values: Iterable[int], width: int, count: int) -> set[int]:
-    """The lanes t < count with a nonzero balanced digit x_t in
-    [-2^(width-1), 2^(width-1)) in any of the values sum_t x_t 2^(width*t)."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    found = set()
-    for x in values:
-        for lane in range(count):
-            if not x:
-                break
-            r = x & mask
-            if r >= half:
-                r -= mask + 1
-            if r:
-                found.add(lane)
-            x = (x - r) >> width
-    return found
-
-
-def _leibniz_kernel(a: Algebra, m: Bimodule,
-                    maps: Sequence[Sequence[tuple[int, Fraction]]],
-                    stop_early: bool) -> list[list[tuple[int, int]]]:
-    """The failing basis pairs of each map, as leibniz_failures reports them;
-    each map is given by the nonzero (t, value) entries of its flattening
-    (t = k*md + p for the f_p-coordinate of the image of e_k).
-
-    Each map is scaled to integers by the lcm of its own denominators and
-    the residual by lcm(L_a, L_m) = L_a*L_m/g: the table view meets the map
-    columns times L_m/g and the action views meet them times L_a/g.  The
+    Only the nonzero entries of f are read: they are scaled to integers by
+    the lcm of their denominators and kept as sparse columns.  The residual
+    is checked scaled by lcm(L_a, L_m) = L_a*L_m/g: the table view meets the
+    map columns times L_m/g and the action views meet them times L_a/g.  The
     residual of a pair is summed in a dict over the nonzero products only:
     table[i][j] against the columns it names, right[p][j] over the nonzeros
     p of column i, and left[i][p] over the nonzeros p of column j.
-
-    Several maps are checked in one pass, map t in lane t of one Python
-    integer: entry x of map t enters as x * 2^(B*t).  The residual is linear
-    in the entries, so the packed residual at (i, j, q) is sum_t r_t 2^(B*t)
-    for r_t the residual of map t there.  If every scaled entry of every
-    map is at most N in absolute value, every r_t and every partial sum of
-    its products is at most N*C by the triangle inequality, C as in
-    _residual_bound.  With B = bitlen(N*C) + 1, N*C < 2^(B-1), so each r_t
-    is the balanced base-2^B digit of the packed residual in [-2^(B-1),
-    2^(B-1)): the digits decode exactly, lane by lane, and the packed
-    residual is zero exactly when every r_t is.  A single map is not packed.
     """
-    if not maps:
-        return []
-    d, md = a.dim, m.dim
+    if f.algebra_dim != a.dim or f.module_dim != m.dim:
+        raise ValueError("map shape does not match the algebra/bimodule pair")
+    d = a.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
-    nums = []
-    for flat in maps:
-        den = lcm(*[x.denominator for _, x in flat])
-        nums.append([(t, x.numerator * (den // x.denominator)) for t, x in flat])
-    width, packed = 0, nums[0]
-    if len(nums) > 1:
-        top = max((abs(v) for lane in nums for _, v in lane), default=0)
-        width = (top * _residual_bound(a, m)).bit_length() + 1
-        sums: dict[int, int] = {}
-        for lane, entries in enumerate(nums):
-            for t, v in entries:
-                sums[t] = sums.get(t, 0) + (v << (width * lane))
-        packed = sums.items()
+    nz = [(p, k, x) for p, row in enumerate(f.matrix.entries)
+          for k, x in enumerate(row) if x]
+    den = lcm(*[x.denominator for _, _, x in nz])
     cols: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for t, v in packed:
-        cols[t // md].append((t % md, v))
+    for p, k, x in nz:
+        cols[k].append((p, x.numerator * (den // x.denominator)))
     g = gcd(la, lm)
     cols_t = cols if lm == g else [[(p, v * (lm // g)) for p, v in col] for col in cols]
     cols_m = cols if la == g else [[(p, v * (la // g)) for p, v in col] for col in cols]
-    bad: list[list[tuple[int, int]]] = [[] for _ in nums]
+    bad: list[tuple[int, int]] = []
     for i in range(d):
         ci, row, plane = cols_m[i], table[i], left[i]
         for j in range(d):
-            acc = {}
+            acc: dict[int, int] = {}
             for k, c in row[j]:                      # delta(e_i e_j)
                 for q, v in cols_t[k]:
                     acc[q] = acc.get(q, 0) + c * v
@@ -207,41 +146,22 @@ def _leibniz_kernel(a: Algebra, m: Bimodule,
             for p, v in cols_m[j]:                   # - e_i.delta(e_j)
                 for q, c in plane[p]:
                     acc[q] = acc.get(q, 0) - v * c
-            if not any(acc.values()):
-                continue
-            for lane in _nonzero_lanes(acc.values(), width, len(nums)) if width else (0,):
-                if not (stop_early and bad[lane]):
-                    bad[lane].append((i, j))
-            if stop_early and all(bad):
-                return bad
+            if any(acc.values()):
+                bad.append((i, j))
+                if stop_early:
+                    return bad
     return bad
-
-
-def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
-                     stop_early: bool = True) -> list[tuple[int, int]]:
-    """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
-    in lexicographic order (only the first one when stop_early): the
-    one-map case of _leibniz_kernel, read off the nonzero entries of f."""
-    if f.algebra_dim != a.dim or f.module_dim != m.dim:
-        raise ValueError("map shape does not match the algebra/bimodule pair")
-    md = m.dim
-    flat = [(k * md + p, x) for p, row in enumerate(f.matrix.entries)
-            for k, x in enumerate(row) if x]
-    return _leibniz_kernel(a, m, [flat], stop_early)[0]
 
 
 def leibniz_check(a: Algebra, m: Bimodule, f: LinearMap) -> bool:
     return not leibniz_failures(a, m, f)
 
 
-def _violation(pair: tuple[int, int]) -> ValueError:
-    return ValueError(f"map violates the Leibniz rule at basis pair ({pair[0]},{pair[1]})")
-
-
 def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
     bad = leibniz_failures(a, m, f)
     if bad:
-        raise _violation(bad[0])
+        i, j = bad[0]
+        raise ValueError(f"map violates the Leibniz rule at basis pair ({i},{j})")
     return Derivation(f, certified=True)
 
 
@@ -379,17 +299,12 @@ class JordanDerivationSpace:
 
 
 def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
-    """All derivations A -> M, as the nullspace of the Leibniz constraints.
-    Every basis map is Leibniz-checked, all in one _leibniz_kernel pass over
-    the nonzeros of the basis vectors; a failing map raises certify's
-    ValueError for the first one in basis order."""
+    """All derivations A -> M, as the nullspace of the Leibniz constraints;
+    every basis map is certified."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     sub = nullspace_sparse(_constraint_rows(a, m, jordan=False), a.dim * m.dim)
-    for bad in _leibniz_kernel(a, m, [_nonzeros(v) for v in sub.basis], stop_early=True):
-        if bad:
-            raise _violation(bad[0])
-    basis = tuple(Derivation(LinearMap.unflatten(v, m.dim, a.dim), certified=True)
+    basis = tuple(certify(a, m, LinearMap.unflatten(v, m.dim, a.dim))
                   for v in sub.basis)
     return DerivationSpace(a, m, basis, sub)
 

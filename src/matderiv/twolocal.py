@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algcore import Algebra, Bimodule, _nonzeros, act, multiply
+from .algcore import Algebra, Bimodule, act, multiply
 from .dercalc import Derivation, DerivationSpace, LinearMap
 from .exactlin import Matrix, Vector, ZERO, solve, vadd, vscale, zero_vec
 from .matext import MatrixAlgebra, MatrixBimodule
@@ -120,39 +120,26 @@ def pair_witness(space: DerivationSpace, x: Sequence[Fraction],
                  dy: Sequence[Fraction]) -> WitnessReport:
     """Solve (sum_t c_t B_t)(x) = dx, (sum_t c_t B_t)(y) = dy over the basis
     B_t of the given derivation space; the witness is the free-variables-zero
-    solution mapped back to a derivation.  The basis is read through the
-    nonzero entries of its flattened vectors (space.subspace.basis), both to
-    evaluate it at x and y and to combine the solved coefficients."""
-    md, d = space.bimodule.dim, space.algebra.dim
+    solution mapped back to a derivation."""
+    md = space.bimodule.dim
     x, y = tuple(x), tuple(y)
     dx, dy = tuple(dx), tuple(dy)
-    if len(x) != d or len(y) != d:
+    if len(x) != space.algebra.dim or len(y) != space.algebra.dim:
         raise ValueError("sample element has wrong dimension")
     if len(dx) != md or len(dy) != md:
         raise ValueError("sample value has wrong dimension")
-    flats = [_nonzeros(b) for b in space.subspace.basis]
-    vals = []
-    for flat in flats:
-        val = [ZERO] * (2 * md)
-        for t, v in flat:
-            k, p = divmod(t, md)
-            if x[k]:
-                val[p] += v * x[k]
-            if y[k]:
-                val[md + p] += v * y[k]
-        vals.append(val)
-    rows = tuple(tuple(val[r] for val in vals) for r in range(2 * md))
+    vals = [b.apply(x) + b.apply(y) for b in space.basis]
+    rows = tuple(tuple(vals[t][r] for t in range(len(vals)))
+                 for r in range(2 * md))
     coeffs = solve(Matrix(2 * md, len(vals), rows), dx + dy)
     if coeffs is None:
         return WitnessReport(x, y, dx, dy, False, None)
-    lin = [ZERO] * (d * md)
-    for c, flat in zip(coeffs, flats):
+    lin = LinearMap.zero(md, space.algebra.dim)
+    for c, b in zip(coeffs, space.basis):
         if c:
-            for t, v in flat:
-                lin[t] += c * v
+            lin = lin + b.linmap.scale(c)
     # a linear combination of certified derivations is again a derivation
-    return WitnessReport(x, y, dx, dy, True,
-                         Derivation(LinearMap.unflatten(lin, md, d), certified=True))
+    return WitnessReport(x, y, dx, dy, True, Derivation(lin, certified=True))
 
 
 def canonical_S_T(ma: MatrixAlgebra) -> tuple[Vector, Vector]:

@@ -12,7 +12,7 @@ from matderiv import (Derivation, LinearMap, Matrix, NotTwoLocalError,
                       canonical_S_T, catalog, central_idempotent_compat,
                       derivation_space, inner_derivation, lift, matrix_pair,
                       member, nullspace, pair_witness, perturbed_oracle,
-                      reconstruct, seeded_elements, solve, vadd,
+                      reconstruct, seeded_elements, vadd,
                       verify_2local_property, vscale, wrap_derivation,
                       zero_vec)
 
@@ -147,47 +147,6 @@ def test_pair_witness_interpolates_random(mpairs, derspaces):
         assert rep.feasible
         assert rep.witness.apply(x) == d.apply(x)
         assert rep.witness.apply(y) == d.apply(y)
-
-
-def _dense_pair_witness(space, x, y, dx, dy):
-    """The witness as a dense combination: each basis derivation evaluated
-    by matrix-vector products, and the solved coefficients summed over the
-    basis LinearMaps; None when infeasible.  The reference for pair_witness."""
-    vals = [b.apply(x) + b.apply(y) for b in space.basis]
-    rows = tuple(tuple(v[r] for v in vals) for r in range(2 * space.bimodule.dim))
-    coeffs = solve(Matrix(len(rows), len(vals), rows), tuple(dx) + tuple(dy))
-    if coeffs is None:
-        return None
-    lin = LinearMap.zero(space.bimodule.dim, space.algebra.dim)
-    for c, b in zip(coeffs, space.basis):
-        lin = lin + b.linmap.scale(c)
-    return lin
-
-
-@pytest.mark.parametrize("name", ("dual_numbers", "full_matrix_2",
-                                  "upper_triangular_2"))
-@pytest.mark.parametrize("n", (2, 3))
-def test_pair_witness_matches_dense_combination(name, n, mpairs, derspaces):
-    ma, mm = mpairs(name, n)
-    sp = derspaces(name, n)
-    rng = random.Random(f"witness:{name}:{n}")
-    honest = LinearMap.zero(mm.bimodule.dim, ma.algebra.dim)
-    for b in sp.basis:
-        honest = honest + b.linmap.scale(F(rng.randint(-4, 4), rng.choice((1, 2, 3))))
-    d = Derivation(honest, certified=True)
-    s, t = canonical_S_T(ma)
-    x, y = seeded_elements(ma.algebra.dim, 2, rng.randrange(1000))
-    for u, v in ((s, t), (x, y)):
-        rep = pair_witness(sp, u, v, d.apply(u), d.apply(v))
-        want = _dense_pair_witness(sp, u, v, d.apply(u), d.apply(v))
-        assert rep.feasible and rep.witness.certified
-        assert rep.witness.linmap == want
-    # no derivation maps S to S: S combines orthogonal idempotents E_ii, so
-    # every D(S) has zero diagonal blocks, and S does not
-    dt = d.apply(t)
-    assert _dense_pair_witness(sp, s, t, s, dt) is None
-    rep = pair_witness(sp, s, t, s, dt)
-    assert not rep.feasible and rep.witness is None
 
 
 # ---------------------------------------------------------------------------
