@@ -320,7 +320,8 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
 
     The unit actions are checked first.  Each associativity axiom is expanded
     from the tables on the basis tuple, so only products that appear in the
-    tables are summed; both sides are reported as dense vectors.
+    tables are summed, and a tuple whose two input cells are both empty is
+    skipped; both sides are reported as dense vectors.
     """
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
@@ -345,17 +346,22 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
                                  tuple(lhs.get(q, ZERO) for q in range(mdim)),
                                  tuple(rhs.get(q, ZERO) for q in range(mdim))))
 
+    # each side expands one input cell, so when both cells are empty both
+    # sides are zero and the axiom holds on that tuple
     for i in range(dim):
         left_i = left[i]
         for j in range(dim):
-            ij = a.table[i][j]
+            ij, left_j, right_at_j = a.table[i][j], left[j], right_by_j[j]
             for p in range(mdim):
-                report("left associativity", (i, j, p),           # (e_i e_j).f_p
-                       _expand(ij, left_by_p[p]), _expand(left[j][p], left_i))
-                report("right associativity", (p, i, j),          # f_p.(e_i e_j)
-                       _expand(ij, right[p]), _expand(right[p][i], right_by_j[j]))
-                report("mixed associativity", (i, p, j),          # (e_i.f_p).e_j
-                       _expand(left_i[p], right_by_j[j]), _expand(right[p][j], left_i))
+                if ij or left_j[p]:                                # (e_i e_j).f_p
+                    report("left associativity", (i, j, p),
+                           _expand(ij, left_by_p[p]), _expand(left_j[p], left_i))
+                if ij or right[p][i]:                              # f_p.(e_i e_j)
+                    report("right associativity", (p, i, j),
+                           _expand(ij, right[p]), _expand(right[p][i], right_at_j))
+                if left_i[p] or right[p][j]:                       # (e_i.f_p).e_j
+                    report("mixed associativity", (i, p, j),
+                           _expand(left_i[p], right_at_j), _expand(right[p][j], left_i))
     return out
 
 

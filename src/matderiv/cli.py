@@ -204,12 +204,19 @@ def load_map_file(path: str, module_dim: int, algebra_dim: int) -> tuple[str, Li
     if not isinstance(matrix, list) or len(matrix) != module_dim:
         raise CliInputError(
             f"{path}: matrix must have {module_dim} rows for this pair")
+    parsed: dict[str, Fraction] = {}         # each distinct entry string once
     rows = []
     for row in matrix:
         if not isinstance(row, list) or len(row) != algebra_dim:
             raise CliInputError(
                 f"{path}: matrix rows must have {algebra_dim} entries")
-        rows.append(tuple(parse_rational(c) for c in row))
+        entries = []
+        for c in row:
+            x = parsed.get(c) if isinstance(c, str) else None
+            if x is None:
+                x = parsed[c] = parse_rational(c)  # raises on a non-string
+            entries.append(x)
+        rows.append(tuple(entries))
     return kind, LinearMap(Matrix(module_dim, algebra_dim, tuple(rows)))
 
 

@@ -17,9 +17,10 @@ positive scale changes no row space and no failing pair.  Constraint rows
 leave as canonical keys (exactlin._canonical), so rows equal up to a
 nonzero scale collapse, and a row with a single term (a shifted copy of a
 pattern of the tables) is emitted once per pattern and shift.
-leibniz_failures reads only the nonzero entries of the map it checks, and
-inner_derivation builds each column from the action tables over the
-nonzero coordinates of the witness.
+leibniz_failures reads only the nonzero entries of the map it checks and
+sums a row of basis pairs at a time over the nonzero products, and
+inner_derivation builds each column in integers from the action views over
+the nonzero coordinates of the witness.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .algcore import Algebra, Bimodule, _nonzeros
-from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical,
+from .algcore import Algebra, Bimodule
+from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical, _scaled,
                        nullspace_sparse, quotient_dim, solve)
 
 
@@ -111,45 +112,61 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
     in lexicographic order (only the first one when stop_early).
 
     Only the nonzero entries of f are read: they are scaled to integers by
-    the lcm of their denominators and kept as sparse columns.  The residual
-    is checked scaled by lcm(L_a, L_m) = L_a*L_m/g: the table view meets the
-    map columns times L_m/g and the action views meet them times L_a/g.  The
-    residual of a pair is summed in a dict over the nonzero products only:
-    table[i][j] against the columns it names, right[p][j] over the nonzeros
-    p of column i, and left[i][p] over the nonzeros p of column j.
+    the lcm of their denominators and kept as sparse columns and rows.  The
+    residual is checked scaled by lcm(L_a, L_m) = L_a*L_m/g: the table view
+    meets the map times L_m/g and the action views meet it times L_a/g.
+    The residuals of a row i are summed in one dict keyed by j*md + q, for
+    the pair (i, j) and module coordinate q, over the nonzero products only:
+    the nonempty cells table[i][j] against the columns they name, the
+    nonzeros p of column i against the nonempty cells right[p][j], and the
+    nonzero rows p of f against the nonempty cells left[i][p].
     """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
-    d = a.dim
+    d, md = a.dim, m.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
     nz = [(p, k, x) for p, row in enumerate(f.matrix.entries)
           for k, x in enumerate(row) if x]
     den = lcm(*[x.denominator for _, _, x in nz])
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for p, k, x in nz:
-        cols[k].append((p, x.numerator * (den // x.denominator)))
     g = gcd(la, lm)
-    cols_t = cols if lm == g else [[(p, v * (lm // g)) for p, v in col] for col in cols]
-    cols_m = cols if la == g else [[(p, v * (la // g)) for p, v in col] for col in cols]
+    at_t, at_m = lm // g, la // g                   # table and action scales
+    cols_t: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    cols_m: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    rows_m: list[list[tuple[int, int]]] = [[] for _ in range(md)]
+    for p, k, x in nz:
+        v = x.numerator * (den // x.denominator)
+        cols_t[k].append((p, at_t * v))
+        cols_m[k].append((p, at_m * v))
+        rows_m[p].append((k * md, at_m * v))
+    # the nonempty cells right[p][j], as (j*md, cell), for the p that f uses
+    right_nz = {p: [(j * md, cell) for j, cell in enumerate(right[p]) if cell]
+                for p, row in enumerate(rows_m) if row}
     bad: list[tuple[int, int]] = []
     for i in range(d):
-        ci, row, plane = cols_m[i], table[i], left[i]
-        for j in range(d):
-            acc: dict[int, int] = {}
-            for k, c in row[j]:                      # delta(e_i e_j)
+        acc: dict[int, int] = {}
+        for j, cell in enumerate(table[i]):          # delta(e_i e_j)
+            base = j * md
+            for k, c in cell:
                 for q, v in cols_t[k]:
-                    acc[q] = acc.get(q, 0) + c * v
-            for p, v in ci:                          # - delta(e_i).e_j
-                for q, c in right[p][j]:
-                    acc[q] = acc.get(q, 0) - v * c
-            for p, v in cols_m[j]:                   # - e_i.delta(e_j)
-                for q, c in plane[p]:
-                    acc[q] = acc.get(q, 0) - v * c
-            if any(acc.values()):
-                bad.append((i, j))
-                if stop_early:
-                    return bad
+                    key = base + q
+                    acc[key] = acc.get(key, 0) + c * v
+        for p, v in cols_m[i]:                       # - delta(e_i).e_j
+            for base, cell in right_nz[p]:
+                for q, c in cell:
+                    key = base + q
+                    acc[key] = acc.get(key, 0) - v * c
+        for p, cell in enumerate(left[i]):           # - e_i.delta(e_j)
+            if cell:
+                for base, v in rows_m[p]:
+                    for q, c in cell:
+                        key = base + q
+                        acc[key] = acc.get(key, 0) - v * c
+        failing = sorted({key // md for key, x in acc.items() if x})
+        if failing:
+            if stop_early:
+                return [(i, failing[0])]
+            bad.extend((i, j) for j in failing)
     return bad
 
 
@@ -323,24 +340,34 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
 # inner derivations
 # ---------------------------------------------------------------------------
 
-def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
-    """delta_w(x) = w.x - x.w.  Always a derivation, so certified.
+def _inner_columns(m: Bimodule, w: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """(s, cols): cols[j][q] / s is the f_q-coordinate of delta_w(e_j) =
+    sum_p w_p (f_p.e_j - e_j.f_p).  w is scaled to integers by the lcm of
+    its denominators, its nonzeros meet the cells right[p][j] and left[j][p]
+    of the integer views, and s is that lcm times L_m."""
+    lm, left, right = m.int_tables
+    den, nums = _scaled(w)
+    nz = [(p, v) for p, v in enumerate(nums) if v]
+    cols = [[0] * m.dim for _ in range(m.algebra_dim)]
+    for p, wp in nz:
+        for col, cell in zip(cols, right[p]):
+            for q, c in cell:
+                col[q] += wp * c
+    for col, plane in zip(cols, left):
+        for p, wp in nz:
+            for q, c in plane[p]:
+                col[q] -= wp * c
+    return lm * den, cols
 
-    Column j is sum_p w_p (f_p.e_j - e_j.f_p), read off right_table[p][j]
-    and left_table[j][p] over the nonzero coordinates w_p."""
+
+def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
+    """delta_w(x) = w.x - x.w.  Always a derivation, so certified; its
+    columns are summed in integers by _inner_columns."""
     if len(w) != m.dim:
         raise ValueError("witness length does not match module dimension")
-    nz = _nonzeros(w)
-    cols = []
-    for j in range(a.dim):
-        acc = [ZERO] * m.dim
-        for p, wp in nz:
-            for q, c in m.right_table[p][j]:
-                acc[q] += wp * c
-            for q, c in m.left_table[j][p]:
-                acc[q] -= wp * c
-        cols.append(acc)
-    return Derivation(LinearMap.from_columns(cols), certified=True)
+    s, cols = _inner_columns(m, w)
+    return Derivation(LinearMap.from_columns(
+        [[Fraction(x, s) if x else ZERO for x in col] for col in cols]), certified=True)
 
 
 def _inner_rows(m: Bimodule) -> list[dict[int, int]]:

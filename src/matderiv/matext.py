@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .algcore import (Algebra, Bimodule, Table, _nonzeros, act, multiply,
-                      regular_bimodule)
-from .dercalc import Derivation, LinearMap, certify, leibniz_failures
-from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, vsub, zero_vec
+from .algcore import Algebra, Bimodule, Table, act, regular_bimodule
+from .dercalc import (Derivation, LinearMap, _inner_columns, certify,
+                      inner_derivation)
+from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, vsub
 
 
 class DecompositionError(RuntimeError):
@@ -208,15 +209,40 @@ class Decomposition:
     lifted_part: Derivation
 
 
-def _nonzero_entries(m: Matrix) -> dict[tuple[int, int], Fraction]:
-    return {(r, c): x for r, row in enumerate(m.entries) for c, x in _nonzeros(row)}
+def _recomposes(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
+                witness: Vector, delta: Derivation) -> bool:
+    """Whether D = delta_B + lift(delta) for B = witness.
+
+    The residual is summed in integers at one common scale, over the nonzero
+    entries only: D's rows from its integer view, the columns of delta_B
+    from _inner_columns, and the nonzeros of delta, which lift places in
+    every block (i, j)."""
+    s, inner_cols = _inner_columns(mm.bimodule, witness)
+    dim, nn, d, md = ma.algebra.dim, ma.n * ma.n, ma.base.dim, mm.base.dim
+    big, small = D.matrix._int_rows, delta.matrix._int_rows
+    scale = lcm(s, *[den for den, _ in big], *[den for den, _ in small])
+    res: dict[int, int] = {}
+    for r, (den, pairs) in enumerate(big):
+        for c, v in pairs:
+            res[r * dim + c] = v * (scale // den)
+    up = scale // s
+    for c, col in enumerate(inner_cols):
+        for r, v in enumerate(col):
+            if v:
+                res[r * dim + c] = res.get(r * dim + c, 0) - v * up
+    for q, (den, pairs) in enumerate(small):
+        for k, v in pairs:
+            for b in range(nn):
+                key = (b * md + q) * dim + b * d + k
+                res[key] = res.get(key, 0) - v * (scale // den)
+    return not any(res.values())
 
 
 def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
     """Split a derivation of the matrix pair as inner-by-B plus a lifted base
     derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0); delta is the
-    (0,0|0,0) component.  The recomposition is checked exactly, as a sum over
-    the nonzero entries of the two parts, and a failure raises
+    (0,0|0,0) component.  The recomposition is checked exactly, in integers
+    over the nonzero entries (_recomposes), and a failure raises
     DecompositionError."""
     if not D.certified:
         raise ValueError("decompose requires a certified derivation")
@@ -224,7 +250,6 @@ def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposi
             or D.linmap.module_dim != mm.bimodule.dim):
         raise ValueError("derivation shape does not match the matrix pair")
     n = ma.n
-    from .dercalc import inner_derivation
     witness = [ZERO] * mm.bimodule.dim
     for j in range(n):
         image = D.apply(ma.embed(ma.base.unit, j, 0))
@@ -234,15 +259,10 @@ def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposi
             for p, c in enumerate(block):
                 witness[off + p] = c
     witness_v = tuple(witness)
-    base_a = ma.base
-    base_m = mm.base
-    delta = certify(base_a, base_m, component(D, ma, mm, 0, 0, 0, 0))
+    delta = certify(ma.base, mm.base, component(D, ma, mm, 0, 0, 0, 0))
     inner_part = inner_derivation(ma.algebra, mm.bimodule, witness_v)
     lifted_part = lift(delta, ma, mm)
-    total = _nonzero_entries(inner_part.matrix)
-    for key, x in _nonzero_entries(lifted_part.matrix).items():
-        total[key] = total.get(key, ZERO) + x
-    if {key: x for key, x in total.items() if x} != _nonzero_entries(D.matrix):
+    if not _recomposes(D, ma, mm, witness_v, delta):
         raise DecompositionError(
             "recomposition failed: inner part plus lifted part != D")
     return Decomposition(witness_v, delta, inner_part, lifted_part)
@@ -281,8 +301,16 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     of_unit = {key: c.apply(ma.base.unit) for key, c in comp.items()}
     cols = {key: [c.matrix.col(k) for k in K] for key, c in comp.items()}
 
-    def act_basis(side: str, k: int, g: Vector) -> Vector:
-        return act(base_m, side, basis_vec(d, k), g)
+    acted: dict[tuple[str, int, tuple[int, int, int, int]], Vector] = {}
+
+    def act_basis(side: str, k: int, key: tuple[int, int, int, int]) -> Vector:
+        """e_k acting on the unit value of component key, once per argument
+        triple: keyed by the component, not by the value, whose Fractions
+        cost as much to hash as the action costs to compute."""
+        memo = (side, k, key)
+        if memo not in acted:
+            acted[memo] = act(base_m, side, basis_vec(d, k), of_unit[key])
+        return acted[memo]
 
     searches = (
         # (i) zero component when both rows and both columns differ
@@ -293,13 +321,13 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
         ("ii", ((i, j, r, m_, k) for i in N for r in N if i != r
                 for j in N for m_ in N for k in K
                 if cols[(i, j, r, j)][k] != cols[(i, m_, r, m_)][k]
-                or cols[(i, j, r, j)][k] != act_basis("right", k, of_unit[(i, m_, r, m_)]))),
+                or cols[(i, j, r, j)][k] != act_basis("right", k, (i, m_, r, m_)))),
         # (iii) off-diagonal columns: (i,j|i,s) is left multiplication by the
         # unit value of (m,j|m,s), independent of the row index
         ("iii", ((i, j, s, m_, k) for j in N for s in N if j != s
                  for i in N for m_ in N for k in K
                  if cols[(i, j, i, s)][k] != cols[(m_, j, m_, s)][k]
-                 or cols[(i, j, i, s)][k] != act_basis("left", k, of_unit[(m_, j, m_, s)]))),
+                 or cols[(i, j, i, s)][k] != act_basis("left", k, (m_, j, m_, s)))),
         # (iv) antisymmetry of the unit values across the diagonal
         ("iv", ((i, j, m_) for i in N for j in N for m_ in N
                 if of_unit[(i, m_, j, m_)] != tuple(-x for x in of_unit[(m_, j, m_, i)]))),
@@ -307,8 +335,8 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
         # inner derivation of unit values
         ("v", ((i, j, m_, k) for i in N for j in N for m_ in N for k in K
                if cols[(i, j, i, j)][k] != vadd(
-                   vsub(act_basis("right", k, of_unit[(i, m_, i, m_)]),
-                        act_basis("left", k, of_unit[(j, m_, j, m_)])),
+                   vsub(act_basis("right", k, (i, m_, i, m_)),
+                        act_basis("left", k, (j, m_, j, m_))),
                    cols[(m_, m_, m_, m_)][k]))),
     )
     results = []

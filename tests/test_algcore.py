@@ -332,3 +332,80 @@ def test_validate_with_cancelling_products():
     a = mixed_basis_full_matrix_2()
     assert validate_algebra(a) == []
     assert validate_bimodule(a, regular_bimodule(a)) == []
+
+
+def _unskipped_validate_bimodule(a, m):
+    """validate_bimodule expanding every basis tuple, including those whose
+    two input cells are both empty, kept here as the reference for the
+    version that skips them."""
+    out = []
+    for p in range(m.dim):
+        fp = basis_vec(m.dim, p)
+        lhs = act(m, "left", a.unit, fp)
+        if lhs != fp:
+            out.append(Violation("left unit action", (p,), lhs, fp))
+        rhs = act(m, "right", a.unit, fp)
+        if rhs != fp:
+            out.append(Violation("right unit action", (p,), rhs, fp))
+    left, right = m.left_table, m.right_table
+    left_by_p, right_by_j = tuple(zip(*left)), tuple(zip(*right))
+
+    def expand(cell, rows):
+        acc = [F(0)] * m.dim
+        for t, c in cell:
+            for s, c2 in rows[t]:
+                acc[s] += c * c2
+        return tuple(acc)
+
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = a.table[i][j]
+            for p in range(m.dim):
+                for axiom, idx, lhs, rhs in (
+                        ("left associativity", (i, j, p), expand(ij, left_by_p[p]),
+                         expand(left[j][p], left[i])),
+                        ("right associativity", (p, i, j), expand(ij, right[p]),
+                         expand(right[p][i], right_by_j[j])),
+                        ("mixed associativity", (i, p, j), expand(left[i][p], right_by_j[j]),
+                         expand(right[p][j], left[i]))):
+                    if lhs != rhs:
+                        out.append(Violation(axiom, idx, lhs, rhs))
+    return out
+
+
+def _corrupted_bimodules():
+    """M_2(A) for three catalog A, each corrupted once: an existing left or
+    right coefficient changed or removed, a coefficient put into an empty
+    left or right cell (an empty cell then meets a nonempty one), or a
+    coordinate of the algebra's unit changed."""
+    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2"):
+        ma, mm = matrix_pair(*catalog(name), 2)
+        a, m = ma.algebra, mm.bimodule
+        rng = random.Random(f"corrupt:{name}")
+        clean = {"left": dense_to_triples(m.left), "right": dense_to_triples(m.right)}
+        for side in ("left", "right"):
+            triples = clean[side]
+            shape = (a.dim, m.dim) if side == "left" else (m.dim, a.dim)
+            key = rng.choice(sorted(triples))
+            empty = rng.choice([(x, y, rng.randrange(m.dim))
+                                for x in range(shape[0]) for y in range(shape[1])
+                                if not any(k[:2] == (x, y) for k in triples)])
+            for change, edit in (("changed", lambda t: t.update({key: 2 * t[key]})),
+                                 ("removed", lambda t: t.pop(key)),
+                                 ("filled", lambda t: t.update({empty: F(-3, 2)}))):
+                tables = {s: dict(t) for s, t in clean.items()}
+                edit(tables[side])
+                yield (f"M_2({name}) {side} {change}", a,
+                       Bimodule.from_sparse(m.dim, a.dim, tables["left"], tables["right"]))
+        k = rng.randrange(a.dim)
+        unit = list(a.unit)
+        unit[k] += F(1, 2)
+        yield (f"M_2({name}) unit {k}", Algebra(a.dim, a.labels, tuple(unit), a.table), m)
+
+
+@pytest.mark.parametrize("case", list(_corrupted_bimodules()), ids=lambda c: c[0])
+def test_validate_bimodule_skips_only_empty_tuples(case):
+    _, a, m = case
+    got = validate_bimodule(a, m)
+    assert got, "every corruption breaks an axiom"
+    assert got == _unskipped_validate_bimodule(a, m)

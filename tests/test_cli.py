@@ -12,7 +12,7 @@ import pytest
 import matderiv
 from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
                       lift, matrix_pair, validate_algebra, LinearMap)
-from matderiv.cli import main, parse_rational, CliInputError
+from matderiv.cli import main, load_map_file, parse_rational, CliInputError
 from conftest import write_algebra_file, write_map_file, write_module_file
 from fractions import Fraction as F
 
@@ -499,3 +499,46 @@ def test_validate_reads_module_only_for_valid_algebra(capsys, tmp_path):
                          "--module", str(tmp_path / "missing.json"))
     assert rc == 1
     assert "algebra axioms: FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# map files parse each distinct entry string once
+# ---------------------------------------------------------------------------
+
+def _map_file(tmp_path, matrix):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"kind": "linear_map", "algebra": "field",
+                                "module": "regular", "matrix": matrix}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _first_error(text):
+    with pytest.raises(CliInputError) as err:
+        parse_rational(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", ("1/0", "0.5", "x", "", 0, 1, 2.5, True, False, None, [], {}),
+                         ids=repr)
+def test_map_file_reports_the_first_bad_entry(tmp_path, bad):
+    # 30 x 30 entries: repeats of three strings, each also equal in value to
+    # the bad entry where it is a JSON number or boolean, then the bad entry
+    # and a later bad string that must not be the one reported
+    good = ["0", "1", "-1/2"]
+    matrix = [[good[(r + c) % 3] for c in range(30)] for r in range(30)]
+    matrix[20][7] = bad
+    matrix[25][3] = "1/0" if bad != "1/0" else "y"
+    with pytest.raises(CliInputError) as err:
+        load_map_file(_map_file(tmp_path, matrix), 30, 30)
+    assert str(err.value) == _first_error(bad)
+
+
+def test_map_file_entries_equal_their_parse(tmp_path):
+    texts = ["0", "3", "-1/2", "+4/6", "−3/7", "0", "3", "4/6"]
+    matrix = [[texts[(r * 5 + c) % len(texts)] for c in range(9)] for r in range(8)]
+    kind, lin = load_map_file(_map_file(tmp_path, matrix), 8, 9)
+    assert kind == "linear_map"
+    assert lin.matrix.entries == tuple(tuple(parse_rational(c) for c in row)
+                                       for row in matrix)
+    assert all(type(x) is F for row in lin.matrix.entries for x in row)

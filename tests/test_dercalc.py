@@ -543,3 +543,81 @@ def test_assembly_emits_repeated_rows_once(mpairs):
         ref = sum(1 for _ in _ref_constraint_rows(a, m, jordan))
         assert ref == (31026 if jordan else 19656)
         assert len(list(_constraint_rows(a, m, jordan))) <= most * ref
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time Leibniz kernel against the per-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+def _per_pair_leibniz_failures(a, m, f, stop_early):
+    """The integer Leibniz check with one residual dict per basis pair,
+    visiting all d^2 pairs, kept here as the reference for leibniz_failures."""
+    d = a.dim
+    la, table = a.int_table
+    lm, left, right = m.int_tables
+    nz = [(p, k, x) for p, row in enumerate(f.matrix.entries)
+          for k, x in enumerate(row) if x]
+    den = lcm(*[x.denominator for _, _, x in nz])
+    cols = [[] for _ in range(d)]
+    for p, k, x in nz:
+        cols[k].append((p, x.numerator * (den // x.denominator)))
+    g = gcd(la, lm)
+    cols_t = [[(p, v * (lm // g)) for p, v in col] for col in cols]
+    cols_m = [[(p, v * (la // g)) for p, v in col] for col in cols]
+    bad = []
+    for i in range(d):
+        ci, row, plane = cols_m[i], table[i], left[i]
+        for j in range(d):
+            acc = {}
+            for k, c in row[j]:
+                for q, v in cols_t[k]:
+                    acc[q] = acc.get(q, 0) + c * v
+            for p, v in ci:
+                for q, c in right[p][j]:
+                    acc[q] = acc.get(q, 0) - v * c
+            for p, v in cols_m[j]:
+                for q, c in plane[p]:
+                    acc[q] = acc.get(q, 0) - v * c
+            if any(acc.values()):
+                bad.append((i, j))
+                if stop_early:
+                    return bad
+    return bad
+
+
+@st.composite
+def _sparse_dense_or_perturbed(draw, a, m):
+    """A sparse random map, a dense random map, or an inner derivation of a
+    random witness changed at one entry (or at none)."""
+    kind = draw(st.sampled_from(("sparse", "dense", "inner plus one entry")))
+    entry = st.one_of(st.just(F(0)), _nonzero) if kind == "sparse" else _nonzero
+    if kind == "inner plus one entry":
+        w = [draw(st.one_of(st.just(F(0)), _nonzero)) for _ in range(m.dim)]
+        rows = [list(r) for r in inner_derivation(a, m, w).matrix.entries]
+        if draw(st.booleans()):
+            r = draw(st.integers(0, m.dim - 1))
+            c = draw(st.integers(0, a.dim - 1))
+            rows[r][c] += draw(_nonzero)
+    else:
+        rows = [[draw(entry) for _ in range(a.dim)] for _ in range(m.dim)]
+    return LinearMap(Matrix(m.dim, a.dim, tuple(tuple(r) for r in rows)))
+
+
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_row_kernel_matches_per_pair_loop(name, n, data, pairs, mpairs):
+    # rebased pairs have L_a != L_m and negative basis scales
+    a, m = data.draw(_rebased_pairs(*_kernel_pair(name, n, pairs, mpairs)))
+    f = data.draw(_sparse_dense_or_perturbed(a, m))
+    for stop_early in (True, False):
+        assert leibniz_failures(a, m, f, stop_early) == \
+            _per_pair_leibniz_failures(a, m, f, stop_early)
+    first = _per_pair_leibniz_failures(a, m, f, True)
+    if first:
+        with pytest.raises(ValueError) as err:
+            certify(a, m, f)
+        assert str(err.value) == \
+            "map violates the Leibniz rule at basis pair ({},{})".format(*first[0])
+    else:
+        assert certify(a, m, f).certified

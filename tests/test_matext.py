@@ -8,13 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from matderiv import (Decomposition, DecompositionError, Derivation,
-                      LinearMap, Matrix, basis_vec, catalog, certify, decompose,
+                      IdentityResult, LinearMap, Matrix, act, basis_vec,
+                      catalog, certify, decompose,
                       derivation_space, inner_derivation, is_zero_vec, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
                       multiply, reblock_iso, regular_bimodule, Subspace,
                       transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
-                      vscale, zero_vec)
+                      vscale, vsub, zero_vec)
+from matderiv import matext
 from conftest import CATALOG
 
 
@@ -303,6 +305,34 @@ def test_decompose_recomposition_with_cancelling_parts(mpairs):
     assert cancelled, "want entries where the two parts cancel"
 
 
+@pytest.mark.parametrize("name,n", (("dual_numbers", 3), ("full_matrix_2", 2),
+                                    ("upper_triangular_2", 2)))
+def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, derspaces):
+    # the integer check against inner part + lifted part summed in Fractions,
+    # on D equal to that sum or changed at one entry, with mixed denominators
+    ma, mm = mpairs(name, n)
+    a, m = pairs(name)
+    dim = ma.algebra.dim
+    outcomes = set()
+    for seed in range(8):
+        rng = random.Random(f"recompose:{name}:{n}:{seed}")
+        delta = LinearMap.zero(m.dim, a.dim)
+        for b in derspaces(name).basis:
+            delta = delta + b.linmap.scale(F(rng.randint(-3, 3), rng.choice((1, 5))))
+        delta = certify(a, m, delta)
+        w = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 7))) for _ in range(mm.bimodule.dim))
+        total = (inner_derivation(ma.algebra, mm.bimodule, w).matrix
+                 + lift(delta, ma, mm).matrix)
+        rows = [list(r) for r in total.entries]
+        if seed % 2:
+            rows[rng.randrange(dim)][rng.randrange(dim)] += F(rng.choice((-1, 2)), 3)
+        D = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))), certified=True)
+        got = matext._recomposes(D, ma, mm, w, delta)
+        assert got == (D.matrix == total)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_decompose_rejects_uncertified(mpairs):
     ma, mm = mpairs("field", 2)
     fake = Derivation(LinearMap.zero(4, 4), certified=False)
@@ -358,6 +388,93 @@ def test_lemma22_counterexample_layout(mpairs):
     assert {r.name: r.counterexample for r in report.results} == {
         "i": None, "ii": (0, 0, 2, 1, 0), "iii": (0, 2, 1, 0, 1),
         "iv": (0, 2, 0), "v": None}
+
+
+def _unmemoized_lemma22(D, ma, mm):
+    """verify_lemma22's five searches with every base action recomputed at
+    each step, kept here as the reference for the memoized version."""
+    d = ma.base.dim
+    N, K = range(ma.n), range(d)
+    comp = {(i, j, r, s): component(D, ma, mm, i, j, r, s)
+            for i in N for j in N for r in N for s in N}
+    of_unit = {key: c.apply(ma.base.unit) for key, c in comp.items()}
+    cols = {key: [c.matrix.col(k) for k in K] for key, c in comp.items()}
+
+    def act_basis(side, k, g):
+        return act(mm.base, side, basis_vec(d, k), g)
+
+    searches = (
+        ("i", ((i, j, r, s) for i in N for j in N for r in N for s in N
+               if i != r and j != s and not comp[(i, j, r, s)].is_zero())),
+        ("ii", ((i, j, r, m_, k) for i in N for r in N if i != r
+                for j in N for m_ in N for k in K
+                if cols[(i, j, r, j)][k] != cols[(i, m_, r, m_)][k]
+                or cols[(i, j, r, j)][k] != act_basis("right", k, of_unit[(i, m_, r, m_)]))),
+        ("iii", ((i, j, s, m_, k) for j in N for s in N if j != s
+                 for i in N for m_ in N for k in K
+                 if cols[(i, j, i, s)][k] != cols[(m_, j, m_, s)][k]
+                 or cols[(i, j, i, s)][k] != act_basis("left", k, of_unit[(m_, j, m_, s)]))),
+        ("iv", ((i, j, m_) for i in N for j in N for m_ in N
+                if of_unit[(i, m_, j, m_)] != tuple(-x for x in of_unit[(m_, j, m_, i)]))),
+        ("v", ((i, j, m_, k) for i in N for j in N for m_ in N for k in K
+               if cols[(i, j, i, j)][k] != vadd(
+                   vsub(act_basis("right", k, of_unit[(i, m_, i, m_)]),
+                        act_basis("left", k, of_unit[(j, m_, j, m_)])),
+                   cols[(m_, m_, m_, m_)][k]))),
+    )
+    results = []
+    for name, failures in searches:
+        bad = next(failures, None)
+        results.append(IdentityResult(name, bad is None, bad))
+    return tuple(results)
+
+
+def _component_targeting(rng, identity, n, unit):
+    """A component (i, j | r, s) and base column k whose change breaks the
+    given identity: both indices moved for (i), the row for (ii), the column
+    for (iii), a unit value for (iv), a diagonal component for (v)."""
+    i, r = rng.sample(range(n), 2)
+    j, s = rng.sample(range(n), 2)
+    k = rng.randrange(len(unit))
+    if identity == "ii":
+        s = j
+    elif identity == "iii":
+        r = i
+    elif identity == "iv":
+        s = j
+        k = rng.choice([t for t, u in enumerate(unit) if u])
+    elif identity == "v":
+        r, s = i, j
+    return i, j, r, s, k
+
+
+@pytest.mark.parametrize("name", ("dual_numbers", "upper_triangular_2", "full_matrix_2"))
+@pytest.mark.parametrize("n", (2, 3))
+def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
+    # seeded ad_W + lift(delta), unchanged or changed at one entry chosen to
+    # break each identity in turn, forged as derivations
+    ma, mm = mpairs(name, n)
+    a, m = pairs(name)
+    dim = ma.algebra.dim
+    for seed, identity in enumerate((None, "i", "ii", "iii", "iv", "v") * 2):
+        rng = random.Random(f"lemma22:{name}:{n}:{seed}")
+        delta = LinearMap.zero(m.dim, a.dim)
+        for b in derspaces(name).basis:
+            delta = delta + b.linmap.scale(F(rng.randint(-3, 3)))
+        w = rand_elt(rng, mm.bimodule.dim)
+        D = inner_derivation(ma.algebra, mm.bimodule, w).linmap + \
+            lift(certify(a, m, delta), ma, mm).linmap
+        rows = [list(r) for r in D.matrix.entries]
+        if identity:
+            i, j, r, s, k = _component_targeting(rng, identity, n, a.unit)
+            rows[mm.flat(i, j, rng.randrange(m.dim))][ma.flat(r, s, k)] += \
+                F(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
+        forged = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))),
+                            certified=True)
+        got = verify_lemma22(forged, ma, mm).results
+        assert got == _unmemoized_lemma22(forged, ma, mm)
+        failed = {r.name for r in got if not r.passed}
+        assert (identity in failed) if identity else not failed
 
 
 # ---------------------------------------------------------------------------
