@@ -21,14 +21,33 @@ validated.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
 from .exactlin import ZERO, Vector, _scaled, basis_vec
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
+
+
+def past_digit_limit(fmt):
+    """Rerun a formatter of exact values with Python's int digit limit lifted
+    if it hits it: results may exceed the limit that parsing is held to."""
+    @wraps(fmt)
+    def wrapper(*args, **kwargs):
+        try:
+            return fmt(*args, **kwargs)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return fmt(*args, **kwargs)
+            finally:
+                sys.set_int_max_str_digits(limit)
+    return wrapper
+
 
 SparseEntry = tuple[int, Fraction]
 
@@ -257,6 +276,7 @@ class Violation:
     lhs: Vector
     rhs: Vector
 
+    @past_digit_limit
     def describe(self, labels: Sequence[str] | None = None) -> str:
         if labels:
             where = ",".join(labels[i] for i in self.indices)

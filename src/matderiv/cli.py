@@ -5,10 +5,13 @@ UTF-8 JSON files with every rational written as a string ("3", "-1/2"); an
 algebra argument may also be a catalog name (field, dual_numbers,
 group_algebra_C2, full_matrix_2, upper_triangular_2, direct_sum(x,y)).
 
+Every command that computes on a pair builds it in _build_pair.
+
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 input
-error.  Every command reads and parses all its inputs before it prints, so
-an input error leaves stdout empty.  Reports are plain text and
-byte-identical across runs for identical inputs, flags, and seed.
+error (undecodable files and numbers past Python's int digit limit too).
+Every command reads and parses all its inputs before it prints, so an input
+error leaves stdout empty.  Reports are plain text and byte-identical across
+runs for identical inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 from typing import Any, Sequence, TextIO
 
 from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
-                      regular_bimodule, validate_algebra, validate_bimodule)
+                      past_digit_limit, regular_bimodule, validate_algebra,
+                      validate_bimodule)
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
                       inner_space, jordan_derivation_space)
 from .exactlin import Matrix, Vector
@@ -54,26 +58,32 @@ def parse_rational(text: Any) -> Fraction:
     s = text.replace("−", "-")
     if not _RATIONAL_RE.match(s):
         raise CliInputError(f"not a rational: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise CliInputError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
-def fmt_rational(x: Fraction) -> str:
-    return str(x)
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise CliInputError(f"zero denominator: {text!r}") from None
+    except ValueError as exc:                # past Python's int digit limit
+        raise CliInputError(f"rational has too many digits: {text[:20]!r}... "
+                            f"({len(text)} characters)") from exc
 
 
 def fmt_vector(v: Sequence[Fraction]) -> str:
     """Entries separated by spaces in brackets; a zero entry is "0", which
-    is what fmt_rational prints for it."""
-    return "[" + " ".join(fmt_rational(c) if c else "0" for c in v) + "]"
+    is what str prints for it."""
+    return "[" + " ".join(str(c) if c else "0" for c in v) + "]"
 
 
+@past_digit_limit
 def fmt_matrix(m: Matrix) -> str:
     return "\n".join(fmt_vector(m.row(r)) for r in range(m.rows))
+
+
+@past_digit_limit
+def fmt_blocks(ma: MatrixAlgebra, x: Vector) -> str:
+    return "\n".join(f"B[{i + 1}][{j + 1}] = "
+                     + " ".join(str(c) for c in ma.entry(x, i, j))
+                     for i in range(ma.n) for j in range(ma.n))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +96,7 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliInputError(f"{path}: top level must be a JSON object")
@@ -191,12 +201,12 @@ def resolve_algebra(ref: str, check: bool = True) -> Algebra:
         f"{ref!r} is neither a catalog name nor a readable file ({catalog_err})")
 
 
-def load_map_file(path: str, module_dim: int, algebra_dim: int) -> tuple[str, LinearMap]:
+def load_map_file(path: str, module_dim: int, algebra_dim: int) -> LinearMap:
     """MapFile: {kind, algebra, module, matrix}; matrix is module_dim rows by
-    algebra_dim columns of rational strings, column j = image of basis j."""
+    algebra_dim columns of rational strings, column j = image of basis j.
+    kind is checked but not returned: commands certify the map themselves."""
     data = _load_json(path)
-    kind = _require(data, "kind", path)
-    if kind not in ("derivation", "linear_map"):
+    if _require(data, "kind", path) not in ("derivation", "linear_map"):
         raise CliInputError(f"{path}: kind must be 'derivation' or 'linear_map'")
     _require(data, "algebra", path)
     _require(data, "module", path)
@@ -217,7 +227,7 @@ def load_map_file(path: str, module_dim: int, algebra_dim: int) -> tuple[str, Li
                 x = parsed[c] = parse_rational(c)  # raises on a non-string
             entries.append(x)
         rows.append(tuple(entries))
-    return kind, LinearMap(Matrix(module_dim, algebra_dim, tuple(rows)))
+    return LinearMap(Matrix(module_dim, algebra_dim, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,31 +235,24 @@ def load_map_file(path: str, module_dim: int, algebra_dim: int) -> tuple[str, Li
 # ---------------------------------------------------------------------------
 
 def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
-                               MatrixBimodule | None, list[str]]:
-    """Resolve the algebra, the module flag, and the optional matrix level.
-    Returns (algebra, bimodule, ma, mm, header_lines); the bimodule/ma/mm are
-    at the level the command computes on."""
+                               MatrixBimodule | None]:
+    """The one path from arguments to a validated pair: the algebra, --module
+    or the regular bimodule, and with -n the extensions ma, mm.  Returns
+    (a, m, ma, mm), (a, m) at the level the command computes on."""
     base = resolve_algebra(args.algebra)
-    header = [f"algebra: {args.algebra}"]
     module_path = getattr(args, "module", None)
     if module_path:
         base_mod = load_bimodule_file(module_path, base)
         _require_valid(f"module {module_path}", validate_bimodule(base, base_mod))
-        header.append(f"module: {module_path}")
     else:
         base_mod = regular_bimodule(base)
-        header.append("module: regular")
-    n = getattr(args, "n", None)
-    if n is None:
-        header.append(f"dim: {base.dim}")
-        return base, base_mod, None, None, header
-    if n < 2:
+    if args.n is None:
+        return base, base_mod, None, None
+    if args.n < 2:
         raise CliInputError("-n must be at least 2")
-    ma = matrix_algebra(base, n)
-    mm = matrix_bimodule(base_mod, n)
-    header.append(f"matrix level: n={n}")
-    header.append(f"dim: {ma.algebra.dim}")
-    return ma.algebra, mm.bimodule, ma, mm, header
+    ma = matrix_algebra(base, args.n)
+    mm = matrix_bimodule(base_mod, args.n)
+    return ma.algebra, mm.bimodule, ma, mm
 
 
 def _certified_map(lin: LinearMap, a: Algebra, m: Bimodule,
@@ -295,9 +298,12 @@ def cmd_validate(args, out: TextIO) -> int:
 
 
 def cmd_derspace(args, out: TextIO) -> int:
-    a, m, _, _, header = _build_pair(args)
-    for line in header:
-        print(line, file=out)
+    a, m, ma, _ = _build_pair(args)
+    print(f"algebra: {args.algebra}", file=out)
+    print(f"module: {args.module or 'regular'}", file=out)
+    if ma is not None:
+        print(f"matrix level: n={ma.n}", file=out)
+    print(f"dim: {a.dim}", file=out)
     ds = derivation_space(a, m)
     inn = inner_space(a, m)
     h1 = ds.dim - inn.image.dim
@@ -317,25 +323,15 @@ def cmd_derspace(args, out: TextIO) -> int:
 
 
 def cmd_decompose(args, out: TextIO) -> int:
-    base = resolve_algebra(args.algebra)
-    base_mod = regular_bimodule(base)
-    n = args.n
-    if n is None or n < 2:
-        raise CliInputError("decompose requires -n SIZE with SIZE >= 2")
-    ma = matrix_algebra(base, n)
-    mm = matrix_bimodule(base_mod, n)
-    lin = load_map_file(args.derivation, mm.bimodule.dim, ma.algebra.dim)[1]
+    a, m, ma, mm = _build_pair(args)
+    lin = load_map_file(args.derivation, m.dim, a.dim)
     print(f"algebra: {args.algebra}", file=out)
-    print(f"matrix level: n={n}", file=out)
-    d = _certified_map(lin, ma.algebra, mm.bimodule, out)
+    print(f"matrix level: n={ma.n}", file=out)
+    d = _certified_map(lin, a, m, out)
     if d is None:
         return 1
     dec = decompose(d, ma, mm)
-    for i in range(n):
-        for j in range(n):
-            block = ma.entry(dec.witness, i, j)
-            coords = " ".join(fmt_rational(c) for c in block)
-            print(f"B[{i + 1}][{j + 1}] = {coords}", file=out)
+    print(fmt_blocks(ma, dec.witness), file=out)
     print("delta:", file=out)
     print(fmt_matrix(dec.delta.matrix), file=out)
     print("recomposition exact: yes", file=out)
@@ -343,18 +339,11 @@ def cmd_decompose(args, out: TextIO) -> int:
 
 
 def cmd_lemma22(args, out: TextIO) -> int:
-    base = resolve_algebra(args.algebra)
-    base_mod = regular_bimodule(base)
-    n = args.n
-    if n is None or n < 2:
-        raise CliInputError("lemma22 requires -n SIZE with SIZE >= 2")
-    ma = matrix_algebra(base, n)
-    mm = matrix_bimodule(base_mod, n)
-    lin = load_map_file(args.derivation, mm.bimodule.dim, ma.algebra.dim)[1]
+    a, m, ma, mm = _build_pair(args)
+    lin = load_map_file(args.derivation, m.dim, a.dim)
     print(f"algebra: {args.algebra}", file=out)
-    print(f"matrix level: n={n}", file=out)
-    d = _certified_map(lin, ma.algebra, mm.bimodule, out,
-                       bypass=args.bypass_certify)
+    print(f"matrix level: n={ma.n}", file=out)
+    d = _certified_map(lin, a, m, out, bypass=args.bypass_certify)
     if d is None:
         return 1
     report = verify_lemma22(d, ma, mm)
@@ -382,18 +371,11 @@ def _parse_oracle_spec(spec: str) -> tuple[str | None, str]:
 def cmd_twolocal(args, out: TextIO) -> int:
     if args.samples < 0:
         raise CliInputError("--samples must be at least 0")
-    base = resolve_algebra(args.algebra)
-    base_mod = regular_bimodule(base)
-    n = args.n
-    if n is None or n < 2:
-        raise CliInputError("twolocal requires -n SIZE with SIZE >= 2")
-    ma = matrix_algebra(base, n)
-    mm = matrix_bimodule(base_mod, n)
-    a, m = ma.algebra, mm.bimodule
+    a, m, ma, mm = _build_pair(args)
     kind, path = _parse_oracle_spec(args.oracle)
-    lin = load_map_file(path, m.dim, a.dim)[1]
+    lin = load_map_file(path, m.dim, a.dim)
     print(f"algebra: {args.algebra}", file=out)
-    print(f"matrix level: n={n}", file=out)
+    print(f"matrix level: n={ma.n}", file=out)
     print(f"oracle: {args.oracle}", file=out)
     print(f"samples: {args.samples} seed: {args.seed}", file=out)
     d = _certified_map(lin, a, m, out)
@@ -432,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matderiv",
         description="Exact computations with derivations on structure-constant "
                     "algebras and their matrix extensions.")
-    parser.add_argument("--format", choices=("text",), default="text",
-                        help="report format (only text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_algebra(p):
@@ -491,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except CliInputError as exc:

@@ -11,8 +11,9 @@ import pytest
 
 import matderiv
 from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
-                      lift, matrix_pair, validate_algebra, LinearMap)
-from matderiv.cli import main, load_map_file, parse_rational, CliInputError
+                      lift, matrix_pair, validate_algebra, LinearMap, Matrix)
+from matderiv.cli import (main, fmt_blocks, fmt_matrix, load_map_file,
+                          parse_rational, CliInputError)
 from conftest import write_algebra_file, write_map_file, write_module_file
 from fractions import Fraction as F
 
@@ -537,8 +538,134 @@ def test_map_file_reports_the_first_bad_entry(tmp_path, bad):
 def test_map_file_entries_equal_their_parse(tmp_path):
     texts = ["0", "3", "-1/2", "+4/6", "−3/7", "0", "3", "4/6"]
     matrix = [[texts[(r * 5 + c) % len(texts)] for c in range(9)] for r in range(8)]
-    kind, lin = load_map_file(_map_file(tmp_path, matrix), 8, 9)
-    assert kind == "linear_map"
+    lin = load_map_file(_map_file(tmp_path, matrix), 8, 9)
     assert lin.matrix.entries == tuple(tuple(parse_rational(c) for c in row)
                                        for row in matrix)
     assert all(type(x) is F for row in lin.matrix.entries for x in row)
+
+
+# ---------------------------------------------------------------------------
+# undecodable files and oversize numbers are input errors (exit 2)
+# ---------------------------------------------------------------------------
+
+_BIG = "1" * 5000               # past Python's 4300-digit int conversion limit
+
+# one valid file of each kind, as JSON text; "@" marks the spot a defect fills
+_FILES = {
+    "algebra": '{"name": "f", "dim": @, "basis_labels": ["e"], "unit": ["1"], '
+               '"mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}',
+    "module": '{"dim": @, "left": [{"i": 0, "p": 0, "q": 0, "c": "1"}], '
+              '"right": [{"p": 0, "i": 0, "q": 0, "c": "1"}]}',
+    "map": '{"kind": "derivation", "algebra": "field", "module": "regular", '
+           '"matrix": [[@, "0", "0", "0"], ["0", "0", "0", "0"], '
+           '["0", "0", "0", "0"], ["0", "0", "0", "0"]]}',
+}
+_VALID_FILL = {"algebra": "1", "module": "1", "map": '"0"'}
+_READERS = {
+    "algebra": (("validate", "{f}"), ("derspace", "{f}", "-n", "2")),
+    "module": (("validate", "field", "--module", "{f}"),
+               ("derspace", "field", "--module", "{f}")),
+    "map": (("decompose", "field", "-n", "2", "--derivation", "{f}"),
+            ("lemma22", "field", "-n", "2", "--derivation", "{f}"),
+            ("twolocal", "field", "-n", "2", "--oracle", "{f}")),
+}
+
+
+def _defective(kind, defect):
+    text = _FILES[kind]
+    if defect == "deep-nesting":
+        return ("[" * 100_000 + "]" * 100_000).encode()
+    if defect == "json-integer":
+        return text.replace("@", _BIG).encode()
+    if defect == "rational":
+        if kind == "map":
+            return text.replace("@", f'"{_BIG}"').encode()
+        text = text.replace('"c": "1"', f'"c": "{_BIG}"', 1)
+    text = text.replace("@", _VALID_FILL[kind])
+    return text.encode() if defect == "rational" else b"\xff\xfe" + text.encode()
+
+
+@pytest.mark.parametrize("defect", ("not-utf8", "json-integer", "rational",
+                                    "deep-nesting"))
+@pytest.mark.parametrize("kind", sorted(_FILES))
+def test_undecodable_or_oversize_file_is_input_error(capsys, tmp_path, kind, defect):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_defective(kind, defect))
+    for argv in _READERS[kind]:
+        rc, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err and len(err) < 400, argv
+
+
+def test_oversize_rational_message_is_truncated():
+    message = _first_error("-" + _BIG + "/7")
+    assert message == ("rational has too many digits: '-1111111111111111111'... "
+                       "(5003 characters)")
+
+
+def test_results_past_the_digit_limit_are_printed(capsys, tmp_path):
+    # xy = c x with c = 10^3000, so the axiom check computes (xy)y = c^2 x:
+    # inputs within the limit, a result of 6001 digits
+    mult = {(0, 0, 0): "1", (0, 1, 1): "1", (1, 0, 1): "1", (0, 2, 2): "1",
+            (2, 0, 2): "1", (1, 2, 1): "1" + "0" * 3000}
+    path = write_algebra_file(tmp_path / "big.json", "big", 3, ["1", "x", "y"],
+                              ["1", "0", "0"], mult)
+    square = "1" + "0" * 6000
+    limit = sys.get_int_max_str_digits()
+    rc, out, _ = run_cli(capsys, "validate", path)
+    assert rc == 1
+    assert f"associativity violated at (x,y,y): lhs=[0 {square} 0]" in out
+    rc, out, err = run_cli(capsys, "derspace", path)
+    assert (rc, out) == (2, "")
+    assert f"lhs=[0 {square} 0]" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_matrix_reports_print_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = F(10 ** 5000, 3)
+    assert fmt_matrix(Matrix(1, 2, ((big, F(0)),))) == (
+        "[1" + "0" * 5000 + "/3 0]")
+    f, fm = catalog("field")
+    ma, _ = matrix_pair(f, fm, 2)
+    assert fmt_blocks(ma, (F(0), big, F(1), F(-1, 2))).splitlines()[1] == (
+        "B[1][2] = 1" + "0" * 5000 + "/3")
+    assert sys.get_int_max_str_digits() == limit
+
+
+# ---------------------------------------------------------------------------
+# every command resolves its pair through one path
+# ---------------------------------------------------------------------------
+
+def _pair_commands(algebra, n, missing_map):
+    return (("derspace", algebra, "-n", n),
+            ("decompose", algebra, "-n", n, "--derivation", missing_map),
+            ("lemma22", algebra, "-n", n, "--derivation", missing_map),
+            ("twolocal", algebra, "-n", n, "--oracle", missing_map))
+
+
+@pytest.mark.parametrize("bad", ("n=1", "non-associative"))
+def test_pair_errors_are_the_same_for_every_command(capsys, tmp_path, bad):
+    # the pair is checked before the (missing) map file is read
+    missing = str(tmp_path / "missing.json")
+    if bad == "n=1":
+        argvs = _pair_commands("field", "1", missing)
+    else:
+        argvs = _pair_commands(_non_associative(tmp_path), "2", missing)
+    errors = set()
+    for argv in argvs:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        errors.add(err)
+    assert len(errors) == 1
+    expected = ("error: -n must be at least 2\n" if bad == "n=1"
+                else "associativity violated at (x,y,y)")
+    assert expected in errors.pop()
+
+
+def test_format_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "text", "derspace", "field"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
