@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
-from .exactlin import ZERO, Vector, _scaled, basis_vec
+from .exactlin import ZERO, Vector, _nonzeros, _scaled, basis_vec
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
@@ -142,6 +142,17 @@ class Algebra:
         """Integer view (L_a, table times L_a), L_a the lcm of its denominators."""
         return _int_view(self.table)
 
+    @cached_property
+    def int_producers(self) -> tuple:
+        """For each basis index k, the (i, j, c) with c != 0 the coefficient of
+        e_k in e_i e_j in the integer view, in (i, j) order."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for i, plane in enumerate(self.int_table[1]):
+            for j, cell in enumerate(plane):
+                for k, c in cell:
+                    out[k].append((i, j, c))
+        return tuple(map(tuple, out))
+
     def basis_element(self, i: int) -> Vector:
         return basis_vec(self.dim, i)
 
@@ -184,8 +195,11 @@ class Bimodule:
 
     @cached_property
     def int_tables(self) -> tuple:
-        """Integer view (L_m, left, right): both tables times their joint lcm."""
-        return _int_view(self.left_table, self.right_table)
+        """Integer view (L_m, left, right): both tables times their joint lcm;
+        one table (the regular bimodule's) is converted once."""
+        left, right = self.left_table, self.right_table
+        scale, *views = _int_view(left) if right is left else _int_view(left, right)
+        return scale, views[0], views[-1]
 
     def basis_element(self, p: int) -> Vector:
         return basis_vec(self.dim, p)
@@ -194,11 +208,6 @@ class Bimodule:
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
-
-def _nonzeros(v: Sequence) -> list[tuple[int, Fraction]]:
-    """(index, entry) for the nonzero entries of v (Fractions or ints)."""
-    return [(t, x) for t, x in enumerate(v) if x]
-
 
 def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Product of two elements in a's basis coordinates."""

@@ -5,7 +5,8 @@ UTF-8 JSON files with every rational written as a string ("3", "-1/2"); an
 algebra argument may also be a catalog name (field, dual_numbers,
 group_algebra_C2, full_matrix_2, upper_triangular_2, direct_sum(x,y)).
 
-Every command that computes on a pair builds it in _build_pair.
+Every command that computes on a pair builds it in _build_pair.  Map files
+are read into their nonzeros, and matrices are printed from them.
 
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 input
 error (undecodable files and numbers past Python's int digit limit too).
@@ -68,15 +69,20 @@ def parse_rational(text: Any) -> Fraction:
                             f"({len(text)} characters)") from exc
 
 
-def fmt_vector(v: Sequence[Fraction]) -> str:
-    """Entries separated by spaces in brackets; a zero entry is "0", which
-    is what str prints for it."""
-    return "[" + " ".join(str(c) if c else "0" for c in v) + "]"
-
-
 @past_digit_limit
 def fmt_matrix(m: Matrix) -> str:
-    return "\n".join(fmt_vector(m.row(r)) for r in range(m.rows))
+    """Each row as "[x0 x1 ...]" with zeros as "0", built from the row's
+    nonzeros and slices of one precomputed run of zeros."""
+    zeros = "0 " * m.cols
+    lines = []
+    for row in m.nonzeros:
+        parts, prev = [], 0
+        for c, x in row:
+            parts += zeros[:2 * (c - prev)], str(x), " "
+            prev = c + 1
+        parts.append(zeros[:2 * (m.cols - prev)])
+        lines.append("[" + "".join(parts)[:-1] + "]")
+    return "\n".join(lines)
 
 
 @past_digit_limit
@@ -214,20 +220,20 @@ def load_map_file(path: str, module_dim: int, algebra_dim: int) -> LinearMap:
     if not isinstance(matrix, list) or len(matrix) != module_dim:
         raise CliInputError(
             f"{path}: matrix must have {module_dim} rows for this pair")
-    parsed: dict[str, Fraction] = {}         # each distinct entry string once
-    rows = []
-    for row in matrix:
+    parsed: dict[str, Fraction | int] = {}   # each distinct entry string once
+    nonzeros = []
+    for p, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != algebra_dim:
             raise CliInputError(
                 f"{path}: matrix rows must have {algebra_dim} entries")
-        entries = []
-        for c in row:
+        for k, c in enumerate(row):
             x = parsed.get(c) if isinstance(c, str) else None
-            if x is None:
-                x = parsed[c] = parse_rational(c)  # raises on a non-string
-            entries.append(x)
-        rows.append(tuple(entries))
-    return LinearMap(Matrix(module_dim, algebra_dim, tuple(rows)))
+            if x is None:                      # parse_rational raises on a non-string
+                # a zero is cached as int 0, whose truth test is cheap
+                x = parsed[c] = parse_rational(c) or 0
+            if x:
+                nonzeros.append((p, k, x))
+    return LinearMap(Matrix.from_triples(module_dim, algebra_dim, nonzeros))
 
 
 # ---------------------------------------------------------------------------

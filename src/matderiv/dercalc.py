@@ -3,24 +3,19 @@
 A linear map delta: A -> M is a derivation when delta(xy) = delta(x).y +
 x.delta(y).  Over basis elements this is one linear constraint per basis pair
 and module coordinate, so the derivation space is the nullspace of a
-(d^2*m) x (d*m) system in the flattened coordinates of the map.
-
-Flattening is column-major: flat[k*m + p] is the f_p-coordinate of the image
-of e_k, i.e. images of basis vectors are concatenated in basis order.
-
-Inner derivations use the sign convention delta_w(x) = w.x - x.w (module
-element on the left of the algebra element in the first term).
+(d^2*m) x (d*m) system in the flattened coordinates of the map.  Flattening
+is column-major: flat[k*m + p] is the f_p-coordinate of the image of e_k.
+Inner derivations use the sign convention delta_w(x) = w.x - x.w.
 
 Constraint assembly, certification and the inner space read the integer
 views Algebra.int_table (scale L_a) and Bimodule.int_tables (scale L_m); a
 positive scale changes no row space and no failing pair.  Constraint rows
-leave as canonical keys (exactlin._canonical), so rows equal up to a
-nonzero scale collapse, and a row with a single term (a shifted copy of a
-pattern of the tables) is emitted once per pattern and shift.
-leibniz_failures reads only the nonzero entries of the map it checks and
-sums a row of basis pairs at a time over the nonzero products, and
-inner_derivation builds each column in integers from the action views over
-the nonzero coordinates of the witness.
+leave as canonical keys (exactlin._canonical), and a row with a single term
+(a shifted copy of a pattern of the tables) is emitted once per pattern and
+shift.  The basis stays sparse from elimination to output: each basis map
+is built from the nonzeros of its nullspace vector, leibniz_failures sums a
+row of basis pairs at a time over the nonzero products of the map, and the
+inner space spans sparse columns.
 """
 
 from __future__ import annotations
@@ -31,8 +26,8 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .algcore import Algebra, Bimodule
-from .exactlin import (Matrix, Subspace, Vector, ZERO, _canonical, _scaled,
-                       nullspace_sparse, quotient_dim, solve)
+from .exactlin import (Matrix, Nonzeros, Subspace, Vector, _canonical, _dense,
+                       _nonzeros, _scaled, nullspace_sparse, quotient_dim, solve)
 
 
 @dataclass(frozen=True)
@@ -55,16 +50,15 @@ class LinearMap:
 
     def flatten(self) -> Vector:
         m = self.matrix
-        return tuple(m.entries[p][k] for k in range(m.cols) for p in range(m.rows))
+        return _dense(((k * m.rows + p, x) for p, row in enumerate(m.nonzeros)
+                       for k, x in row), m.rows * m.cols)
 
     @classmethod
     def unflatten(cls, flat: Sequence[Fraction], module_dim: int,
                   algebra_dim: int) -> "LinearMap":
         if len(flat) != module_dim * algebra_dim:
             raise ValueError("flattened length does not match dimensions")
-        rows = tuple(tuple(flat[k * module_dim + p] for k in range(algebra_dim))
-                     for p in range(module_dim))
-        return cls(Matrix(module_dim, algebra_dim, rows))
+        return _unflatten_nonzeros(_nonzeros(flat), module_dim, algebra_dim)
 
     @classmethod
     def zero(cls, module_dim: int, algebra_dim: int) -> "LinearMap":
@@ -72,9 +66,7 @@ class LinearMap:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[Fraction]]) -> "LinearMap":
-        mdim = len(cols[0])
-        rows = tuple(tuple(col[p] for col in cols) for p in range(mdim))
-        return cls(Matrix(mdim, len(cols), rows))
+        return cls(Matrix(len(cols[0]), len(cols), tuple(zip(*cols))))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix + other.matrix)
@@ -87,6 +79,13 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
+
+
+def _unflatten_nonzeros(flat: Nonzeros, module_dim: int, algebra_dim: int) -> LinearMap:
+    """The map whose flattened coordinates have the nonzeros flat: index
+    k*module_dim + p is row p, column k."""
+    return LinearMap(Matrix.from_triples(module_dim, algebra_dim, (
+        (t % module_dim, t // module_dim, x) for t, x in flat)))
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,17 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
     meets the map times L_m/g and the action views meet it times L_a/g.
     The residuals of a row i are summed in one dict keyed by j*md + q, for
     the pair (i, j) and module coordinate q, over the nonzero products only:
-    the nonempty cells table[i][j] against the columns they name, the
-    nonzeros p of column i against the nonempty cells right[p][j], and the
-    nonzero rows p of f against the nonempty cells left[i][p].
+    the products e_i e_j that name a nonzero column k of f (found through
+    Algebra.int_producers) against that column, the nonzeros p of column i
+    against the nonempty cells right[p][j], and the nonzero rows p of f
+    against the nonempty cells left[i][p].
     """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
     d, md = a.dim, m.dim
-    la, table = a.int_table
+    la = a.int_table[0]
     lm, left, right = m.int_tables
-    nz = [(p, k, x) for p, row in enumerate(f.matrix.entries)
-          for k, x in enumerate(row) if x]
+    nz = [(p, k, x) for p, row in enumerate(f.matrix.nonzeros) for k, x in row]
     den = lcm(*[x.denominator for _, _, x in nz])
     g = gcd(la, lm)
     at_t, at_m = lm // g, la // g                   # table and action scales
@@ -139,24 +138,30 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
         cols_t[k].append((p, at_t * v))
         cols_m[k].append((p, at_m * v))
         rows_m[p].append((k * md, at_m * v))
+    # the products e_i e_j with a nonzero column k of f, as (j*md, c, column)
+    products: list[list[tuple[int, int, list[tuple[int, int]]]]] = [[] for _ in range(d)]
+    for k, col in enumerate(cols_t):
+        if col:
+            for i, j, c in a.int_producers[k]:
+                products[i].append((j * md, c, col))
+    used = [p for p, row in enumerate(rows_m) if row]   # the nonzero rows of f
     # the nonempty cells right[p][j], as (j*md, cell), for the p that f uses
     right_nz = {p: [(j * md, cell) for j, cell in enumerate(right[p]) if cell]
-                for p, row in enumerate(rows_m) if row}
+                for p in used}
     bad: list[tuple[int, int]] = []
     for i in range(d):
         acc: dict[int, int] = {}
-        for j, cell in enumerate(table[i]):          # delta(e_i e_j)
-            base = j * md
-            for k, c in cell:
-                for q, v in cols_t[k]:
-                    key = base + q
-                    acc[key] = acc.get(key, 0) + c * v
+        for base, c, col in products[i]:             # delta(e_i e_j)
+            for q, v in col:
+                key = base + q
+                acc[key] = acc.get(key, 0) + c * v
         for p, v in cols_m[i]:                       # - delta(e_i).e_j
             for base, cell in right_nz[p]:
                 for q, c in cell:
                     key = base + q
                     acc[key] = acc.get(key, 0) - v * c
-        for p, cell in enumerate(left[i]):           # - e_i.delta(e_j)
+        for p in used:                               # - e_i.delta(e_j)
+            cell = left[i][p]
             if cell:
                 for base, v in rows_m[p]:
                     for q, c in cell:
@@ -321,8 +326,8 @@ def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     sub = nullspace_sparse(_constraint_rows(a, m, jordan=False), a.dim * m.dim)
-    basis = tuple(certify(a, m, LinearMap.unflatten(v, m.dim, a.dim))
-                  for v in sub.basis)
+    basis = tuple(certify(a, m, _unflatten_nonzeros(v, m.dim, a.dim))
+                  for v in sub.nonzeros)
     return DerivationSpace(a, m, basis, sub)
 
 
@@ -332,7 +337,7 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     sub = nullspace_sparse(_constraint_rows(a, m, jordan=True), a.dim * m.dim)
-    basis = tuple(LinearMap.unflatten(v, m.dim, a.dim) for v in sub.basis)
+    basis = tuple(_unflatten_nonzeros(v, m.dim, a.dim) for v in sub.nonzeros)
     return JordanDerivationSpace(a, m, basis, sub)
 
 
@@ -340,24 +345,24 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
 # inner derivations
 # ---------------------------------------------------------------------------
 
-def _inner_columns(m: Bimodule, w: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
-    """(s, cols): cols[j][q] / s is the f_q-coordinate of delta_w(e_j) =
-    sum_p w_p (f_p.e_j - e_j.f_p).  w is scaled to integers by the lcm of
-    its denominators, its nonzeros meet the cells right[p][j] and left[j][p]
-    of the integer views, and s is that lcm times L_m."""
+def _inner_columns(m: Bimodule, w: Sequence[Fraction]) -> tuple[int, list[dict[int, int]]]:
+    """(s, cols): cols[j] = {q: x} over the nonzero f_q-coordinates x / s of
+    delta_w(e_j) = sum_p w_p (f_p.e_j - e_j.f_p).  w is scaled to integers by
+    the lcm of its denominators, its nonzeros meet the cells right[p][j] and
+    left[j][p] of the integer views, and s is that lcm times L_m."""
     lm, left, right = m.int_tables
     den, nums = _scaled(w)
     nz = [(p, v) for p, v in enumerate(nums) if v]
-    cols = [[0] * m.dim for _ in range(m.algebra_dim)]
+    cols: list[dict[int, int]] = [{} for _ in range(m.algebra_dim)]
     for p, wp in nz:
         for col, cell in zip(cols, right[p]):
             for q, c in cell:
-                col[q] += wp * c
+                col[q] = col.get(q, 0) + wp * c
     for col, plane in zip(cols, left):
         for p, wp in nz:
             for q, c in plane[p]:
-                col[q] -= wp * c
-    return lm * den, cols
+                col[q] = col.get(q, 0) - wp * c
+    return lm * den, [{q: x for q, x in col.items() if x} for col in cols]
 
 
 def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
@@ -366,14 +371,15 @@ def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivati
     if len(w) != m.dim:
         raise ValueError("witness length does not match module dimension")
     s, cols = _inner_columns(m, w)
-    return Derivation(LinearMap.from_columns(
-        [[Fraction(x, s) if x else ZERO for x in col] for col in cols]), certified=True)
+    return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, (
+        (q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items()))),
+        certified=True)
 
 
 def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
     """Row j*md + q of the (d*md) x md matrix of w -> delta_w times L_m, as
-    {p: value}: the f_q-coordinate of delta_{f_p}(e_j) = f_p.e_j - e_j.f_p,
-    read off the integer views right[p][j] and left[j][p]."""
+    {p: value} over its nonzeros: the f_q-coordinate of delta_{f_p}(e_j) =
+    f_p.e_j - e_j.f_p, read off the integer views right[p][j] and left[j][p]."""
     _, left, right = m.int_tables
     rows = []
     for rq, lq in zip(_by_output(zip(*right), -1, m.dim), _by_output(left, 1, m.dim)):
@@ -381,7 +387,7 @@ def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
             row = dict(rq[q])
             for p, v in lq[q]:
                 row[p] = row.get(p, 0) + v
-            rows.append(row)
+            rows.append({p: v for p, v in row.items() if v})
     return rows
 
 
@@ -393,16 +399,15 @@ class InnerSpace:
 
 def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
     """Image (flattened inner derivations) and kernel (module elements
-    commuting with the whole algebra) of w -> delta_w: the span of the
-    columns and the nullspace of the rows of _inner_rows."""
-    width = a.dim * m.dim
+    commuting with the whole algebra) of w -> delta_w: the span of the sparse
+    columns and the nullspace of the rows of _inner_rows, as canonical keys."""
     rows = _inner_rows(m)
-    cols = [[0] * width for _ in range(m.dim)]
+    cols: list[dict[int, int]] = [{} for _ in range(m.dim)]
     for t, row in enumerate(rows):
         for p, x in row.items():
             cols[p][t] = x
-    return InnerSpace(Subspace.from_span(cols, width),
-                      nullspace_sparse((r.items() for r in rows), m.dim))
+    return InnerSpace(Subspace.from_span(cols, a.dim * m.dim),
+                      nullspace_sparse((_canonical(sorted(r.items())) for r in rows), m.dim))
 
 
 def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:

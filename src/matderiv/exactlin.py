@@ -6,19 +6,18 @@ columns, and nullspace bases use the canonical free-variable parametrization
 (entry 1 at the free column, other free columns 0), so every output is
 deterministic for a given input.
 
-Every elimination (rref, nullspace, nullspace_sparse, solve, from_span) goes
-through _echelonize.  It takes sparse rows in the canonical key form of
-_primitive_pairs (each row times the lcm of its denominators, divided by the
-gcd of its entries and signed so that its first entry is positive; rows equal
-up to a nonzero scale have the same key), splits them into components of
-columns that share a row, reduces each component on its own and divides
-back to fractions at the end.  Scaling a row never changes the row space,
-and rows of different components have disjoint supports, so the result is
-the unique RREF a textbook fraction-by-fraction elimination of the whole
-system produces.  Matrix-vector products run on integer-scaled rows too:
-each row is kept once as its denominator and sparse integer numerators, and
-each output entry is one integer dot product turned into a single
-reduced fraction.
+Computations read Matrix rows and Subspace basis vectors through their
+nonzeros, (index, value) pairs sorted by index.  Built from nonzeros, a
+Matrix or Subspace fills its dense tuples (entries, basis) at C speed when
+a caller first reads them.
+
+Every elimination goes through _echelonize.  It takes sparse integer rows,
+as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
+have the same key), splits them into components of columns that share a
+row, reduces each component on its own and divides back to fractions at the
+end.  Rows of different components have disjoint supports, so the result is
+the unique RREF of the whole system.  Matrix-vector products scale each row
+to integers once and reduce each output entry once.
 """
 
 from __future__ import annotations
@@ -27,13 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vector = tuple[Fraction, ...]
+# the nonzero entries of a vector as (index, value) pairs sorted by index
+Nonzeros = tuple[tuple[int, Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,21 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _nonzeros(v: Sequence[Fraction]) -> Nonzeros:
+    """The (index, entry) pairs of the nonzero entries of v."""
+    return tuple([(t, x) for t, x in enumerate(v) if x])
+
+
+def _dense(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vector:
+    v = [ZERO] * width
+    for c, x in pairs:
+        v[c] = x
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of rationals."""
+    """Row-major matrix of rationals; computations read its nonzeros."""
 
     rows: int
     cols: int
@@ -90,9 +103,27 @@ class Matrix:
     def __post_init__(self):
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged matrix")
+        if any(len(r) != self.cols for r in self.entries):
+            raise ValueError("ragged matrix")
+
+    @classmethod
+    def from_triples(cls, rows: int, cols: int,
+                     triples: Iterable[tuple[int, int, Fraction]]) -> "Matrix":
+        """The matrix with entry x at (i, j) for each nonzero (i, j, x), given
+        in increasing j for each i."""
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
+        for i, j, x in triples:
+            out[i].append((j, x))
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(map(tuple, out)))
+        return m
+
+    def __getattr__(self, name: str):
+        """entries of a matrix built from its nonzeros, filled on first read."""
+        if name != "entries":
+            raise AttributeError(name)
+        self.__dict__[name] = tuple(_dense(r, self.cols) for r in self.nonzeros)
+        return self.__dict__[name]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Matrix":
@@ -103,11 +134,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return cls.from_triples(rows, cols, ())
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(basis_vec(n, i) for i in range(n)))
+        return cls.from_triples(n, n, ((i, i, ONE) for i in range(n)))
+
+    @cached_property
+    def nonzeros(self) -> tuple[Nonzeros, ...]:
+        """Each row's nonzero (column, value) pairs, sorted by column."""
+        return tuple(map(_nonzeros, self.entries))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -123,9 +159,9 @@ class Matrix:
         """Each row as (lcm of its denominators, ((column, numerator over that
         lcm), ...) over its nonzero entries)."""
         out = []
-        for r in self.entries:
-            den, nums = _scaled(r)
-            out.append((den, tuple((j, a) for j, a in enumerate(nums) if a)))
+        for r in self.nonzeros:
+            den, nums = _scaled([x for _, x in r])
+            out.append((den, tuple(zip([c for c, _ in r], nums))))
         return tuple(out)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
@@ -145,23 +181,30 @@ class Matrix:
         return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(vadd(a, b) for a, b in zip(self.entries, other.entries)))
+        return lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(vsub(a, b) for a, b in zip(self.entries, other.entries)))
+        return lincomb(((ONE, self), (-ONE, other)), self.rows, self.cols)
 
     def scale(self, c: Fraction) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(vscale(c, r) for r in self.entries))
+        return lincomb(((Fraction(c), self),), self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.entries for x in r)
+        return not any(self.nonzeros)
+
+
+def lincomb(terms: Iterable[tuple[Fraction, Matrix]], rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix sum c*m over the (c, m) terms, summed row by
+    row over the nonzeros of each m."""
+    acc: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+    for c, m in terms:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+        for a, r in zip(acc, m.nonzeros):
+            for j, x in r:
+                a[j] = a.get(j, ZERO) + c * x
+    return Matrix.from_triples(rows, cols, ((i, j, x) for i, a in enumerate(acc)
+                                            for j, x in sorted(a.items()) if x))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +335,9 @@ def _echelonize(rows: Iterable[SparseRow], width: int) -> list[PivotRow]:
     out: list[PivotRow] = []
     for comp in components.values():
         cols = sorted({c for r in comp for c, _ in r})
+        if len(cols) == 1:          # nonzero multiples of one unit vector
+            out.append((cols[0], [(cols[0], ONE)]))
+            continue
         local = {c: t for t, c in enumerate(cols)}
         dense = [[0] * len(cols) for _ in comp]
         for row, r in zip(dense, comp):
@@ -300,17 +346,6 @@ def _echelonize(rows: Iterable[SparseRow], width: int) -> list[PivotRow]:
         out.extend((cols[p], [(cols[t], x) for t, x in prow])
                    for p, prow in _rref_dense(dense, len(cols)))
     return sorted(out)
-
-
-def _dense(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vector:
-    v = [ZERO] * width
-    for c, x in pairs:
-        v[c] = x
-    return tuple(v)
-
-
-def _matrix_rows(m: Matrix) -> Iterator[SparseRow]:
-    return (_primitive_pairs(enumerate(r)) for r in m.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +361,10 @@ class RrefResult:
 
 def rref(m: Matrix) -> RrefResult:
     """The unique reduced row echelon form of m, with pivot columns and rank."""
-    piv = _echelonize(_matrix_rows(m), m.cols)
-    padded = [_dense(r, m.cols) for _, r in piv] + [zero_vec(m.cols)] * (m.rows - len(piv))
-    cols = tuple(c for c, _ in piv)
-    return RrefResult(Matrix(m.rows, m.cols, tuple(padded)), cols, len(cols))
+    piv = _echelonize(map(_primitive_pairs, m.nonzeros), m.cols)
+    reduced = Matrix.from_triples(m.rows, m.cols, ((i, c, x) for i, (_, r) in enumerate(piv)
+                                                    for c, x in r))
+    return RrefResult(reduced, tuple(c for c, _ in piv), len(piv))
 
 
 def _nullspace_core(pivot_rows: list[PivotRow], width: int) -> "Subspace":
@@ -337,29 +372,30 @@ def _nullspace_core(pivot_rows: list[PivotRow], width: int) -> "Subspace":
     vector of free column f has 1 at f and -row[f] at the pivot of each row.
     A non-pivot entry of an RREF row always sits in a free column."""
     pivots = {p for p, _ in pivot_rows}
-    vecs = {f: [ZERO] * width for f in range(width) if f not in pivots}
-    for f, v in vecs.items():
-        v[f] = ONE
+    vecs = {f: [(f, ONE)] for f in range(width) if f not in pivots}
     for p, pairs in pivot_rows:
         for c, x in pairs:
             if c != p:
-                vecs[c][p] = -x
-    return Subspace(width, tuple(map(tuple, vecs.values())), tuple(vecs))
+                vecs[c].append((p, -x))
+    return Subspace.from_nonzeros(width, [tuple(sorted(v)) for v in vecs.values()],
+                                  tuple(vecs))
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Solution space of m v = 0, canonically parametrized by free variables."""
-    return _nullspace_core(_echelonize(_matrix_rows(m), m.cols), m.cols)
+    return _nullspace_core(_echelonize(map(_primitive_pairs, m.nonzeros), m.cols), m.cols)
 
 
 def nullspace_sparse(rows: Iterable[Iterable[tuple[int, Fraction]]], width: int) -> "Subspace":
     """nullspace() for a constraint system supplied row by row as sparse
-    (column, coefficient) pairs.  Rows are deduplicated as given, and only
-    the distinct ones are normalised to canonical keys, so a row equal to an
-    earlier one up to a nonzero scale is skipped.  The distinct rows reach
-    _echelonize sparse, which solves each component of the system on its
-    own (a derivation system has thousands)."""
-    distinct = dict.fromkeys(map(_primitive_pairs, dict.fromkeys(map(tuple, rows))))
+    (column, coefficient) pairs, deduplicated as given.  A row of nonzero
+    ints (a canonical key, as dercalc builds them) is taken as it is; any
+    other row is normalised to its canonical key.  _echelonize then solves
+    each component of the system on its own (a derivation system has
+    thousands)."""
+    distinct = dict.fromkeys(
+        r if all(type(x) is int and x for _, x in r) else _primitive_pairs(r)
+        for r in dict.fromkeys(map(tuple, rows)))
     return _nullspace_core(_echelonize(distinct, width), width)
 
 
@@ -369,8 +405,7 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     w = m.cols
-    aug = (_primitive_pairs(enumerate(tuple(r) + (Fraction(bv),)))
-           for r, bv in zip(m.entries, b))
+    aug = (_primitive_pairs(r + ((w, Fraction(bv)),)) for r, bv in zip(m.nonzeros, b))
     x = [ZERO] * w
     for p, pairs in _echelonize(aug, w + 1):
         if p == w:
@@ -401,34 +436,59 @@ class Subspace:
     pivot_cols: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.basis) != len(self.pivot_cols):
+        if any(len(v) != self.ambient_dim for v in self.basis):
+            raise ValueError("basis vector has wrong length")
+        self._check_shape()
+
+    def _check_shape(self) -> None:
+        if len(self.nonzeros) != len(self.pivot_cols):
             raise ValueError("basis/pivot count mismatch")
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector has wrong length")
-        for a, b in zip(self.pivot_cols, self.pivot_cols[1:]):
-            if a >= b:
-                raise ValueError("pivot columns must strictly increase")
-        for t, v in enumerate(self.basis):
-            for s, p in enumerate(self.pivot_cols):
-                want = ONE if s == t else ZERO
-                if v[p] != want:
-                    raise ValueError("basis is not in canonical echelon shape")
+        if any(a >= b for a, b in zip(self.pivot_cols, self.pivot_cols[1:])):
+            raise ValueError("pivot columns must strictly increase")
+        where = {p: s for s, p in enumerate(self.pivot_cols)}
+        for t, v in enumerate(self.nonzeros):
+            if [(where[c], x) for c, x in v if c in where] != [(t, ONE)]:
+                raise ValueError("basis is not in canonical echelon shape")
+
+    @classmethod
+    def from_nonzeros(cls, ambient_dim: int, nonzeros: Sequence[Nonzeros],
+                      pivot_cols: tuple[int, ...]) -> "Subspace":
+        """The subspace whose basis vector t has the nonzeros nonzeros[t]."""
+        s = object.__new__(cls)
+        s.__dict__.update(ambient_dim=ambient_dim, pivot_cols=pivot_cols,
+                          nonzeros=tuple(nonzeros))
+        s._check_shape()
+        return s
+
+    def __getattr__(self, name: str):
+        """basis of a subspace built from its nonzeros, filled on first read."""
+        if name != "basis":
+            raise AttributeError(name)
+        self.__dict__[name] = tuple(_dense(v, self.ambient_dim) for v in self.nonzeros)
+        return self.__dict__[name]
+
+    @cached_property
+    def nonzeros(self) -> tuple[Nonzeros, ...]:
+        """Each basis vector's nonzero (index, value) pairs, sorted by index."""
+        return tuple(map(_nonzeros, self.basis))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivot_cols)
 
     @classmethod
-    def from_span(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
+    def from_span(cls, vectors: Iterable[Sequence[Fraction] | dict[int, Fraction]],
+                  ambient_dim: int) -> "Subspace":
+        """The span of vectors, each a sequence of ambient_dim entries or a
+        dict {index: entry} of its nonzero entries."""
         rows = []
         for v in vectors:
-            if len(v) != ambient_dim:
+            if not isinstance(v, dict) and len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-            rows.append(_primitive_pairs((c, Fraction(x)) for c, x in enumerate(v) if x))
+            rows.append(_primitive_pairs(v.items() if isinstance(v, dict) else _nonzeros(v)))
         piv = _echelonize(rows, ambient_dim)
-        return cls(ambient_dim, tuple(_dense(r, ambient_dim) for _, r in piv),
-                   tuple(c for c, _ in piv))
+        return cls.from_nonzeros(ambient_dim, [tuple(r) for _, r in piv],
+                                 tuple(c for c, _ in piv))
 
 
 def member(s: Subspace, v: Sequence[Fraction]) -> bool:
@@ -436,12 +496,11 @@ def member(s: Subspace, v: Sequence[Fraction]) -> bool:
     if len(v) != s.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     work = [Fraction(x) for x in v]
-    for b, p in zip(s.basis, s.pivot_cols):
+    for b, p in zip(s.nonzeros, s.pivot_cols):
         c = work[p]
         if c:
-            for t, bt in enumerate(b):
-                if bt:
-                    work[t] -= c * bt
+            for t, bt in b:
+                work[t] -= c * bt
     return not any(work)
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 from .algcore import Algebra, Bimodule, Table, act, regular_bimodule
 from .dercalc import (Derivation, LinearMap, _inner_columns, certify,
                       inner_derivation)
-from .exactlin import Matrix, Vector, ZERO, basis_vec, vadd, vsub
+from .exactlin import Matrix, Vector, ZERO, _nonzeros, basis_vec, vadd, vsub
 
 
 class DecompositionError(RuntimeError):
@@ -139,10 +139,11 @@ def matrix_bimodule(m: Bimodule, n: int) -> MatrixBimodule:
     if n < 2:
         raise ValueError("matrix extension needs n >= 2")
     d, md = m.algebra_dim, m.dim
-    big = Bimodule(n * n * md, n * n * d,
-                   _block_table(m.left_table, n, d, md, md),
-                   _block_table(m.right_table, n, md, d, md))
-    return MatrixBimodule(m, n, big)
+    left = _block_table(m.left_table, n, d, md, md)
+    # one table for both actions when the base has one (the regular bimodule)
+    right = (left if m.right_table is m.left_table
+             else _block_table(m.right_table, n, md, d, md))
+    return MatrixBimodule(m, n, Bimodule(n * n * md, n * n * d, left, right))
 
 
 def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixBimodule]:
@@ -164,21 +165,11 @@ def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation
         raise ValueError("derivation shape does not match the base pair")
     if ma.n != mm.n:
         raise ValueError("matrix sizes differ")
-    n, d, md = ma.n, ma.base.dim, mm.base.dim
-    small = delta.matrix
-    rows = [[ZERO] * ma.algebra.dim for _ in range(mm.bimodule.dim)]
-    for i in range(n):
-        for j in range(n):
-            a_off = (i * n + j) * d
-            m_off = (i * n + j) * md
-            for q in range(md):
-                out = rows[m_off + q]
-                srow = small.entries[q]
-                for k in range(d):
-                    if srow[k]:
-                        out[a_off + k] = srow[k]
-    big_map = LinearMap(Matrix(mm.bimodule.dim, ma.algebra.dim,
-                               tuple(tuple(r) for r in rows)))
+    d, md, small = ma.base.dim, mm.base.dim, delta.matrix.nonzeros
+    # row q of block b = (i, j) holds row q of delta, shifted to block b's columns
+    big_map = LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, (
+        (b * md + q, b * d + k, x) for b in range(ma.n * ma.n)
+        for q, row in enumerate(small) for k, x in row)))
     return certify(ma.algebra, mm.bimodule, big_map)
 
 
@@ -190,12 +181,11 @@ def component(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
     ma._check_block(i, j)
     ma._check_block(r, s)
     d, md = ma.base.dim, mm.base.dim
-    big = D.matrix
     m_off = (i * ma.n + j) * md
     a_off = (r * ma.n + s) * d
-    rows = tuple(tuple(big.entries[m_off + q][a_off + k] for k in range(d))
-                 for q in range(md))
-    return LinearMap(Matrix(md, d, rows))
+    return LinearMap(Matrix.from_triples(md, d, (
+        (q, c - a_off, x) for q, row in enumerate(D.matrix.nonzeros[m_off:m_off + md])
+        for c, x in row if a_off <= c < a_off + d)))
 
 
 @dataclass(frozen=True)
@@ -227,9 +217,8 @@ def _recomposes(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
             res[r * dim + c] = v * (scale // den)
     up = scale // s
     for c, col in enumerate(inner_cols):
-        for r, v in enumerate(col):
-            if v:
-                res[r * dim + c] = res.get(r * dim + c, 0) - v * up
+        for r, v in col.items():
+            res[r * dim + c] = res.get(r * dim + c, 0) - v * up
     for q, (den, pairs) in enumerate(small):
         for k, v in pairs:
             for b in range(nn):
@@ -293,13 +282,17 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     matrix pair; each result carries the first offending index tuple."""
     if not D.certified:
         raise ValueError("verify_lemma22 requires a certified derivation")
-    d = ma.base.dim
+    n, d, md = ma.n, ma.base.dim, mm.base.dim
     base_m = mm.base
-    N, K = range(ma.n), range(d)
-    comp = {(i, j, r, s): component(D, ma, mm, i, j, r, s)
+    N, K = range(n), range(d)
+    big, unit = D.matrix.entries, _nonzeros(ma.base.unit)
+    # base column k of the component (i,j|r,s), read off D's rows, and the
+    # component's value at the unit
+    cols = {(i, j, r, s): [tuple(big[(i * n + j) * md + q][(r * n + s) * d + k]
+                                 for q in range(md)) for k in K]
             for i in N for j in N for r in N for s in N}
-    of_unit = {key: c.apply(ma.base.unit) for key, c in comp.items()}
-    cols = {key: [c.matrix.col(k) for k in K] for key, c in comp.items()}
+    of_unit = {key: tuple(sum((u * cs[k][q] for k, u in unit), ZERO) for q in range(md))
+               for key, cs in cols.items()}
 
     acted: dict[tuple[str, int, tuple[int, int, int, int]], Vector] = {}
 
@@ -315,7 +308,7 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     searches = (
         # (i) zero component when both rows and both columns differ
         ("i", ((i, j, r, s) for i in N for j in N for r in N for s in N
-               if i != r and j != s and not comp[(i, j, r, s)].is_zero())),
+               if i != r and j != s and any(map(any, cols[(i, j, r, s)])))),
         # (ii) off-diagonal rows: (i,j|r,j) is right multiplication by the
         # unit value of (i,m|r,m), independent of the column index
         ("ii", ((i, j, r, m_, k) for i in N for r in N if i != r
@@ -413,8 +406,8 @@ def transport_derivation(iso: ReblockIso, D: Derivation) -> Derivation:
     dim = iso.source.algebra.dim
     if D.linmap.algebra_dim != dim or D.linmap.module_dim != dim:
         raise ValueError("derivation is not on the source regular pair")
-    big = D.matrix
-    rows = tuple(tuple(big.entries[iso.backward[u]][iso.backward[v]]
-                       for v in range(dim)) for u in range(dim))
+    big = D.matrix.nonzeros
+    moved = Matrix.from_triples(dim, dim, ((u, c, x) for u in range(dim) for c, x in sorted(
+        [(iso.forward[v], x) for v, x in big[iso.backward[u]]])))
     tgt = iso.target.algebra
-    return certify(tgt, regular_bimodule(tgt), LinearMap(Matrix(dim, dim, rows)))
+    return certify(tgt, regular_bimodule(tgt), LinearMap(moved))

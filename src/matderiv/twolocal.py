@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algcore import Algebra, Bimodule, act, multiply
 from .dercalc import Derivation, DerivationSpace, LinearMap
-from .exactlin import Matrix, Vector, ZERO, solve, vadd, vscale, zero_vec
+from .exactlin import Matrix, Vector, _nonzeros, lincomb, solve, vadd, vscale, zero_vec
 from .matext import MatrixAlgebra, MatrixBimodule
 
 
@@ -128,16 +128,15 @@ def pair_witness(space: DerivationSpace, x: Sequence[Fraction],
         raise ValueError("sample element has wrong dimension")
     if len(dx) != md or len(dy) != md:
         raise ValueError("sample value has wrong dimension")
-    vals = [b.apply(x) + b.apply(y) for b in space.basis]
-    rows = tuple(tuple(vals[t][r] for t in range(len(vals)))
-                 for r in range(2 * md))
-    coeffs = solve(Matrix(2 * md, len(vals), rows), dx + dy)
+    # column t of the system: (B_t(x), B_t(y))
+    system = Matrix.from_triples(2 * md, space.dim, (
+        (r, t, v) for t, b in enumerate(space.basis)
+        for r, v in _nonzeros(b.apply(x) + b.apply(y))))
+    coeffs = solve(system, dx + dy)
     if coeffs is None:
         return WitnessReport(x, y, dx, dy, False, None)
-    lin = LinearMap.zero(md, space.algebra.dim)
-    for c, b in zip(coeffs, space.basis):
-        if c:
-            lin = lin + b.linmap.scale(c)
+    lin = LinearMap(lincomb([(c, b.matrix) for c, b in zip(coeffs, space.basis) if c],
+                            md, space.algebra.dim))
     # a linear combination of certified derivations is again a derivation
     return WitnessReport(x, y, dx, dy, True, Derivation(lin, certified=True))
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matderiv
 from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
@@ -669,3 +670,56 @@ def test_format_flag_is_gone(capsys):
         main(["--format", "text", "derspace", "field"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# fmt_matrix prints from sparse rows what the dense printer printed
+# ---------------------------------------------------------------------------
+
+def _dense_fmt_matrix(m):
+    """The row-by-row printer fmt_matrix replaced."""
+    return "\n".join("[" + " ".join(str(c) if c else "0" for c in m.row(r)) + "]"
+                     for r in range(m.rows))
+
+
+_HUGE = 10 ** 4400              # past Python's 4300-digit int conversion limit
+
+
+@st.composite
+def _sparse_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    value = st.one_of(st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 7)),
+                      st.sampled_from((F(_HUGE + 1), F(-_HUGE, 3))))
+    entries = [[F(0)] * cols for _ in range(rows)]
+    for _ in range(draw(st.integers(0, rows * cols))):
+        entries[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(value)
+    return Matrix(rows, cols, tuple(map(tuple, entries)))
+
+
+def _check_fmt_matrix(m):
+    huge = any(abs(x.numerator) > _HUGE for row in m.entries for x in row)
+    limit = sys.get_int_max_str_digits()
+    if huge:                    # the undecorated printer meets the limit
+        with pytest.raises(ValueError):
+            fmt_matrix.__wrapped__(m)
+    sys.set_int_max_str_digits(0)
+    try:
+        want = _dense_fmt_matrix(m)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert fmt_matrix(m) == want
+    assert sys.get_int_max_str_digits() == limit
+    built = Matrix.from_triples(m.rows, m.cols, ((i, c, x) for i, row in enumerate(m.nonzeros)
+                                                  for c, x in row))
+    assert built == m and fmt_matrix(built) == want
+
+
+@settings(max_examples=150)
+@given(_sparse_matrices())
+def test_fmt_matrix_matches_dense_printer(m):
+    _check_fmt_matrix(m)
+
+
+def test_fmt_matrix_prints_past_the_digit_limit():
+    # a single column with a zero row on each side of a negative huge value
+    _check_fmt_matrix(Matrix(3, 1, ((F(0),), (F(-_HUGE - 1, 3),), (F(0),))))

@@ -19,9 +19,9 @@ from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
                       leibniz_failures, member, nullspace, regular_bimodule,
                       same_space, Subspace, vadd, validate_algebra,
                       validate_bimodule, vscale, vsub, zero_vec)
-from matderiv import dercalc
+from matderiv import dercalc, exactlin, matrix_pair
 from matderiv.dercalc import _constraint_rows
-from matderiv.exactlin import _echelonize, _nullspace_core
+from matderiv.exactlin import _echelonize, _nullspace_core, _primitive_pairs
 from conftest import CATALOG, mixed_basis_full_matrix_2
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
@@ -425,6 +425,10 @@ def test_integer_views_scale_the_tables(name, n, pairs, mpairs):
     assert _unscaled(table, la) == a.table
     assert _unscaled(left, lm) == m.left_table
     assert _unscaled(right, lm) == m.right_table
+    # the table indexed by output lists every product e_i e_j naming e_k
+    assert sorted((i, j, k, c) for k, prods in enumerate(a.int_producers)
+                  for i, j, c in prods) == [(i, j, k, c) for i, plane in enumerate(table)
+                                            for j, cell in enumerate(plane) for k, c in cell]
 
 
 def test_integer_views_cover_distinct_scales():
@@ -621,3 +625,111 @@ def test_row_kernel_matches_per_pair_loop(name, n, data, pairs, mpairs):
             "map violates the Leibniz rule at basis pair ({},{})".format(*first[0])
     else:
         assert certify(a, m, f).certified
+
+
+# ---------------------------------------------------------------------------
+# the sparse basis against the dense code it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_nullspace_sparse(rows, width):
+    """(basis, pivots) of nullspace_sparse with a dense basis: every distinct
+    row renormalised, each free-column vector filled in a dense list."""
+    distinct = dict.fromkeys(map(_primitive_pairs, dict.fromkeys(map(tuple, rows))))
+    pivot_rows = _echelonize(distinct, width)
+    pivots = {p for p, _ in pivot_rows}
+    vecs = {f: [F(0)] * width for f in range(width) if f not in pivots}
+    for f, v in vecs.items():
+        v[f] = F(1)
+    for p, r in pivot_rows:
+        for c, x in r:
+            if c != p:
+                vecs[c][p] = -x
+    return tuple(map(tuple, vecs.values())), tuple(vecs)
+
+
+def _dense_from_span(vectors, width):
+    """(basis, pivots) of Subspace.from_span over dense vectors, dense."""
+    rows = [_primitive_pairs((c, F(x)) for c, x in enumerate(v) if x) for v in vectors]
+    basis = []
+    for _, r in _echelonize(rows, width):
+        v = [F(0)] * width
+        for c, x in r:
+            v[c] = x
+        basis.append(tuple(v))
+    return tuple(basis), tuple(c for c, _ in _echelonize(rows, width))
+
+
+def _dense_inner_columns(a, m):
+    """Column p is the flattened delta_{f_p}: e_j -> f_p.e_j - e_j.f_p."""
+    cols = []
+    for p in range(m.dim):
+        f = basis_vec(m.dim, p)
+        col = []
+        for j in range(a.dim):
+            e = basis_vec(a.dim, j)
+            col.extend(vsub(act(m, "right", e, f), act(m, "left", e, f)))
+        cols.append(col)
+    return cols
+
+
+def _nonzeros_of(dense):
+    return tuple(tuple((c, x) for c, x in enumerate(v) if x) for v in dense)
+
+
+_SPARSE_PAIRS = tuple(dict.fromkeys(_KERNEL_PAIRS + tuple(
+    (name, n) for n in (2, 3) for name in CATALOG)))
+
+
+@pytest.mark.parametrize("name,n", _SPARSE_PAIRS)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_sparse_basis_matches_dense_reference(name, n, data, pairs, mpairs):
+    # rebased pairs have fraction tables, so the maps have fraction entries
+    a, m = data.draw(_rebased_pairs(*_kernel_pair(name, n, pairs, mpairs)))
+    width = a.dim * m.dim
+    for jordan, space in ((False, derivation_space), (True, jordan_derivation_space)):
+        got = space(a, m)
+        basis, pivots = _dense_nullspace_sparse(_constraint_rows(a, m, jordan), width)
+        assert (got.subspace.basis, got.subspace.pivot_cols) == (basis, pivots)
+        assert got.subspace.nonzeros == _nonzeros_of(basis)
+        maps = [tuple(tuple(v[k * m.dim + p] for k in range(a.dim)) for p in range(m.dim))
+                for v in basis]
+        assert [b.matrix.entries for b in got.basis] == maps
+        assert [b.matrix.nonzeros for b in got.basis] == [_nonzeros_of(r) for r in maps]
+    assert all(d.certified for d in derivation_space(a, m).basis)
+    cols = _dense_inner_columns(a, m)
+    inn = inner_space(a, m)
+    image = _dense_from_span(cols, width)
+    assert (inn.image.basis, inn.image.pivot_cols) == image
+    assert inn.image.nonzeros == _nonzeros_of(image[0])
+    rows = [[(p, col[t]) for p, col in enumerate(cols) if col[t]] for t in range(width)]
+    assert (inn.kernel.basis, inn.kernel.pivot_cols) == _dense_nullspace_sparse(rows, m.dim)
+
+
+# ---------------------------------------------------------------------------
+# the layer boundaries bench/layers.py wraps by name
+# ---------------------------------------------------------------------------
+
+def test_layers_are_called_through_the_names_the_bench_wraps(monkeypatch):
+    # the bench times and counts these calls by replacing the module-level
+    # names, so a refactor that bypasses them would zero its metrics
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    assert isinstance(exactlin.Subspace.__dict__["from_span"], classmethod)
+    monkeypatch.setattr(dercalc, "nullspace_sparse",
+                        counted("nullspace_sparse", dercalc.nullspace_sparse))
+    monkeypatch.setattr(dercalc, "certify", counted("certify", dercalc.certify))
+    monkeypatch.setattr(exactlin.Subspace, "from_span",
+                        staticmethod(counted("from_span", exactlin.Subspace.from_span)))
+    ma, mm = matrix_pair(*catalog("full_matrix_2"), 2)
+    ds = derivation_space(ma.algebra, mm.bimodule)
+    assert ds.dim == 15 and calls == {"nullspace_sparse": 1, "certify": ds.dim}
+    calls.clear()
+    inner_space(ma.algebra, mm.bimodule)
+    assert calls == {"from_span": 1, "nullspace_sparse": 1}
