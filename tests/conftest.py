@@ -102,6 +102,22 @@ def dense_to_triples(tensor):
             for j, row in enumerate(plane) for k, c in enumerate(row) if c}
 
 
+def table_triples(table):
+    """{(i, j, k): c} for the entries of a sparse structure table, in the
+    form Algebra.from_sparse and Bimodule.from_sparse take."""
+    return {(i, j, k): c for i, plane in enumerate(table)
+            for j, cell in enumerate(plane) for k, c in cell}
+
+
+def dense_cube(table, dim):
+    """The dense tensor c[i][j][k] of a sparse structure table whose
+    products have dimension dim."""
+    cube = [[[F(0)] * dim for _ in plane] for plane in table]
+    for (i, j, k), c in table_triples(table).items():
+        cube[i][j][k] = c
+    return cube
+
+
 def swap_outer(triples):
     """Exchange the first two indices: left-action triples (i, p, q) become
     right-action triples (p, i, q) and back."""
@@ -131,12 +147,10 @@ def write_algebra_file(path, name, dim, labels, unit, mult_triples):
 
 
 def write_module_file(path, m, name="module"):
-    left = [{"i": i, "p": p, "q": q, "c": str(m.left[i][p][q])}
-            for i in range(m.algebra_dim) for p in range(m.dim)
-            for q in range(m.dim) if m.left[i][p][q]]
-    right = [{"p": p, "i": i, "q": q, "c": str(m.right[p][i][q])}
-             for p in range(m.dim) for i in range(m.algebra_dim)
-             for q in range(m.dim) if m.right[p][i][q]]
+    left = [{"i": i, "p": p, "q": q, "c": str(c)}
+            for (i, p, q), c in table_triples(m.left_table).items()]
+    right = [{"p": p, "i": i, "q": q, "c": str(c)}
+             for (p, i, q), c in table_triples(m.right_table).items()]
     path.write_text(json.dumps({"name": name, "dim": m.dim, "left": left,
                                 "right": right}), encoding="utf-8")
     return str(path)

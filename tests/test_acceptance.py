@@ -25,7 +25,7 @@ from matderiv import (Algebra, Bimodule, LinearMap, Matrix, act, agreement_failu
 from matderiv.dercalc import Derivation
 from matderiv.twolocal import NotTwoLocalError
 
-from conftest import CATALOG, dense_to_triples, swap_outer
+from conftest import CATALOG, dense_to_triples, swap_outer, table_triples
 from oracles import (commutant_dim_oracle, derivation_dim_oracle,
                      h1_dim_oracle, inner_dim_oracle)
 
@@ -54,16 +54,16 @@ def test_criterion_01_validation(pairs):
     # unit row of the left action scaled by 2: unit action breaks
     a, m = pairs("dual_numbers")
     left = {(i, p, q): 2 * c if i == 0 else c
-            for (i, p, q), c in dense_to_triples(m.left).items()}
+            for (i, p, q), c in table_triples(m.left_table).items()}
     v = validate_bimodule(a, Bimodule.from_sparse(m.dim, m.algebra_dim, left,
-                                                  dense_to_triples(m.right)))
+                                                  table_triples(m.right_table)))
     assert v and (v[0].axiom, v[0].indices) == ("left unit action", (0,))
 
     # swapped actions on the regular bimodule of full_matrix_2: the
     # documented exhibit triple (E12, E21, E11) violates left associativity
     a, m = pairs("full_matrix_2")
-    new_left = swap_outer(dense_to_triples(m.right))
-    new_right = swap_outer(dense_to_triples(m.left))
+    new_left = swap_outer(table_triples(m.right_table))
+    new_right = swap_outer(table_triples(m.left_table))
     v = validate_bimodule(a, Bimodule.from_sparse(m.dim, m.algebra_dim,
                                                   new_left, new_right))
     assert ("left associativity", (1, 2, 0)) in [(x.axiom, x.indices)

@@ -5,14 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matderiv import (Algebra, Bimodule, CATALOG_NAMES, Violation, basis_vec,
                       catalog, catalog_algebra, commutes, direct_sum,
                       matrix_pair, multiply, regular_bimodule, act,
                       validate_algebra, validate_bimodule, vadd, vscale,
                       zero_vec)
-from conftest import (CATALOG, dense_to_triples, mixed_basis_full_matrix_2,
-                      swap_outer)
+from conftest import (CATALOG, dense_cube, dense_to_triples,
+                      mixed_basis_full_matrix_2, swap_outer, table_triples)
 
 
 def rand_elt(rng, dim):
@@ -115,9 +116,9 @@ def test_tamper_module_unit_action():
     # left action of the unit scaled by 2: u.f = 2f breaks the unit action
     a, m = catalog("dual_numbers")
     left = {(i, p, q): 2 * c if i == 0 else c
-            for (i, p, q), c in dense_to_triples(m.left).items()}
+            for (i, p, q), c in table_triples(m.left_table).items()}
     bad = Bimodule.from_sparse(m.dim, m.algebra_dim, left,
-                               dense_to_triples(m.right))
+                               table_triples(m.right_table))
     violations = validate_bimodule(a, bad)
     assert violations
     assert violations[0].axiom == "left unit action"
@@ -129,8 +130,8 @@ def test_tamper_swapped_actions():
     # the first broken axiom is left associativity at (E12, E21, E11),
     # and no mixed-associativity violation occurs anywhere
     a, m = catalog("full_matrix_2")
-    new_left = swap_outer(dense_to_triples(m.right))
-    new_right = swap_outer(dense_to_triples(m.left))
+    new_left = swap_outer(table_triples(m.right_table))
+    new_right = swap_outer(table_triples(m.left_table))
     bad = Bimodule.from_sparse(m.dim, m.algebra_dim, new_left, new_right)
     violations = validate_bimodule(a, bad)
     assert violations
@@ -293,13 +294,13 @@ def _tampered_modules():
     regular bimodule of M_2(A) for every catalog A."""
     a, m = catalog("dual_numbers")
     left = {(i, p, q): 2 * c if i == 0 else c
-            for (i, p, q), c in dense_to_triples(m.left).items()}
+            for (i, p, q), c in table_triples(m.left_table).items()}
     yield "unit action", a, Bimodule.from_sparse(m.dim, m.algebra_dim, left,
-                                                 dense_to_triples(m.right))
+                                                 table_triples(m.right_table))
     b, mb = catalog("full_matrix_2")
     yield "swapped", b, Bimodule.from_sparse(
-        mb.dim, mb.algebra_dim, swap_outer(dense_to_triples(mb.right)),
-        swap_outer(dense_to_triples(mb.left)))
+        mb.dim, mb.algebra_dim, swap_outer(table_triples(mb.right_table)),
+        swap_outer(table_triples(mb.left_table)))
     bases = []
     for name in CATALOG:
         ma, mm = matrix_pair(*catalog(name), 2)
@@ -308,8 +309,8 @@ def _tampered_modules():
     bases.append(("mixed basis M_2(Q)", mixed, regular_bimodule(mixed)))
     for label, a, m in bases:
         rng = random.Random(f"tamper:{label}")
-        sides = {"left": dense_to_triples(m.left),
-                 "right": dense_to_triples(m.right)}
+        sides = {"left": table_triples(m.left_table),
+                 "right": table_triples(m.right_table)}
         side = rng.choice(("left", "right"))
         key = tuple(rng.randrange(m.dim if s else a.dim)
                     for s in ((0, 1, 1) if side == "left" else (1, 0, 1)))
@@ -382,7 +383,7 @@ def _corrupted_bimodules():
         ma, mm = matrix_pair(*catalog(name), 2)
         a, m = ma.algebra, mm.bimodule
         rng = random.Random(f"corrupt:{name}")
-        clean = {"left": dense_to_triples(m.left), "right": dense_to_triples(m.right)}
+        clean = {"left": table_triples(m.left_table), "right": table_triples(m.right_table)}
         for side in ("left", "right"):
             triples = clean[side]
             shape = (a.dim, m.dim) if side == "left" else (m.dim, a.dim)
@@ -409,3 +410,128 @@ def test_validate_bimodule_skips_only_empty_tuples(case):
     got = validate_bimodule(a, m)
     assert got, "every corruption breaks an axiom"
     assert got == _unskipped_validate_bimodule(a, m)
+
+
+def _dense_validate_algebra(a):
+    """validate_algebra summing both sides of associativity densely on every
+    basis triple, kept here as the reference for the table expansion."""
+    out = []
+    dim = a.dim
+    for j in range(dim):
+        ej = a.basis_element(j)
+        lhs = multiply(a, a.unit, ej)
+        if lhs != ej:
+            out.append(Violation("left unit law", (j,), lhs, ej))
+        rhs = multiply(a, ej, a.unit)
+        if rhs != ej:
+            out.append(Violation("right unit law", (j,), rhs, ej))
+    table = a.table
+    for i in range(dim):
+        for j in range(dim):
+            ij = table[i][j]
+            for k in range(dim):
+                lhs = [F(0)] * dim
+                for t, c in ij:
+                    for s, c2 in table[t][k]:
+                        lhs[s] += c * c2
+                rhs = [F(0)] * dim
+                for t, c in table[j][k]:
+                    for s, c2 in table[i][t]:
+                        rhs[s] += c * c2
+                if lhs != rhs:
+                    out.append(Violation("associativity", (i, j, k),
+                                         tuple(lhs), tuple(rhs)))
+    return out
+
+
+def _corrupted_algebras():
+    """M_2(A) for three catalog A with one structure constant changed,
+    removed, or put into an empty cell, or a coordinate of the unit changed;
+    and the mixed basis of M_2(Q) with one constant changed."""
+    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2"):
+        a = matrix_pair(*catalog(name), 2)[0].algebra
+        rng = random.Random(f"corrupt algebra:{name}")
+        clean = table_triples(a.table)
+        key = rng.choice(sorted(clean))
+        empty = rng.choice([(i, j, rng.randrange(a.dim)) for i in range(a.dim)
+                            for j in range(a.dim) if not a.table[i][j]])
+        for change, edit in (("changed", lambda t: t.update({key: 2 * t[key]})),
+                             ("removed", lambda t: t.pop(key)),
+                             ("filled", lambda t: t.update({empty: F(-3, 2)}))):
+            triples = dict(clean)
+            edit(triples)
+            yield f"M_2({name}) {change}", Algebra.from_sparse(a.dim, a.labels, a.unit, triples)
+        k = rng.randrange(a.dim)
+        unit = list(a.unit)
+        unit[k] += F(1, 2)
+        yield f"M_2({name}) unit {k}", Algebra(a.dim, a.labels, tuple(unit), a.table)
+    mixed = mixed_basis_full_matrix_2()
+    triples = table_triples(mixed.table)
+    triples[(2, 3, 0)] = F(1, 3)                  # xy = u/3 + h/2
+    yield "mixed basis M_2(Q) changed", Algebra.from_sparse(4, mixed.labels, mixed.unit, triples)
+
+
+@pytest.mark.parametrize("case", list(_corrupted_algebras()), ids=lambda c: c[0])
+def test_validate_algebra_matches_dense_reference(case):
+    _, a = case
+    got = validate_algebra(a)
+    assert got, "every corruption breaks an axiom"
+    assert got == _dense_validate_algebra(a)
+
+
+# ---------------------------------------------------------------------------
+# products and actions against the dense tensors
+# ---------------------------------------------------------------------------
+
+def _product_cases():
+    """(label, algebra, bimodule): the catalog pairs, two matrix pairs, the
+    mixed basis of M_2(Q), and seeded tables of a 3-dimensional algebra
+    acting on a 2-dimensional module, with different left and right sides."""
+    cases = [(name, *catalog(name)) for name in CATALOG]
+    for name in ("dual_numbers", "upper_triangular_2"):
+        ma, mm = matrix_pair(*catalog(name), 2)
+        cases.append((f"M_2({name})", ma.algebra, mm.bimodule))
+    mixed = mixed_basis_full_matrix_2()
+    cases.append(("mixed basis", mixed, regular_bimodule(mixed)))
+    rng = random.Random("products")
+
+    def triples(*dims):
+        return {tuple(rng.randrange(d) for d in dims): F(rng.choice((-2, 1, 3)),
+                                                         rng.choice((1, 2)))
+                for _ in range(6)}
+
+    a = catalog("upper_triangular_2")[0]
+    cases.append(("seeded 3 x 2", a,
+                  Bimodule.from_sparse(2, 3, triples(3, 2, 2), triples(2, 3, 2))))
+    return tuple((label, a, m, dense_cube(a.table, a.dim), dense_cube(m.left_table, m.dim),
+                  dense_cube(m.right_table, m.dim)) for label, a, m in cases)
+
+
+_PRODUCT_CASES = _product_cases()
+
+
+def _dense_product(cube, u, v, dim):
+    """sum u_i v_j cube[i][j] over every pair (i, j), in dim coordinates."""
+    return tuple(sum((u[i] * v[j] * cube[i][j][k] for i in range(len(u))
+                      for j in range(len(v))), F(0)) for k in range(dim))
+
+
+def _element(dim):
+    """The zero vector, a vector with one entry, or any vector."""
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.one_of(
+        st.just((F(0),) * dim),
+        st.tuples(st.integers(0, dim - 1), values).map(
+            lambda iv: tuple(iv[1] if t == iv[0] else F(0) for t in range(dim))),
+        st.lists(values, min_size=dim, max_size=dim).map(tuple))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_products_match_dense_reference(data):
+    _, a, m, mult, left, right = data.draw(st.sampled_from(_PRODUCT_CASES))
+    x, y = data.draw(_element(a.dim)), data.draw(_element(a.dim))
+    f = data.draw(_element(m.dim))
+    assert multiply(a, x, y) == _dense_product(mult, x, y, a.dim)
+    assert act(m, "left", x, f) == _dense_product(left, x, f, m.dim)
+    assert act(m, "right", x, f) == _dense_product(right, f, x, m.dim)

@@ -441,7 +441,7 @@ def test_integer_views_cover_distinct_scales():
 def test_cached_views_leave_equality_and_hash_alone():
     a, m = _column_module()
     a2, m2 = _column_module()
-    a.int_table, a.mult, m.int_tables, m.left, m.right
+    a.int_table, a.mult, m.int_tables
     assert "int_table" in vars(a) and "int_tables" in vars(m)
     assert "int_table" not in vars(a2) and "int_tables" not in vars(m2)
     assert a == a2 and hash(a) == hash(a2)

@@ -1,0 +1,64 @@
+"""Source hygiene of the package, read with the standard library's ast: no
+module imports a name it never reads, and no private module-level function,
+class or constant is left that no module reads."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matderiv"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reads(tree):
+    """Every name the module reads: loaded names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for fname, tree in _trees().items():
+        if fname == "__init__.py":            # its imports are the re-exports
+            continue
+        reads = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in reads and not _dunder(name):
+                        unread.append(f"{fname}: {name}")
+    assert unread == []
+
+
+def test_no_private_module_level_name_is_unread():
+    trees = _trees()
+    reads = set().union(*map(_reads, trees.values()))
+    unread = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread.extend(f"{fname}: {name}" for name in names
+                          if name.startswith("_") and not _dunder(name)
+                          and name not in reads)
+    assert unread == []
