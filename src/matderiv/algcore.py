@@ -4,18 +4,19 @@ An Algebra stores its structure constants as a sparse table: table[i][j] is
 the tuple of (k, c) pairs with e_i e_j = sum c e_k, every c nonzero and k
 strictly increasing, together with the coordinates of its unit.  A Bimodule
 over an algebra stores its left and right actions as tables of the same
-form.  The canonical form makes equal algebras have equal tables.  Dense
-tensors c[i][j][k] (mult, left, right) and the integer views (int_table,
-int_tables: the tables times the lcm of their denominators) are derived
-views, built on first use.
-Elements are plain tuples of Fraction over the owning basis; multiply and act
-collect the nonzeros of their inner operand once.
+form.  The canonical form makes equal algebras have equal tables.  The dense
+tensor mult[i][j][k] and the integer views (int_table, int_tables: the
+tables times the lcm of their denominators) are derived views, built on
+first use.
+Elements are plain tuples of Fraction over the owning basis; multiply and
+both sides of act are one table-product kernel, which visits only the
+nonzeros of its two operands.
 
 Validators check the defining axioms on every basis tuple and report each
 violation with the offending indices and both expansions.  Both expand the
-associativity axioms from the tables, summing only the products that occur.
-Everything else in the package assumes its inputs have already been
-validated.
+associativity axioms from the tables, summing only the products that occur
+and skipping a tuple whose two input cells are both empty.  Everything else
+in the package assumes its inputs have already been validated.
 """
 
 from __future__ import annotations
@@ -184,16 +185,6 @@ class Bimodule:
                    _table(dim, algebra_dim, dim, right_triples))
 
     @cached_property
-    def left(self) -> Tensor3:
-        """Dense view: left[i][p][q] is the coefficient of f_q in e_i . f_p."""
-        return _dense(self.left_table, self.dim)
-
-    @cached_property
-    def right(self) -> Tensor3:
-        """Dense view: right[p][i][q] is the coefficient of f_q in f_p . e_i."""
-        return _dense(self.right_table, self.dim)
-
-    @cached_property
     def int_tables(self) -> tuple:
         """Integer view (L_m, left, right): both tables times their joint lcm;
         one table (the regular bimodule's) is converted once."""
@@ -209,16 +200,16 @@ class Bimodule:
 # arithmetic
 # ---------------------------------------------------------------------------
 
-def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """Product of two elements in a's basis coordinates."""
-    if len(x) != a.dim or len(y) != a.dim:
-        raise ValueError("element length does not match algebra dimension")
-    acc = [ZERO] * a.dim
+def _product(table: Table, x: Sequence[Fraction], y: Sequence[Fraction],
+             dim: int) -> Vector:
+    """sum x_i y_j table[i][j] in dim coordinates, over the nonzeros of x and
+    of y only."""
+    acc = [ZERO] * dim
     y_nz = _nonzeros(y)
     for i, xi in enumerate(x):
         if not xi:
             continue
-        row = a.table[i]
+        row = table[i]
         for j, yj in y_nz:
             s = xi * yj
             for k, c in row[j]:
@@ -226,35 +217,23 @@ def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector
     return tuple(acc)
 
 
+def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    """Product of two elements in a's basis coordinates."""
+    if len(x) != a.dim or len(y) != a.dim:
+        raise ValueError("element length does not match algebra dimension")
+    return _product(a.table, x, y, a.dim)
+
+
 def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
         f_coords: Sequence[Fraction]) -> Vector:
     """Left action a.f (side="left") or right action f.a (side="right")."""
     if len(a_coords) != m.algebra_dim or len(f_coords) != m.dim:
         raise ValueError("element length mismatch in module action")
-    acc = [ZERO] * m.dim
     if side == "left":
-        f_nz = _nonzeros(f_coords)
-        for i, ai in enumerate(a_coords):
-            if not ai:
-                continue
-            plane = m.left_table[i]
-            for p, fp in f_nz:
-                s = ai * fp
-                for q, c in plane[p]:
-                    acc[q] += s * c
-    elif side == "right":
-        a_nz = _nonzeros(a_coords)
-        for p, fp in enumerate(f_coords):
-            if not fp:
-                continue
-            plane = m.right_table[p]
-            for i, ai in a_nz:
-                s = fp * ai
-                for q, c in plane[i]:
-                    acc[q] += s * c
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return tuple(acc)
+        return _product(m.left_table, a_coords, f_coords, m.dim)
+    if side == "right":
+        return _product(m.right_table, f_coords, a_coords, m.dim)
+    raise ValueError(f"unknown side {side!r}")
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
@@ -296,12 +275,35 @@ class Violation:
         return f"{self.axiom} violated at ({where}): lhs=[{lhs}] rhs=[{rhs}]"
 
 
+def _expand(cell: tuple[SparseEntry, ...],
+            rows: Sequence[tuple[SparseEntry, ...]]) -> dict[int, Fraction]:
+    """The nonzero coordinates of sum c * rows[t] over the entries (t, c) of a
+    table cell, where each rows[t] is a table cell too."""
+    acc: dict[int, Fraction] = {}
+    for t, c in cell:
+        for s, c2 in rows[t]:
+            acc[s] = acc.get(s, ZERO) + c * c2
+    return {s: v for s, v in acc.items() if v}
+
+
+def _report(out: list[Violation], dim: int, axiom: str, indices: tuple[int, ...],
+            lhs: dict[int, Fraction], rhs: dict[int, Fraction]) -> None:
+    """Append a violation of axiom at indices, both sides as dense vectors of
+    dim coordinates, unless the expansions lhs and rhs agree."""
+    if lhs != rhs:
+        out.append(Violation(axiom, indices,
+                             tuple(lhs.get(q, ZERO) for q in range(dim)),
+                             tuple(rhs.get(q, ZERO) for q in range(dim))))
+
+
 def validate_algebra(a: Algebra) -> list[Violation]:
     """Check both unit laws and associativity on all basis triples.
 
     Returns an empty list exactly when a is a unital associative algebra.
     Unit laws are checked first so a broken unit is reported before the
-    associativity failures it usually drags along.
+    associativity failures it usually drags along.  Associativity
+    (e_i e_j) e_k = e_i (e_j e_k) is expanded from the table, and a triple
+    whose two input cells e_i e_j and e_j e_k are both empty is skipped.
     """
     out: list[Violation] = []
     dim = a.dim
@@ -314,33 +316,15 @@ def validate_algebra(a: Algebra) -> list[Violation]:
         if rhs != ej:
             out.append(Violation("right unit law", (j,), rhs, ej))
     table = a.table
+    by_k = tuple(zip(*table))                   # by_k[k][t] = table[t][k]
     for i in range(dim):
         for j in range(dim):
             ij = table[i][j]
             for k in range(dim):
-                lhs = [ZERO] * dim
-                for t, c in ij:
-                    for s, c2 in table[t][k]:
-                        lhs[s] += c * c2
-                rhs = [ZERO] * dim
-                for t, c in table[j][k]:
-                    for s, c2 in table[i][t]:
-                        rhs[s] += c * c2
-                if lhs != rhs:
-                    out.append(Violation("associativity", (i, j, k),
-                                         tuple(lhs), tuple(rhs)))
+                if ij or table[j][k]:
+                    _report(out, dim, "associativity", (i, j, k),
+                            _expand(ij, by_k[k]), _expand(table[j][k], table[i]))
     return out
-
-
-def _expand(cell: tuple[SparseEntry, ...],
-            rows: Sequence[tuple[SparseEntry, ...]]) -> dict[int, Fraction]:
-    """The nonzero coordinates of sum c * rows[t] over the entries (t, c) of a
-    table cell, where each rows[t] is a table cell too."""
-    acc: dict[int, Fraction] = {}
-    for t, c in cell:
-        for s, c2 in rows[t]:
-            acc[s] = acc.get(s, ZERO) + c * c2
-    return {s: v for s, v in acc.items() if v}
 
 
 def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
@@ -368,13 +352,6 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     # left_by_p[p][t] = left[t][p] and right_by_j[j][s] = right[s][j]
     left_by_p = tuple(zip(*left))
     right_by_j = tuple(zip(*right))
-
-    def report(axiom, indices, lhs, rhs):
-        if lhs != rhs:
-            out.append(Violation(axiom, indices,
-                                 tuple(lhs.get(q, ZERO) for q in range(mdim)),
-                                 tuple(rhs.get(q, ZERO) for q in range(mdim))))
-
     # each side expands one input cell, so when both cells are empty both
     # sides are zero and the axiom holds on that tuple
     for i in range(dim):
@@ -383,14 +360,14 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
             ij, left_j, right_at_j = a.table[i][j], left[j], right_by_j[j]
             for p in range(mdim):
                 if ij or left_j[p]:                                # (e_i e_j).f_p
-                    report("left associativity", (i, j, p),
-                           _expand(ij, left_by_p[p]), _expand(left_j[p], left_i))
+                    _report(out, mdim, "left associativity", (i, j, p),
+                            _expand(ij, left_by_p[p]), _expand(left_j[p], left_i))
                 if ij or right[p][i]:                              # f_p.(e_i e_j)
-                    report("right associativity", (p, i, j),
-                           _expand(ij, right[p]), _expand(right[p][i], right_at_j))
+                    _report(out, mdim, "right associativity", (p, i, j),
+                            _expand(ij, right[p]), _expand(right[p][i], right_at_j))
                 if left_i[p] or right[p][j]:                       # (e_i.f_p).e_j
-                    report("mixed associativity", (i, p, j),
-                           _expand(left_i[p], right_at_j), _expand(right[p][j], left_i))
+                    _report(out, mdim, "mixed associativity", (i, p, j),
+                            _expand(left_i[p], right_at_j), _expand(right[p][j], left_i))
     return out
 
 

@@ -5,8 +5,10 @@ UTF-8 JSON files with every rational written as a string ("3", "-1/2"); an
 algebra argument may also be a catalog name (field, dual_numbers,
 group_algebra_C2, full_matrix_2, upper_triangular_2, direct_sum(x,y)).
 
-Every command that computes on a pair builds it in _build_pair.  Map files
-are read into their nonzeros, and matrices are printed from them.
+Every command that computes on a pair builds it in _build_pair, through
+matext.matrix_pair.  The coefficient lists of algebra and module files are
+read by one helper, map files are read into their nonzeros, and matrices are
+printed from them.
 
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 input
 error (undecodable files and numbers past Python's int digit limit too).
@@ -31,8 +33,8 @@ from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
                       inner_space, jordan_derivation_space)
 from .exactlin import Matrix, Vector
-from .matext import (MatrixAlgebra, MatrixBimodule, decompose, matrix_algebra,
-                     matrix_bimodule, verify_lemma22)
+from .matext import (MatrixAlgebra, MatrixBimodule, decompose, matrix_pair,
+                     verify_lemma22)
 from .twolocal import (DEFAULT_SAMPLES, DEFAULT_SEED, NotTwoLocalError,
                        PERTURBATION_KINDS, agreement_failures,
                        perturbed_oracle, reconstruct, seeded_elements,
@@ -120,6 +122,27 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _coefficients(entries: Any, field: str, keys: tuple[str, ...],
+                  bounds: tuple[int, ...], path: str) -> dict[tuple[int, ...], Fraction]:
+    """The coefficients of a table field: a list of objects with the int
+    index fields keys, each below its bound, and a rational c, each index
+    tuple at most once."""
+    if not isinstance(entries, list):
+        raise CliInputError(f"{path}: {field} must be a list")
+    found: dict[tuple[int, ...], Fraction] = {}
+    for ent in entries:
+        if not isinstance(ent, dict) or not {*keys, "c"} <= set(ent):
+            raise CliInputError(f"{path}: {field} entries need fields {', '.join(keys)}, c")
+        idx = tuple(ent[k] for k in keys)
+        for val, bound in zip(idx, bounds):
+            if not _is_int(val) or not 0 <= val < bound:
+                raise CliInputError(f"{path}: {field} index {val!r} out of range")
+        if idx in found:
+            raise CliInputError(f"{path}: duplicate {field} entry at {idx}")
+        found[idx] = parse_rational(ent["c"])
+    return found
+
+
 def load_algebra_file(path: str) -> Algebra:
     """AlgebraFile: {name, dim, basis_labels, unit, mult: [{i,j,k,c}]}."""
     data = _load_json(path)
@@ -136,20 +159,7 @@ def load_algebra_file(path: str) -> Algebra:
     if not isinstance(unit, list) or len(unit) != dim:
         raise CliInputError(f"{path}: unit must be a list of {dim} rationals")
     unit_vec = tuple(parse_rational(c) for c in unit)
-    if not isinstance(mult, list):
-        raise CliInputError(f"{path}: mult must be a list")
-    triples: dict[tuple[int, int, int], Fraction] = {}
-    for ent in mult:
-        if not isinstance(ent, dict) or not {"i", "j", "k", "c"} <= set(ent):
-            raise CliInputError(f"{path}: mult entries need fields i, j, k, c")
-        i, j, k = ent["i"], ent["j"], ent["k"]
-        for idx in (i, j, k):
-            if not _is_int(idx) or not 0 <= idx < dim:
-                raise CliInputError(f"{path}: mult index {idx!r} out of range")
-        key = (i, j, k)
-        if key in triples:
-            raise CliInputError(f"{path}: duplicate mult entry at {key}")
-        triples[key] = parse_rational(ent["c"])
+    triples = _coefficients(mult, "mult", ("i", "j", "k"), (dim, dim, dim), path)
     if not isinstance(name, str):
         raise CliInputError(f"{path}: name must be a string")
     return Algebra.from_sparse(dim, labels, unit_vec, triples)
@@ -162,26 +172,11 @@ def load_bimodule_file(path: str, a: Algebra) -> Bimodule:
     dim = _require(data, "dim", path)
     if not _is_int(dim) or dim <= 0:
         raise CliInputError(f"{path}: dim must be a positive integer")
-    triples: dict[str, dict[tuple[int, int, int], Fraction]] = {}
-    for field, ranges in (("left", (a.dim, dim, dim)), ("right", (dim, a.dim, dim))):
-        entries = _require(data, field, path)
-        if not isinstance(entries, list):
-            raise CliInputError(f"{path}: {field} must be a list")
-        keys = ("i", "p", "q") if field == "left" else ("p", "i", "q")
-        found = triples[field] = {}
-        for ent in entries:
-            if not isinstance(ent, dict) or not set(keys) <= set(ent):
-                raise CliInputError(
-                    f"{path}: {field} entries need fields {', '.join(keys)}, c")
-            idx = tuple(ent[k] for k in keys)
-            for val, bound in zip(idx, ranges):
-                if not _is_int(val) or not 0 <= val < bound:
-                    raise CliInputError(
-                        f"{path}: {field} index {val!r} out of range")
-            if idx in found:
-                raise CliInputError(f"{path}: duplicate {field} entry at {idx}")
-            found[idx] = parse_rational(_require(ent, "c", path))
-    return Bimodule.from_sparse(dim, a.dim, triples["left"], triples["right"])
+    left = _coefficients(_require(data, "left", path), "left", ("i", "p", "q"),
+                         (a.dim, dim, dim), path)
+    right = _coefficients(_require(data, "right", path), "right", ("p", "i", "q"),
+                          (dim, a.dim, dim), path)
+    return Bimodule.from_sparse(dim, a.dim, left, right)
 
 
 def _require_valid(what: str, violations, labels=None) -> None:
@@ -256,8 +251,7 @@ def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
         return base, base_mod, None, None
     if args.n < 2:
         raise CliInputError("-n must be at least 2")
-    ma = matrix_algebra(base, args.n)
-    mm = matrix_bimodule(base_mod, args.n)
+    ma, mm = matrix_pair(base, base_mod, args.n)
     return ma.algebra, mm.bimodule, ma, mm
 
 
@@ -392,10 +386,10 @@ def cmd_twolocal(args, out: TextIO) -> int:
     try:
         cand = reconstruct(oracle, space, ma)
     except NotTwoLocalError:
-        print("queries: 2", file=out)
+        print(f"queries: {oracle.query_count}", file=out)
         print("verdict: not 2-local at (S, T)", file=out)
         return 1
-    print("queries: 2", file=out)
+    print(f"queries: {oracle.query_count}", file=out)
     print("reconstructed derivation:", file=out)
     print(fmt_matrix(cand.matrix), file=out)
     if args.samples == 0:

@@ -7,15 +7,15 @@ and module coordinate, so the derivation space is the nullspace of a
 is column-major: flat[k*m + p] is the f_p-coordinate of the image of e_k.
 Inner derivations use the sign convention delta_w(x) = w.x - x.w.
 
-Constraint assembly, certification and the inner space read the integer
-views Algebra.int_table (scale L_a) and Bimodule.int_tables (scale L_m); a
-positive scale changes no row space and no failing pair.  Constraint rows
-leave as canonical keys (exactlin._canonical), and a row with a single term
-(a shifted copy of a pattern of the tables) is emitted once per pattern and
-shift.  The basis stays sparse from elimination to output: each basis map
-is built from the nonzeros of its nullspace vector, leibniz_failures sums a
-row of basis pairs at a time over the nonzero products of the map, and the
-inner space spans sparse columns.
+Constraint assembly, certification, inner derivations and the inner space
+read the integer views Algebra.int_table (scale L_a) and Bimodule.int_tables
+(scale L_m); a positive scale changes no row space and no failing pair.
+Constraint rows leave as canonical keys (exactlin._canonical), and a row
+with a single term (a shifted copy of a pattern of the tables) is emitted
+once per pattern and shift.  The basis stays sparse from elimination to
+output: each basis map is built from the nonzeros of its nullspace vector,
+leibniz_failures sums a row of basis pairs at a time over the nonzero
+products of the map, and the inner space spans sparse columns.
 """
 
 from __future__ import annotations
@@ -345,11 +345,14 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
 # inner derivations
 # ---------------------------------------------------------------------------
 
-def _inner_columns(m: Bimodule, w: Sequence[Fraction]) -> tuple[int, list[dict[int, int]]]:
-    """(s, cols): cols[j] = {q: x} over the nonzero f_q-coordinates x / s of
-    delta_w(e_j) = sum_p w_p (f_p.e_j - e_j.f_p).  w is scaled to integers by
-    the lcm of its denominators, its nonzeros meet the cells right[p][j] and
-    left[j][p] of the integer views, and s is that lcm times L_m."""
+def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
+    """delta_w(x) = w.x - x.w.  Always a derivation, so certified.  Column j
+    is delta_w(e_j) = sum_p w_p (f_p.e_j - e_j.f_p), summed in integers: w
+    scaled by the lcm of its denominators, its nonzeros against the cells
+    right[p][j] and left[j][p] of the integer views, then divided by that
+    lcm times L_m."""
+    if len(w) != m.dim:
+        raise ValueError("witness length does not match module dimension")
     lm, left, right = m.int_tables
     den, nums = _scaled(w)
     nz = [(p, v) for p, v in enumerate(nums) if v]
@@ -362,17 +365,9 @@ def _inner_columns(m: Bimodule, w: Sequence[Fraction]) -> tuple[int, list[dict[i
         for p, wp in nz:
             for q, c in plane[p]:
                 col[q] = col.get(q, 0) - wp * c
-    return lm * den, [{q: x for q, x in col.items() if x} for col in cols]
-
-
-def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
-    """delta_w(x) = w.x - x.w.  Always a derivation, so certified; its
-    columns are summed in integers by _inner_columns."""
-    if len(w) != m.dim:
-        raise ValueError("witness length does not match module dimension")
-    s, cols = _inner_columns(m, w)
+    s = lm * den
     return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, (
-        (q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items()))),
+        (q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items() if x))),
         certified=True)
 
 

@@ -16,8 +16,9 @@ as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
 have the same key), splits them into components of columns that share a
 row, reduces each component on its own and divides back to fractions at the
 end.  Rows of different components have disjoint supports, so the result is
-the unique RREF of the whole system.  Matrix-vector products scale each row
-to integers once and reduce each output entry once.
+the unique RREF of the whole system.  Matrix-vector products and linear
+combinations of matrices read each row scaled to integers (_int_rows, built
+once per matrix) and reduce each output entry once.
 """
 
 from __future__ import annotations
@@ -194,17 +195,28 @@ class Matrix:
 
 
 def lincomb(terms: Iterable[tuple[Fraction, Matrix]], rows: int, cols: int) -> Matrix:
-    """The rows x cols matrix sum c*m over the (c, m) terms, summed row by
-    row over the nonzeros of each m."""
-    acc: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+    """The rows x cols matrix sum c*m over the (c, m) terms (c a Fraction or
+    an int).  Each row is summed in integers over the _int_rows of the m, at
+    the lcm of the denominators of its terms, and reduced once per nonzero
+    entry."""
+    parts = []
     for c, m in terms:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("shape mismatch")
-        for a, r in zip(acc, m.nonzeros):
-            for j, x in r:
-                a[j] = a.get(j, ZERO) + c * x
-    return Matrix.from_triples(rows, cols, ((i, j, x) for i, a in enumerate(acc)
-                                            for j, x in sorted(a.items()) if x))
+        if c:
+            parts.append((c.numerator, c.denominator, m._int_rows))
+    out = []
+    for i in range(rows):
+        row = [(num, den * rden, pairs) for num, den, ints in parts
+               for rden, pairs in (ints[i],) if pairs]
+        scale = lcm(*[den for _, den, _ in row])
+        acc: dict[int, int] = {}
+        for num, den, pairs in row:
+            s = num * (scale // den)
+            for j, v in pairs:
+                acc[j] = acc.get(j, 0) + s * v
+        out.extend((i, j, Fraction(v, scale)) for j, v in sorted(acc.items()) if v)
+    return Matrix.from_triples(rows, cols, out)
 
 
 # ---------------------------------------------------------------------------

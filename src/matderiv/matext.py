@@ -4,28 +4,28 @@ Basis layout: M_n(A) has basis (base element k) placed in matrix block (i, j),
 flattened as (i*n + j)*d + k; M_n(M) is laid out the same way.  Multiplication
 is (a x E_ij)(b x E_kl) = [j=k] (ab x E_il), with matching left/right module
 actions, so the sparse structure tables of M_n(A) and M_n(M) are assembled
-block by block from the base tables; no dense tensor is formed.  Rows and
-columns of the n x n grid are 0-based in code; printed labels use the usual
-1-based matrix-unit names.
+block by block from the base tables; no dense tensor is formed.  matrix_pair
+builds M_n of a regular base pair as the regular bimodule of M_n(A), on the
+algebra's one table.  Rows and columns of the n x n grid are 0-based in code;
+printed labels use the usual 1-based matrix-unit names.
 
 Core operations: embedding base elements into blocks, lifting a base
 derivation to act entrywise, extracting component maps (i,j|r,s) of a
 derivation of the matrix pair, splitting such a derivation into an inner part
-plus a lifted base derivation, checking the standard component identities,
-and the reblocking isomorphism M_{rk}(A) ~ M_r(M_k(A)).
+plus a lifted base derivation (checked on the two parts it returns),
+checking the standard component identities, and the reblocking isomorphism
+M_{rk}(A) ~ M_r(M_k(A)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .algcore import Algebra, Bimodule, Table, act, regular_bimodule
-from .dercalc import (Derivation, LinearMap, _inner_columns, certify,
-                      inner_derivation)
-from .exactlin import Matrix, Vector, ZERO, _nonzeros, basis_vec, vadd, vsub
+from .dercalc import Derivation, LinearMap, certify, inner_derivation
+from .exactlin import Matrix, Vector, ZERO, _nonzeros, basis_vec, lincomb, vadd, vsub
 
 
 class DecompositionError(RuntimeError):
@@ -139,17 +139,21 @@ def matrix_bimodule(m: Bimodule, n: int) -> MatrixBimodule:
     if n < 2:
         raise ValueError("matrix extension needs n >= 2")
     d, md = m.algebra_dim, m.dim
-    left = _block_table(m.left_table, n, d, md, md)
-    # one table for both actions when the base has one (the regular bimodule)
-    right = (left if m.right_table is m.left_table
-             else _block_table(m.right_table, n, md, d, md))
-    return MatrixBimodule(m, n, Bimodule(n * n * md, n * n * d, left, right))
+    return MatrixBimodule(m, n, Bimodule(n * n * md, n * n * d,
+                                         _block_table(m.left_table, n, d, md, md),
+                                         _block_table(m.right_table, n, md, d, md)))
 
 
 def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixBimodule]:
+    """M_n(a) and M_n(m).  When m is a's regular bimodule (both its tables
+    equal a's), M_n(m) is the regular bimodule of M_n(a), which shares the
+    algebra's table instead of building two more."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
-    return matrix_algebra(a, n), matrix_bimodule(m, n)
+    ma = matrix_algebra(a, n)
+    if m.left_table == a.table == m.right_table:
+        return ma, MatrixBimodule(m, n, regular_bimodule(ma.algebra))
+    return ma, matrix_bimodule(m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +203,12 @@ class Decomposition:
     lifted_part: Derivation
 
 
-def _recomposes(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
-                witness: Vector, delta: Derivation) -> bool:
-    """Whether D = delta_B + lift(delta) for B = witness.
-
-    The residual is summed in integers at one common scale, over the nonzero
-    entries only: D's rows from its integer view, the columns of delta_B
-    from _inner_columns, and the nonzeros of delta, which lift places in
-    every block (i, j)."""
-    s, inner_cols = _inner_columns(mm.bimodule, witness)
-    dim, nn, d, md = ma.algebra.dim, ma.n * ma.n, ma.base.dim, mm.base.dim
-    big, small = D.matrix._int_rows, delta.matrix._int_rows
-    scale = lcm(s, *[den for den, _ in big], *[den for den, _ in small])
-    res: dict[int, int] = {}
-    for r, (den, pairs) in enumerate(big):
-        for c, v in pairs:
-            res[r * dim + c] = v * (scale // den)
-    up = scale // s
-    for c, col in enumerate(inner_cols):
-        for r, v in col.items():
-            res[r * dim + c] = res.get(r * dim + c, 0) - v * up
-    for q, (den, pairs) in enumerate(small):
-        for k, v in pairs:
-            for b in range(nn):
-                key = (b * md + q) * dim + b * d + k
-                res[key] = res.get(key, 0) - v * (scale // den)
-    return not any(res.values())
-
-
 def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
     """Split a derivation of the matrix pair as inner-by-B plus a lifted base
     derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0); delta is the
-    (0,0|0,0) component.  The recomposition is checked exactly, in integers
-    over the nonzero entries (_recomposes), and a failure raises
-    DecompositionError."""
+    (0,0|0,0) component.  The recomposition D - inner_part - lifted_part = 0
+    is checked exactly on the returned parts (exactlin.lincomb, in integers
+    over the nonzero entries), and a failure raises DecompositionError."""
     if not D.certified:
         raise ValueError("decompose requires a certified derivation")
     if (D.linmap.algebra_dim != ma.algebra.dim
@@ -251,7 +227,9 @@ def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposi
     delta = certify(ma.base, mm.base, component(D, ma, mm, 0, 0, 0, 0))
     inner_part = inner_derivation(ma.algebra, mm.bimodule, witness_v)
     lifted_part = lift(delta, ma, mm)
-    if not _recomposes(D, ma, mm, witness_v, delta):
+    residual = lincomb(((1, D.matrix), (-1, inner_part.matrix), (-1, lifted_part.matrix)),
+                       mm.bimodule.dim, ma.algebra.dim)
+    if not residual.is_zero():
         raise DecompositionError(
             "recomposition failed: inner part plus lifted part != D")
     return Decomposition(witness_v, delta, inner_part, lifted_part)

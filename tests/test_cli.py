@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matderiv
-from matderiv import (basis_vec, catalog, derivation_space, inner_derivation,
-                      lift, matrix_pair, validate_algebra, LinearMap, Matrix)
+from matderiv import (Bimodule, basis_vec, catalog, derivation_space, inner_derivation,
+                      lift, matext, matrix_pair, validate_algebra, LinearMap, Matrix)
 from matderiv.cli import (main, fmt_blocks, fmt_matrix, load_map_file,
                           parse_rational, CliInputError)
 from conftest import write_algebra_file, write_map_file, write_module_file
@@ -723,3 +723,50 @@ def test_fmt_matrix_matches_dense_printer(m):
 def test_fmt_matrix_prints_past_the_digit_limit():
     # a single column with a zero row on each side of a negative huge value
     _check_fmt_matrix(Matrix(3, 1, ((F(0),), (F(-_HUGE - 1, 3),), (F(0),))))
+
+
+# each check of a coefficient list, as a change to a valid list of one entry,
+# and its message; {f} is the field and {k} its index fields
+_COEFFICIENT_DEFECTS = {
+    "not-a-list": (lambda keys, ents: {"0": ents[0]}, "{f} must be a list"),
+    "not-an-object": (lambda keys, ents: ["c"], "{f} entries need fields {k}, c"),
+    "no-index": (lambda keys, ents: [{keys[1]: 0, "c": "1"}], "{f} entries need fields {k}, c"),
+    "no-c": (lambda keys, ents: [{k: 0 for k in keys}], "{f} entries need fields {k}, c"),
+    "out-of-range": (lambda keys, ents: [dict(ents[0], **{keys[-1]: 1})],
+                     "{f} index 1 out of range"),
+    "duplicate": (lambda keys, ents: ents + ents, "duplicate {f} entry at (0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_COEFFICIENT_DEFECTS))
+@pytest.mark.parametrize("field", ("mult", "left", "right"))
+def test_coefficient_lists_are_read_by_one_reader(capsys, tmp_path, field, defect):
+    # a module entry without c gives the same message as an algebra entry
+    keys = {"mult": ("i", "j", "k"), "left": ("i", "p", "q"), "right": ("p", "i", "q")}[field]
+    kind = "algebra" if field == "mult" else "module"
+    data = json.loads(_FILES[kind].replace("@", "1"))
+    change, message = _COEFFICIENT_DEFECTS[defect]
+    data[field] = change(keys, data[field])
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = _READERS[kind][0][:-1] + (str(path),)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: {message.format(f=field, k=', '.join(keys))}\n"
+
+
+def test_build_pair_builds_module_tables_only_for_a_module_file(capsys, tmp_path, monkeypatch,
+                                                                inner_e11_file):
+    # without --module the pair is the regular one, on the algebra's table
+    calls = []
+    real = matext.matrix_bimodule
+    monkeypatch.setattr(matext, "matrix_bimodule", lambda m, n: calls.append(m) or real(m, n))
+    assert run_cli(capsys, "derspace", "field", "-n", "2")[0] == 0
+    assert run_cli(capsys, "decompose", "field", "-n", "2", "--derivation", inner_e11_file)[0] == 0
+    assert calls == []
+    plane = Bimodule.from_sparse(2, 1, {(0, 0, 0): F(1), (0, 1, 1): F(1)},
+                                 {(0, 0, 0): F(1), (1, 0, 1): F(1)})
+    path = write_module_file(tmp_path / "plane.json", plane)
+    rc, out, _ = run_cli(capsys, "derspace", "field", "--module", path, "-n", "2")
+    assert rc == 0 and "Der=6 Inner=6 H1=0" in out
+    assert calls == [plane]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matderiv import (Decomposition, DecompositionError, Derivation,
+from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       IdentityResult, LinearMap, Matrix, act, basis_vec,
                       catalog, certify, decompose,
                       derivation_space, inner_derivation, is_zero_vec, lift,
@@ -16,8 +16,8 @@ from matderiv import (Decomposition, DecompositionError, Derivation,
                       transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, vsub, zero_vec)
-from matderiv import matext
-from conftest import CATALOG
+from matderiv.exactlin import lincomb
+from conftest import CATALOG, swap_outer, table_triples
 
 
 def rand_elt(rng, dim):
@@ -55,6 +55,11 @@ def test_matrix_bimodule_is_regular_of_matrix_algebra(name, n):
     reg = regular_bimodule(ma.algebra)
     assert mm.bimodule.left_table == reg.left_table
     assert mm.bimodule.right_table == reg.right_table
+    # matrix_pair builds the same bimodule on the algebra's own table
+    pair_a, pair_m = matrix_pair(a, m, n)
+    assert pair_a == ma and pair_m.bimodule == mm.bimodule
+    assert pair_m.bimodule.left_table is pair_a.algebra.table
+    assert pair_m.bimodule.right_table is pair_a.algebra.table
     # the product itself, from the base product: (x E_ij)(y E_kl) = [j=k] xy E_il
     dim = ma.algebra.dim
     for s in range(dim):
@@ -64,6 +69,29 @@ def test_matrix_bimodule_is_regular_of_matrix_algebra(name, n):
             want = (ma.embed(multiply(a, basis_vec(a.dim, x), basis_vec(a.dim, y)), i, l)
                     if j == k else zero_vec(dim))
             assert multiply(ma.algebra, basis_vec(dim, s), basis_vec(dim, t)) == want
+
+
+def test_matrix_pair_takes_the_regular_path_only_for_equal_tables():
+    a, m = catalog("full_matrix_2")
+    copy = Bimodule.from_sparse(a.dim, a.dim, table_triples(a.table), table_triples(a.table))
+    assert copy.left_table is not a.table
+    ma, mm = matrix_pair(a, copy, 2)
+    assert mm.bimodule.left_table is ma.algebra.table
+    # not regular: the actions exchanged, the field acting on Q^2, and the
+    # dual numbers with the right action twisted by eps -> 2 eps
+    swapped = Bimodule.from_sparse(a.dim, a.dim, swap_outer(table_triples(m.right_table)),
+                                   swap_outer(table_triples(m.left_table)))
+    f = catalog("field")[0]
+    plane = Bimodule.from_sparse(2, 1, {(0, 0, 0): F(1), (0, 1, 1): F(1)},
+                                 {(0, 0, 0): F(1), (1, 0, 1): F(1)})
+    dual = catalog("dual_numbers")[0]
+    twisted = Bimodule.from_sparse(2, 2, table_triples(dual.table),
+                                   {(0, 0, 0): F(1), (1, 0, 1): F(1), (0, 1, 1): F(2)})
+    assert validate_bimodule(dual, twisted) == [] and twisted.left_table == dual.table
+    for base, mod in ((a, swapped), (f, plane), (dual, twisted)):
+        ma, mm = matrix_pair(base, mod, 2)
+        assert mm.bimodule == matrix_bimodule(mod, 2).bimodule
+        assert mm.bimodule.right_table != ma.algebra.table
 
 
 def test_flat_unflat_bijection():
@@ -305,11 +333,18 @@ def test_decompose_recomposition_with_cancelling_parts(mpairs):
     assert cancelled, "want entries where the two parts cancel"
 
 
+def _fraction_lincomb(terms, rows, cols):
+    """The entries of sum c*m, summed entry by entry in Fractions."""
+    return tuple(tuple(sum((F(c) * m.entries[i][j] for c, m in terms), F(0))
+                       for j in range(cols)) for i in range(rows))
+
+
 @pytest.mark.parametrize("name,n", (("dual_numbers", 3), ("full_matrix_2", 2),
                                     ("upper_triangular_2", 2)))
 def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, derspaces):
-    # the integer check against inner part + lifted part summed in Fractions,
-    # on D equal to that sum or changed at one entry, with mixed denominators
+    # decompose's check, lincomb(D, -inner, -lift) == 0, against inner part +
+    # lifted part summed in Fractions, on D equal to that sum or changed at
+    # one entry, with mixed denominators
     ma, mm = mpairs(name, n)
     a, m = pairs(name)
     dim = ma.algebra.dim
@@ -321,16 +356,27 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3), rng.choice((1, 5))))
         delta = certify(a, m, delta)
         w = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 7))) for _ in range(mm.bimodule.dim))
-        total = (inner_derivation(ma.algebra, mm.bimodule, w).matrix
-                 + lift(delta, ma, mm).matrix)
-        rows = [list(r) for r in total.entries]
+        inner = inner_derivation(ma.algebra, mm.bimodule, w).matrix
+        lifted = lift(delta, ma, mm).matrix
+        total = _fraction_lincomb(((1, inner), (1, lifted)), dim, dim)
+        rows = [list(r) for r in total]
         if seed % 2:
             rows[rng.randrange(dim)][rng.randrange(dim)] += F(rng.choice((-1, 2)), 3)
-        D = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))), certified=True)
-        got = matext._recomposes(D, ma, mm, w, delta)
-        assert got == (D.matrix == total)
-        outcomes.add(got)
+        D = Matrix(dim, dim, tuple(map(tuple, rows)))
+        terms = ((1, D), (-1, inner), (-1, lifted))
+        residual = lincomb(terms, dim, dim)
+        assert residual.is_zero() == (D.entries == total)
+        outcomes.add(residual.is_zero())
+        # zero coefficients, and two terms that cancel exactly
+        other = ((0, D), (F(-2, 3), inner), (F(5, 7), lifted), (F(2, 3), inner), (0, lifted))
+        for t, got in ((terms, residual), (other, lincomb(other, dim, dim))):
+            assert got.entries == _fraction_lincomb(t, dim, dim)
+            assert all(x for row in got.nonzeros for _, x in row)
     assert outcomes == {True, False}
+    for wrong in (Matrix.zeros(dim, dim - 1), Matrix.zeros(dim + 1, dim)):
+        for c in (1, 0):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                lincomb(((1, D), (c, wrong)), dim, dim)
 
 
 def test_decompose_rejects_uncertified(mpairs):
