@@ -9,7 +9,6 @@ reconstructed from two canonical queries and verified on seeded samples.
 
 from .exactlin import (
     ONE,
-    QQ,
     RrefResult,
     Subspace,
     Vector,
@@ -25,7 +24,6 @@ from .exactlin import (
     same_space,
     solve,
     vadd,
-    vec,
     vscale,
     vsub,
     zero_vec,

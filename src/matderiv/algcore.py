@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
-from .exactlin import ZERO, Vector, _nonzeros, _scaled, basis_vec
+from .exactlin import ZERO, Vector, _dense, _nonzeros, _scaled, basis_vec
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
@@ -87,19 +87,6 @@ def _check_table(table: Table, dim0: int, dim1: int, dim2: int, what: str) -> No
                 prev = k
 
 
-def _dense(table: Table, dim2: int) -> Tensor3:
-    out = []
-    for plane in table:
-        rows = []
-        for cell in plane:
-            row = [ZERO] * dim2
-            for k, c in cell:
-                row[k] = c
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 def _int_view(*tables: Table) -> tuple:
     """(L, *views): L is the positive lcm of the denominators of all the
     tables' coefficients, and each view is its table times L, in ints."""
@@ -136,7 +123,7 @@ class Algebra:
     @cached_property
     def mult(self) -> Tensor3:
         """Dense view: mult[i][j][k] is the coefficient of e_k in e_i e_j."""
-        return _dense(self.table, self.dim)
+        return tuple(tuple(_dense(cell, self.dim) for cell in plane) for plane in self.table)
 
     @cached_property
     def int_table(self) -> tuple:

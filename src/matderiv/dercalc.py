@@ -60,14 +60,6 @@ class LinearMap:
             raise ValueError("flattened length does not match dimensions")
         return _unflatten_nonzeros(_nonzeros(flat), module_dim, algebra_dim)
 
-    @classmethod
-    def zero(cls, module_dim: int, algebra_dim: int) -> "LinearMap":
-        return cls(Matrix.zeros(module_dim, algebra_dim))
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Fraction]]) -> "LinearMap":
-        return cls(Matrix(len(cols[0]), len(cols), tuple(zip(*cols))))
-
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix + other.matrix)
 

@@ -7,18 +7,21 @@ columns, and nullspace bases use the canonical free-variable parametrization
 deterministic for a given input.
 
 Computations read Matrix rows and Subspace basis vectors through their
-nonzeros, (index, value) pairs sorted by index.  Built from nonzeros, a
-Matrix or Subspace fills its dense tuples (entries, basis) at C speed when
-a caller first reads them.
+nonzeros, (index, value) pairs sorted by index.  A Subspace stores only its
+nonzeros; its dense basis is a view built on first read.  A Matrix is built
+either from dense entries or from nonzeros (from_triples), and fills the
+other form on first read.
 
 Every elimination goes through _echelonize.  It takes sparse integer rows,
 as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
 have the same key), splits them into components of columns that share a
 row, reduces each component on its own and divides back to fractions at the
 end.  Rows of different components have disjoint supports, so the result is
-the unique RREF of the whole system.  Matrix-vector products and linear
-combinations of matrices read each row scaled to integers (_int_rows, built
-once per matrix) and reduce each output entry once.
+the unique RREF of the whole system.  nullspace_sparse takes integer rows as
+they are; the other entry points build them from Fractions.  Matrix-vector
+products and linear combinations of matrices read each row scaled to
+integers (_int_rows, built once per matrix) and reduce each output entry
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -41,11 +43,6 @@ Nonzeros = tuple[tuple[int, Fraction], ...]
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
-
-def vec(*entries) -> Vector:
-    """Build a Vector, coercing ints/strings through Fraction."""
-    return tuple(Fraction(e) for e in entries)
-
 
 def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
@@ -95,7 +92,12 @@ def _dense(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Row-major matrix of rationals; computations read its nonzeros."""
+    """Row-major matrix of rationals; computations read its nonzeros.
+
+    It keeps two forms: the dense entries field, and the nonzeros of a
+    matrix built by from_triples, which fill entries on first read.  Callers
+    outside the package build Matrix(rows, cols, entries) positionally and
+    read entries and at(), so the fields stay (rows, cols, entries)."""
 
     rows: int
     cols: int
@@ -148,12 +150,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
 
     @cached_property
     def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
@@ -389,8 +385,7 @@ def _nullspace_core(pivot_rows: list[PivotRow], width: int) -> "Subspace":
         for c, x in pairs:
             if c != p:
                 vecs[c].append((p, -x))
-    return Subspace.from_nonzeros(width, [tuple(sorted(v)) for v in vecs.values()],
-                                  tuple(vecs))
+    return Subspace(width, tuple([tuple(sorted(v)) for v in vecs.values()]), tuple(vecs))
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -398,17 +393,16 @@ def nullspace(m: Matrix) -> "Subspace":
     return _nullspace_core(_echelonize(map(_primitive_pairs, m.nonzeros), m.cols), m.cols)
 
 
-def nullspace_sparse(rows: Iterable[Iterable[tuple[int, Fraction]]], width: int) -> "Subspace":
-    """nullspace() for a constraint system supplied row by row as sparse
-    (column, coefficient) pairs, deduplicated as given.  A row of nonzero
-    ints (a canonical key, as dercalc builds them) is taken as it is; any
-    other row is normalised to its canonical key.  _echelonize then solves
-    each component of the system on its own (a derivation system has
-    thousands)."""
-    distinct = dict.fromkeys(
-        r if all(type(x) is int and x for _, x in r) else _primitive_pairs(r)
-        for r in dict.fromkeys(map(tuple, rows)))
-    return _nullspace_core(_echelonize(distinct, width), width)
+def nullspace_sparse(rows: Iterable[SparseRow], width: int) -> "Subspace":
+    """nullspace() for an integer constraint system supplied row by row.
+    Each row is a hashable tuple of (column, nonzero int) pairs sorted by
+    column, every column below width; an empty row is skipped.  Rows are
+    deduplicated as given and not renormalised: callers pass canonical keys
+    (_canonical, _primitive_pairs) so that rows equal up to scale count
+    once, though any integer rows give the same unique RREF.  _echelonize
+    then solves each component of the system on its own (a derivation
+    system has thousands)."""
+    return _nullspace_core(_echelonize(dict.fromkeys(rows), width), width)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
@@ -434,7 +428,8 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of QQ^ambient_dim held by a canonical basis.
+    """A linear subspace of QQ^ambient_dim held by a canonical basis, stored
+    as each basis vector's nonzero (index, value) pairs, sorted by index.
 
     Each basis vector carries entry 1 at its own pivot column and entry 0 at
     every other basis vector's pivot column; pivot columns strictly increase.
@@ -444,45 +439,27 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    nonzeros: tuple[Nonzeros, ...]
     pivot_cols: tuple[int, ...]
 
     def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.basis):
-            raise ValueError("basis vector has wrong length")
-        self._check_shape()
-
-    def _check_shape(self) -> None:
         if len(self.nonzeros) != len(self.pivot_cols):
             raise ValueError("basis/pivot count mismatch")
         if any(a >= b for a, b in zip(self.pivot_cols, self.pivot_cols[1:])):
             raise ValueError("pivot columns must strictly increase")
         where = {p: s for s, p in enumerate(self.pivot_cols)}
         for t, v in enumerate(self.nonzeros):
+            cols = [-1, *(c for c, x in v if x), self.ambient_dim]
+            if len(cols) != len(v) + 2 or any(a >= b for a, b in zip(cols, cols[1:])):
+                raise ValueError("basis vector needs nonzero values at increasing "
+                                 "indices below ambient_dim")
             if [(where[c], x) for c, x in v if c in where] != [(t, ONE)]:
                 raise ValueError("basis is not in canonical echelon shape")
 
-    @classmethod
-    def from_nonzeros(cls, ambient_dim: int, nonzeros: Sequence[Nonzeros],
-                      pivot_cols: tuple[int, ...]) -> "Subspace":
-        """The subspace whose basis vector t has the nonzeros nonzeros[t]."""
-        s = object.__new__(cls)
-        s.__dict__.update(ambient_dim=ambient_dim, pivot_cols=pivot_cols,
-                          nonzeros=tuple(nonzeros))
-        s._check_shape()
-        return s
-
-    def __getattr__(self, name: str):
-        """basis of a subspace built from its nonzeros, filled on first read."""
-        if name != "basis":
-            raise AttributeError(name)
-        self.__dict__[name] = tuple(_dense(v, self.ambient_dim) for v in self.nonzeros)
-        return self.__dict__[name]
-
     @cached_property
-    def nonzeros(self) -> tuple[Nonzeros, ...]:
-        """Each basis vector's nonzero (index, value) pairs, sorted by index."""
-        return tuple(map(_nonzeros, self.basis))
+    def basis(self) -> tuple[Vector, ...]:
+        """Dense view of the basis vectors."""
+        return tuple(_dense(v, self.ambient_dim) for v in self.nonzeros)
 
     @property
     def dim(self) -> int:
@@ -499,8 +476,7 @@ class Subspace:
                 raise ValueError("spanning vector has wrong length")
             rows.append(_primitive_pairs(v.items() if isinstance(v, dict) else _nonzeros(v)))
         piv = _echelonize(rows, ambient_dim)
-        return cls.from_nonzeros(ambient_dim, [tuple(r) for _, r in piv],
-                                 tuple(c for c, _ in piv))
+        return cls(ambient_dim, tuple([tuple(r) for _, r in piv]), tuple(c for c, _ in piv))
 
 
 def member(s: Subspace, v: Sequence[Fraction]) -> bool:

@@ -152,7 +152,7 @@ def test_criterion_05_decompose_non_uniqueness(pairs):
     zeta_cols = [tuple(l - r for l, r in zip(act(m, "right", basis_vec(4, k), w),
                                              act(m, "left", basis_vec(4, k), w)))
                  for k in range(4)]
-    zeta = certify(a, m, LinearMap.from_columns(zeta_cols))
+    zeta = certify(a, m, LinearMap(Matrix.from_rows(zip(*zeta_cols))))
     lifted = lift(zeta, ma, mm)
     assert inner_big.matrix == lifted.matrix
     assert not inner_big.matrix.is_zero()
@@ -175,7 +175,7 @@ def test_criterion_06_component_identities(mpairs, derspaces):
     dim = ma.algebra.dim
     cols = [basis_vec(dim, ma.flat(j, i, k))
             for i in range(2) for j in range(2) for k in range(ma.base.dim)]
-    forged = Derivation(LinearMap.from_columns(cols), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
     report = verify_lemma22(forged, ma, mm)
     assert not report.passed
     outcomes = {r.name: r.counterexample for r in report.results

@@ -39,7 +39,7 @@ def transpose_file(tmp_path):
     ma, _ = matrix_pair(f, fm, 2)
     cols = [basis_vec(4, ma.flat(j, i, 0)) for i in range(2) for j in range(2)]
     return write_map_file(tmp_path / "transpose.json",
-                          LinearMap.from_columns(cols), kind="linear_map")
+                          LinearMap(Matrix.from_rows(zip(*cols))), kind="linear_map")
 
 
 @pytest.fixture()
@@ -325,7 +325,7 @@ def _non_associative(tmp_path):
 
 def _one_entry_map(tmp_path):
     # a 1 at row 1, column 0 of a map on the 4-dimensional M_2 level
-    lin = LinearMap.from_columns([basis_vec(4, 1)] + [(F(0),) * 4] * 3)
+    lin = LinearMap(Matrix.from_rows(zip(basis_vec(4, 1), *[(F(0),) * 4] * 3)))
     return write_map_file(tmp_path / "m.json", lin, algebra="z")
 
 
@@ -678,7 +678,7 @@ def test_format_flag_is_gone(capsys):
 
 def _dense_fmt_matrix(m):
     """The row-by-row printer fmt_matrix replaced."""
-    return "\n".join("[" + " ".join(str(c) if c else "0" for c in m.row(r)) + "]"
+    return "\n".join("[" + " ".join(str(c) if c else "0" for c in m.entries[r]) + "]"
                      for r in range(m.rows))
 
 

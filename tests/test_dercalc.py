@@ -168,7 +168,7 @@ def test_certify_accepts_and_rejects():
     # Leibniz expansion differs already at (E11, E11)... the first failing
     # pair in scan order is frozen below
     cols = [basis_vec(4, j) for j in (0, 2, 1, 3)]
-    transpose = LinearMap.from_columns(cols)
+    transpose = LinearMap(Matrix.from_rows(zip(*cols)))
     with pytest.raises(ValueError) as err:
         certify(a, m, transpose)
     assert "Leibniz rule at basis pair (0,0)" in str(err.value)
@@ -181,7 +181,7 @@ def test_certify_accepts_and_rejects():
 def test_leibniz_failures_stop_early():
     a, m = catalog("full_matrix_2")
     cols = [basis_vec(4, j) for j in (0, 2, 1, 3)]
-    transpose = LinearMap.from_columns(cols)
+    transpose = LinearMap(Matrix.from_rows(zip(*cols)))
     first = leibniz_failures(a, m, transpose, stop_early=True)
     assert first == [(0, 0)]
 
@@ -221,7 +221,7 @@ def test_linear_combinations_of_derivations(pairs, derspaces):
     a, m = pairs("full_matrix_2")
     ds = derspaces("full_matrix_2")
     for trial in range(5):
-        lin = LinearMap.zero(m.dim, a.dim)
+        lin = LinearMap(Matrix.zeros(m.dim, a.dim))
         for d in ds.basis:
             lin = lin + d.linmap.scale(F(rng.randint(-4, 4)))
         assert leibniz_check(a, m, lin)
@@ -235,7 +235,7 @@ def _dense_leibniz_failures(a, m, f, stop_early):
     """The Leibniz check as a dense Fraction loop over every module
     coordinate, kept here as the reference for leibniz_failures."""
     d, md = a.dim, m.dim
-    cols = [f.matrix.col(j) for j in range(d)]
+    cols = list(zip(*f.matrix.entries))
     bad = []
     for i in range(d):
         ci = cols[i]
@@ -367,7 +367,7 @@ def test_derivation_space_rejects_a_corrupted_basis(monkeypatch):
     assert first and later and later < first
     with pytest.raises(ValueError) as want:
         certify(a, m, maps[1])
-    corrupted = Subspace(width, tuple(map(tuple, basis)), true.pivot_cols)
+    corrupted = Subspace(width, _nonzeros_of(basis), true.pivot_cols)
     monkeypatch.setattr(dercalc, "nullspace_sparse", lambda rows, w: corrupted)
     with pytest.raises(ValueError) as got:
         derivation_space(a, m)
@@ -392,7 +392,7 @@ def test_inner_derivation_matches_actions(name, n, pairs, mpairs):
         assert d.certified
         for j in range(a.dim):
             ej = basis_vec(a.dim, j)
-            col = d.matrix.col(j)
+            col = tuple(r[j] for r in d.matrix.entries)
             assert col == vsub(act(m, "right", ej, w), act(m, "left", ej, w))
             assert all(type(c) is F for c in col)
 
@@ -534,7 +534,7 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     assert all(d.certified for d in derivation_space(a, m).basis)
     phi = _ref_inner_matrix(a, m)
     inn = inner_space(a, m)
-    assert inn.image == Subspace.from_span([phi.col(p) for p in range(m.dim)], width)
+    assert inn.image == Subspace.from_span(list(zip(*phi.entries)), width)
     assert inn.kernel == nullspace(phi)
 
 

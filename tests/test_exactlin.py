@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from matderiv import (Matrix, RrefResult, Subspace, basis_vec, is_zero_vec,
                       member, nullspace, nullspace_sparse, quotient_dim, rref,
                       same_space, solve, vadd, vscale, vsub, zero_vec)
-from matderiv.exactlin import _primitive_pairs
+from matderiv.exactlin import _nonzeros, _primitive_pairs
 from oracles import gauss_rank
 
 
@@ -65,8 +65,8 @@ def test_rref_known():
     r = rref(mat([[2, 4], [1, 2]]))
     assert r.pivots == (0,)
     assert r.rank == 1
-    assert r.reduced.row(0) == (F(1), F(2))
-    assert is_zero_vec(r.reduced.row(1))
+    assert r.reduced.entries[0] == (F(1), F(2))
+    assert is_zero_vec(r.reduced.entries[1])
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +81,13 @@ def test_rref_properties_random():
         # pivots strictly increase and land on unit columns
         assert list(r.pivots) == sorted(set(r.pivots))
         for row_idx, col in enumerate(r.pivots):
-            assert r.reduced.col(col) == basis_vec(m.rows, row_idx)
+            assert tuple(zip(*r.reduced.entries))[col] == basis_vec(m.rows, row_idx)
         # idempotence: reducing the reduction changes nothing
         again = rref(r.reduced)
         assert again.reduced.entries == r.reduced.entries
         assert again.pivots == r.pivots
         # rank agrees with the independent elimination
-        assert r.rank == gauss_rank([list(m.row(i)) for i in range(m.rows)])
+        assert r.rank == gauss_rank([list(row) for row in m.entries])
 
 
 def test_rank_nullity_random():
@@ -107,8 +107,8 @@ def test_solve_random():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         b = tuple(F(rng.randint(-9, 9)) for _ in range(m.rows))
         x = solve(m, b)
-        rank_a = gauss_rank([list(m.row(i)) for i in range(m.rows)])
-        rank_ab = gauss_rank([list(m.row(i)) + [b[i]] for i in range(m.rows)])
+        rank_a = gauss_rank([list(row) for row in m.entries])
+        rank_ab = gauss_rank([list(row) + [bi] for row, bi in zip(m.entries, b)])
         if x is None:
             assert rank_ab > rank_a, f"trial {trial}: solvable but got None"
             inconsistent += 1
@@ -163,14 +163,17 @@ def test_nullspace_sparse_matches_dense():
         sparse_rows = [[(j, x) for j, x in enumerate(row) if x]
                        for row in dense]
         a = nullspace(mat(dense))
-        b = nullspace_sparse(sparse_rows, width)
+        b = nullspace_sparse(map(_primitive_pairs, sparse_rows), width)
         assert a.basis == b.basis and a.pivot_cols == b.pivot_cols
 
 
 def test_subspace_canonical_shape_enforced():
     # a span in non-reduced position must go through from_span
     with pytest.raises(ValueError):
-        Subspace(2, ((F(2), F(0)),), (0,))
+        Subspace(2, (((0, F(2)),),), (0,))
+    # every index lies below the ambient dimension
+    with pytest.raises(ValueError, match="below ambient_dim"):
+        Subspace(2, (((0, F(1)), (2, F(3))),), (0,))
     ok = Subspace.from_span(((F(2), F(0)),), 2)
     assert ok.basis == ((F(1), F(0)),)
 
@@ -313,7 +316,7 @@ def _ref_nullspace_core(frac_rows, pivots, width):
         for row, p in zip(frac_rows, pivots):
             v[p] = -row[f]
         basis.append(tuple(v))
-    return Subspace(width, tuple(basis), tuple(free))
+    return Subspace(width, tuple(map(_nonzeros, basis)), tuple(free))
 
 
 def _ref_nullspace(m):
@@ -351,7 +354,7 @@ def _ref_solve(m, b):
 
 def _ref_from_span(vectors, dim):
     frac_rows, cols = _ref_echelonize([_ref_int_row(v) for v in vectors], dim)
-    return Subspace(dim, tuple(frac_rows), tuple(cols))
+    return Subspace(dim, tuple(map(_nonzeros, frac_rows)), tuple(cols))
 
 
 _entries = st.one_of(
@@ -403,21 +406,35 @@ def _dense_matrix(width, rows):
     return Matrix(len(dense), width, tuple(dense))
 
 
+def _int_keys(row):
+    """The row scaled to integers by the lcm of its denominators, zeros
+    dropped and sorted by column, but neither divided by its gcd nor signed:
+    integer rows that are not canonical keys."""
+    pairs = sorted((c, v) for c, v in row if v)
+    den = lcm(*(v.denominator for _, v in pairs))
+    return tuple((c, int(v * den)) for c, v in pairs)
+
+
 @settings(max_examples=300)
 @given(_block_systems())
 @example((3, [[(0, F(1)), (1, F(1))], [(0, F(1)), (1, F(1))], [(2, F(2))]],
           (F(0), F(0), F(0)), (F(1), F(2), F(0))))            # inconsistent
 @example((4, [[], [(3, F(0))], [(1, F(2 ** 65 + 1, 3))]],
           (F(1),) * 4, (F(0), F(0), F(5))))
+@example((4, [[(0, F(1)), (2, F(2))], [(0, F(-2)), (2, F(-4))],   # a row, its negated double
+              [(1, F(6)), (2, F(-4))], [(3, F(-3))]],            # common factors
+          (F(1),) * 4, (F(1), F(-2), F(0), F(3))))
 def test_split_kernel_matches_unsplit_reference(case):
     width, rows, x, b = case
     for row in rows:
         key = _primitive_pairs(row)
         assert key == () or (key[0][1] > 0 and gcd(*(v for _, v in key)) == 1)
     m = _dense_matrix(width, rows)
-    got = nullspace_sparse(rows, width)
-    assert got == _ref_nullspace_sparse(rows, width)
+    got = nullspace_sparse(map(_primitive_pairs, rows), width)
+    assert got == _ref_nullspace_sparse(rows, width) == nullspace(m)
     assert all(type(c) is F for v in got.basis for c in v)
+    # rows taken as they are, not renormalised, give the same unique RREF
+    assert nullspace_sparse(map(_int_keys, rows), width) == got
     assert nullspace(m) == _ref_nullspace(m)
     r = rref(m)
     assert r == _ref_rref(m)

@@ -1,16 +1,20 @@
 """Source hygiene of the package, read with the standard library's ast: no
-module imports a name it never reads, and no private module-level function,
-class or constant is left that no module reads."""
+module imports a name it never reads, no private module-level function, class
+or constant is left that no module reads, and no public export is left that
+no module, test or bench file reads."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matderiv"
+import matderiv
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "matderiv"
 
 
-def _trees():
+def _trees(directory=PACKAGE):
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _reads(tree):
@@ -62,3 +66,10 @@ def test_no_private_module_level_name_is_unread():
                           if name.startswith("_") and not _dunder(name)
                           and name not in reads)
     assert unread == []
+
+
+def test_every_export_is_read_outside_the_package_init():
+    trees = [t for name, t in _trees().items() if name != "__init__.py"]
+    trees += [*_trees(ROOT / "tests").values(), *_trees(ROOT / "bench").values()]
+    reads = set().union(*map(_reads, trees))
+    assert [name for name in matderiv.__all__ if name not in reads] == []

@@ -156,7 +156,7 @@ def test_lift_acts_entrywise(mpairs, derspaces):
 
 def test_lift_requires_certified(mpairs):
     ma, mm = mpairs("dual_numbers", 2)
-    fake = Derivation(LinearMap.zero(2, 2), certified=False)
+    fake = Derivation(LinearMap(Matrix.zeros(2, 2)), certified=False)
     with pytest.raises(ValueError):
         lift(fake, ma, mm)
 
@@ -281,7 +281,7 @@ def test_decompose_non_uniqueness_noncommuting():
         zeta_cols.append(tuple(wi - xi for wi, xi in
                                zip(act(m, "right", e_k, w),
                                    act(m, "left", e_k, w))))
-    zeta = certify(a, m, LinearMap.from_columns(zeta_cols))
+    zeta = certify(a, m, LinearMap(Matrix.from_rows(zip(*zeta_cols))))
     lifted = lift(zeta, ma, mm)
     assert inner_big.matrix == lifted.matrix
     assert not inner_big.matrix.is_zero()
@@ -312,7 +312,7 @@ def test_decompose_raises_when_recomposition_fails():
     f, fm = catalog("field")
     ma, mm = matrix_pair(f, fm, 2)
     cols = [zero_vec(4)] * 3 + [basis_vec(4, mm.flat(0, 1, 0))]
-    forged = Derivation(LinearMap.from_columns(cols), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
     with pytest.raises(DecompositionError, match="recomposition failed"):
         decompose(forged, ma, mm)
 
@@ -351,7 +351,7 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
     outcomes = set()
     for seed in range(8):
         rng = random.Random(f"recompose:{name}:{n}:{seed}")
-        delta = LinearMap.zero(m.dim, a.dim)
+        delta = LinearMap(Matrix.zeros(m.dim, a.dim))
         for b in derspaces(name).basis:
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3), rng.choice((1, 5))))
         delta = certify(a, m, delta)
@@ -381,7 +381,7 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
 
 def test_decompose_rejects_uncertified(mpairs):
     ma, mm = mpairs("field", 2)
-    fake = Derivation(LinearMap.zero(4, 4), certified=False)
+    fake = Derivation(LinearMap(Matrix.zeros(4, 4)), certified=False)
     with pytest.raises(ValueError):
         decompose(fake, ma, mm)
 
@@ -408,7 +408,7 @@ def test_lemma22_forged_transpose_fails(mpairs):
     for i in range(2):
         for j in range(2):
             cols.append(basis_vec(4, ma.flat(j, i, 0)))
-    forged = Derivation(LinearMap.from_columns(cols), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
     report = verify_lemma22(forged, ma, mm)
     assert not report.passed
     by_name = {r.name: r for r in report.results}
@@ -444,7 +444,7 @@ def _unmemoized_lemma22(D, ma, mm):
     comp = {(i, j, r, s): component(D, ma, mm, i, j, r, s)
             for i in N for j in N for r in N for s in N}
     of_unit = {key: c.apply(ma.base.unit) for key, c in comp.items()}
-    cols = {key: [c.matrix.col(k) for k in K] for key, c in comp.items()}
+    cols = {key: list(zip(*c.matrix.entries)) for key, c in comp.items()}
 
     def act_basis(side, k, g):
         return act(mm.base, side, basis_vec(d, k), g)
@@ -504,7 +504,7 @@ def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
     dim = ma.algebra.dim
     for seed, identity in enumerate((None, "i", "ii", "iii", "iv", "v") * 2):
         rng = random.Random(f"lemma22:{name}:{n}:{seed}")
-        delta = LinearMap.zero(m.dim, a.dim)
+        delta = LinearMap(Matrix.zeros(m.dim, a.dim))
         for b in derspaces(name).basis:
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3)))
         w = rand_elt(rng, mm.bimodule.dim)

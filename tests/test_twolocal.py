@@ -62,7 +62,7 @@ def test_wrap_derivation_logs_queries():
 
 
 def test_wrap_requires_certified():
-    fake = Derivation(LinearMap.zero(4, 4), certified=False)
+    fake = Derivation(LinearMap(Matrix.zeros(4, 4)), certified=False)
     with pytest.raises(ValueError):
         wrap_derivation(fake)
 
@@ -138,7 +138,7 @@ def test_pair_witness_interpolates_random(mpairs, derspaces):
     sp = derspaces("dual_numbers", 2)
     for trial in range(10):
         coeffs = [F(rng.randint(-4, 4)) for _ in sp.basis]
-        lin = LinearMap.zero(mm.bimodule.dim, ma.algebra.dim)
+        lin = LinearMap(Matrix.zeros(mm.bimodule.dim, ma.algebra.dim))
         for c, b in zip(coeffs, sp.basis):
             lin = lin + b.linmap.scale(c)
         d = Derivation(lin, certified=True)
