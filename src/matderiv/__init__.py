@@ -15,7 +15,6 @@ from .exactlin import (
     ZERO,
     Matrix,
     basis_vec,
-    is_zero_vec,
     member,
     nullspace,
     nullspace_sparse,
@@ -56,7 +55,6 @@ from .dercalc import (
     inner_space,
     is_inner,
     jordan_derivation_space,
-    leibniz_check,
     leibniz_failures,
 )
 from .matext import (

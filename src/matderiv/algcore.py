@@ -141,9 +141,6 @@ class Algebra:
                     out[k].append((i, j, c))
         return tuple(map(tuple, out))
 
-    def basis_element(self, i: int) -> Vector:
-        return basis_vec(self.dim, i)
-
 
 @dataclass(frozen=True)
 class Bimodule:
@@ -178,9 +175,6 @@ class Bimodule:
         left, right = self.left_table, self.right_table
         scale, *views = _int_view(left) if right is left else _int_view(left, right)
         return scale, views[0], views[-1]
-
-    def basis_element(self, p: int) -> Vector:
-        return basis_vec(self.dim, p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,7 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     out: list[Violation] = []
     dim = a.dim
     for j in range(dim):
-        ej = a.basis_element(j)
+        ej = basis_vec(dim, j)
         lhs = multiply(a, a.unit, ej)
         if lhs != ej:
             out.append(Violation("left unit law", (j,), lhs, ej))
@@ -328,7 +322,7 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     out: list[Violation] = []
     dim, mdim = a.dim, m.dim
     for p in range(mdim):
-        fp = m.basis_element(p)
+        fp = basis_vec(mdim, p)
         lhs = act(m, "left", a.unit, fp)
         if lhs != fp:
             out.append(Violation("left unit action", (p,), lhs, fp))

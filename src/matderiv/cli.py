@@ -32,7 +32,7 @@ from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
                       validate_bimodule)
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
                       inner_space, jordan_derivation_space)
-from .exactlin import Matrix, Vector
+from .exactlin import Matrix, Vector, quotient_dim
 from .matext import (MatrixAlgebra, MatrixBimodule, decompose, matrix_pair,
                      verify_lemma22)
 from .twolocal import (DEFAULT_SAMPLES, DEFAULT_SEED, NotTwoLocalError,
@@ -306,7 +306,7 @@ def cmd_derspace(args, out: TextIO) -> int:
     print(f"dim: {a.dim}", file=out)
     ds = derivation_space(a, m)
     inn = inner_space(a, m)
-    h1 = ds.dim - inn.image.dim
+    h1 = quotient_dim(inn.image, ds.subspace)
     print(f"Der={ds.dim} Inner={inn.image.dim} H1={h1}", file=out)
     if args.jordan:
         js = jordan_derivation_space(a, m)

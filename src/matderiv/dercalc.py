@@ -27,7 +27,8 @@ from typing import Iterator, Sequence
 
 from .algcore import Algebra, Bimodule
 from .exactlin import (Matrix, Nonzeros, Subspace, Vector, _canonical, _dense,
-                       _nonzeros, _scaled, nullspace_sparse, quotient_dim, solve)
+                       _primitive_pairs, _scaled, _solve_augmented, nullspace_sparse,
+                       quotient_dim)
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,6 @@ class LinearMap:
         m = self.matrix
         return _dense(((k * m.rows + p, x) for p, row in enumerate(m.nonzeros)
                        for k, x in row), m.rows * m.cols)
-
-    @classmethod
-    def unflatten(cls, flat: Sequence[Fraction], module_dim: int,
-                  algebra_dim: int) -> "LinearMap":
-        if len(flat) != module_dim * algebra_dim:
-            raise ValueError("flattened length does not match dimensions")
-        return _unflatten_nonzeros(_nonzeros(flat), module_dim, algebra_dim)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix + other.matrix)
@@ -165,10 +159,6 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
                 return [(i, failing[0])]
             bad.extend((i, j) for j in failing)
     return bad
-
-
-def leibniz_check(a: Algebra, m: Bimodule, f: LinearMap) -> bool:
-    return not leibniz_failures(a, m, f)
 
 
 def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
@@ -398,13 +388,16 @@ def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
 
 
 def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:
-    """A witness w with d = delta_w (free coordinates zero), or None."""
+    """A witness w with d = delta_w (free coordinates zero), or None: each
+    row of _inner_rows gets d's flattened coordinate times L_m as right side."""
     if not d.certified:
         raise ValueError("is_inner requires a certified derivation")
     if d.linmap.algebra_dim != a.dim or d.linmap.module_dim != m.dim:
         raise ValueError("derivation shape does not match the pair")
-    phi = Matrix.from_rows([row.get(p, 0) for p in range(m.dim)] for row in _inner_rows(m))
-    return solve(phi, [m.int_tables[0] * x for x in d.linmap.flatten()])
+    md, lm = m.dim, m.int_tables[0]
+    flat = {k * md + p: lm * x for p, row in enumerate(d.matrix.nonzeros) for k, x in row}
+    return _solve_augmented((_primitive_pairs([*row.items(), (md, flat.get(t, 0))])
+                             for t, row in enumerate(_inner_rows(m))), md)
 
 
 def h1_dim(a: Algebra, m: Bimodule) -> int:

@@ -8,9 +8,11 @@ deterministic for a given input.
 
 Computations read Matrix rows and Subspace basis vectors through their
 nonzeros, (index, value) pairs sorted by index.  A Subspace stores only its
-nonzeros; its dense basis is a view built on first read.  A Matrix is built
-either from dense entries or from nonzeros (from_triples), and fills the
-other form on first read.
+nonzeros; its dense basis is a view for callers outside the package, built
+on first read and read by no module here.  member, quotient_dim and
+same_space reduce nonzeros against only the basis vectors whose pivots they
+meet (_contains).  A Matrix is built either from dense entries or from
+nonzeros (from_triples), and fills the other form on first read.
 
 Every elimination goes through _echelonize.  It takes sparse integer rows,
 as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
@@ -68,10 +70,6 @@ def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 def vscale(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +408,15 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vector | None:
     or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    w = m.cols
-    aug = (_primitive_pairs(r + ((w, Fraction(bv)),)) for r, bv in zip(m.nonzeros, b))
+    return _solve_augmented((_primitive_pairs(r + ((m.cols, Fraction(bv)),))
+                             for r, bv in zip(m.nonzeros, b)), m.cols)
+
+
+def _solve_augmented(rows: Iterable[SparseRow], w: int) -> Vector | None:
+    """solve() for the integer rows of the augmented system [m | b], given
+    as for _echelonize with the right-hand side in column w."""
     x = [ZERO] * w
-    for p, pairs in _echelonize(aug, w + 1):
+    for p, pairs in _echelonize(rows, w + 1):
         if p == w:
             return None
         c, v = pairs[-1]
@@ -434,8 +437,8 @@ class Subspace:
     Each basis vector carries entry 1 at its own pivot column and entry 0 at
     every other basis vector's pivot column; pivot columns strictly increase.
     Both constructions used here (RREF rows of a span, free-variable
-    parametrization of a nullspace) satisfy that shape, which is what makes
-    member() a plain residual reduction.
+    parametrization of a nullspace) satisfy that shape, which is what lets
+    _contains reduce a vector against only the pivots it meets.
     """
 
     ambient_dim: int
@@ -479,29 +482,39 @@ class Subspace:
         return cls(ambient_dim, tuple([tuple(r) for _, r in piv]), tuple(c for c, _ in piv))
 
 
+def _contains(s: Subspace, vectors: Iterable[Nonzeros]) -> bool:
+    """Whether every vector, given by its nonzeros, lies in s.  A vector v of
+    s is the sum of v[p] b_p over the pivots p of s, as each basis vector b_p
+    is 1 at p and 0 at every other pivot; so only the b_p for the pivots v
+    meets are subtracted, each once, and v lies in s when nothing is left."""
+    at_pivot = dict(zip(s.pivot_cols, s.nonzeros))
+    for v in vectors:
+        work = dict(v)
+        for p in [p for p in work if p in at_pivot]:
+            c = work[p]
+            for t, x in at_pivot[p]:
+                work[t] = work.get(t, ZERO) - c * x
+        if any(work.values()):
+            return False
+    return True
+
+
 def member(s: Subspace, v: Sequence[Fraction]) -> bool:
-    """Exact membership test by residual reduction against the basis."""
+    """Exact membership test: v's nonzeros reduced against the basis."""
     if len(v) != s.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    work = [Fraction(x) for x in v]
-    for b, p in zip(s.nonzeros, s.pivot_cols):
-        c = work[p]
-        if c:
-            for t, bt in b:
-                work[t] -= c * bt
-    return not any(work)
+    return _contains(s, [_nonzeros(v)])
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:
     """dim(sup/sub); raises if sub is not contained in sup."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for v in sub.basis:
-        if not member(sup, v):
-            raise ValueError("claimed subspace is not contained in the larger space")
+    if not _contains(sup, sub.nonzeros):
+        raise ValueError("claimed subspace is not contained in the larger space")
     return sup.dim - sub.dim
 
 
 def same_space(a: Subspace, b: Subspace) -> bool:
     return (a.ambient_dim == b.ambient_dim and a.dim == b.dim
-            and all(member(b, v) for v in a.basis))
+            and _contains(b, a.nonzeros))

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Sequence
 
 from .algcore import Algebra, Bimodule, act, multiply
 from .dercalc import Derivation, DerivationSpace, LinearMap
-from .exactlin import Matrix, Vector, _nonzeros, lincomb, solve, vadd, vscale, zero_vec
+from .exactlin import (Matrix, Vector, _nonzeros, basis_vec, lincomb, solve, vadd, vscale,
+                       zero_vec)
 from .matext import MatrixAlgebra, MatrixBimodule
 
 
@@ -212,11 +213,11 @@ def central_idempotent_compat(oracle: TwoLocalOracle, a: Algebra, m: Bimodule,
     if multiply(a, e, e) != e:
         raise ValueError("e is not idempotent")
     for i in range(a.dim):
-        z = a.basis_element(i)
+        z = basis_vec(a.dim, i)
         if multiply(a, e, z) != multiply(a, z, e):
             raise ValueError("e is not central")
     for p in range(m.dim):
-        f = m.basis_element(p)
+        f = basis_vec(m.dim, p)
         if act(m, "left", e, f) != act(m, "right", e, f):
             raise ValueError("e does not commute with the module")
     bad = []

@@ -418,7 +418,7 @@ def _dense_validate_algebra(a):
     out = []
     dim = a.dim
     for j in range(dim):
-        ej = a.basis_element(j)
+        ej = basis_vec(dim, j)
         lhs = multiply(a, a.unit, ej)
         if lhs != ej:
             out.append(Violation("left unit law", (j,), lhs, ej))

@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matderiv import (Matrix, RrefResult, Subspace, basis_vec, is_zero_vec,
+from matderiv import (Matrix, RrefResult, Subspace, basis_vec,
                       member, nullspace, nullspace_sparse, quotient_dim, rref,
                       same_space, solve, vadd, vscale, vsub, zero_vec)
 from matderiv.exactlin import _nonzeros, _primitive_pairs
@@ -66,7 +66,7 @@ def test_rref_known():
     assert r.pivots == (0,)
     assert r.rank == 1
     assert r.reduced.entries[0] == (F(1), F(2))
-    assert is_zero_vec(r.reduced.entries[1])
+    assert not any(r.reduced.entries[1])
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_rank_nullity_random():
         ns = nullspace(m)
         assert rref(m).rank + ns.dim == m.cols
         for v in ns.basis:
-            assert is_zero_vec(m.mul_vec(v)), f"trial {trial}: Av != 0"
+            assert not any(m.mul_vec(v)), f"trial {trial}: Av != 0"
 
 
 def test_solve_random():
@@ -443,3 +443,93 @@ def test_split_kernel_matches_unsplit_reference(case):
     consistent = m.mul_vec(x)
     assert solve(m, consistent) == _ref_solve(m, consistent) is not None
     assert solve(m, b) == _ref_solve(m, b)
+
+
+# ---------------------------------------------------------------------------
+# sparse membership against the dense residual reduction it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_member(s, v):
+    work = [F(x) for x in v]
+    for b, p in zip(s.nonzeros, s.pivot_cols):
+        c = work[p]
+        if c:
+            for t, bt in b:
+                work[t] -= c * bt
+    return not any(work)
+
+
+def _ref_quotient_dim(sub, sup):
+    if sub.ambient_dim != sup.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    for v in sub.basis:
+        if not _ref_member(sup, v):
+            raise ValueError("claimed subspace is not contained in the larger space")
+    return sup.dim - sub.dim
+
+
+def _ref_same_space(a, b):
+    return (a.ambient_dim == b.ambient_dim and a.dim == b.dim
+            and all(_ref_member(b, v) for v in a.basis))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def _combination(draw, vectors, width):
+    out = [F(0)] * width
+    for v in vectors:
+        c = draw(_entries)
+        out = [x + c * y for x, y in zip(out, v)]
+    return tuple(out)
+
+
+@st.composite
+def _membership_cases(draw):
+    """A subspace in span form or nullspace form, vectors known to lie inside
+    and outside it, one random vector, and subspaces that are contained in
+    it, equal to it, or not contained in it."""
+    width, rows, x, _ = draw(_block_systems())
+    m = _dense_matrix(width, rows)
+    s = draw(st.sampled_from((Subspace.from_span(m.entries, width), nullspace(m))))
+    inside = _combination(draw, s.basis, width)
+    free = [t for t in range(width) if t not in s.pivot_cols]
+    outside = ([vadd(inside, basis_vec(width, draw(st.sampled_from(free))))]
+               if free else [])
+    part = draw(st.lists(st.sampled_from(s.basis), max_size=3)) if s.dim else []
+    sub = Subspace.from_span([_combination(draw, part, width) for _ in part], width)
+    mixed = Subspace.from_span([_combination(draw, s.basis, width) for _ in s.basis]
+                               + list(s.basis[:draw(st.integers(0, s.dim))]), width)
+    wider = Subspace.from_span([*sub.basis, *outside], width)
+    return s, [inside, *outside, x], [sub, mixed, wider], outside
+
+
+@settings(max_examples=300)
+@given(_membership_cases())
+@example((nullspace(mat([[1, 1, 0], [0, 0, 0]])),
+          [(F(1), F(-1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(0))],
+          [Subspace.from_span([(F(0), F(0), F(1))], 3),
+           Subspace.from_span([(F(2), F(-2), F(0)), (F(0), F(0), F(3))], 3),
+           Subspace.from_span([(F(0), F(0), F(1)), (F(1), F(0), F(0))], 3)],
+          [(F(1), F(0), F(0))]))
+def test_sparse_membership_matches_dense_reference(case):
+    s, vectors, others, outside = case
+    for v in vectors:
+        assert member(s, v) == _ref_member(s, v)
+    assert member(s, vectors[0])
+    assert not any(member(s, v) for v in outside)
+    elsewhere = Subspace.from_span([], s.ambient_dim + 1)
+    for t in [*others, s, elsewhere]:
+        assert _outcome(quotient_dim, t, s) == _outcome(_ref_quotient_dim, t, s)
+        assert _outcome(quotient_dim, s, t) == _outcome(_ref_quotient_dim, s, t)
+        assert same_space(t, s) == _ref_same_space(t, s)
+        assert same_space(s, t) == _ref_same_space(s, t)
+    assert quotient_dim(others[0], s) == s.dim - others[0].dim
+    assert same_space(others[1], s) == (others[1].dim == s.dim)
+    if outside:
+        with pytest.raises(ValueError, match="not contained"):
+            quotient_dim(others[2], s)

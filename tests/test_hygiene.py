@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the standard library's ast: no
 module imports a name it never reads, no private module-level function, class
-or constant is left that no module reads, and no public export is left that
-no module, test or bench file reads."""
+or constant is left that no module reads, no public export is left that no
+module, test or bench file reads, and the dense forms kept for callers outside
+the package are read only where named."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,25 @@ def test_every_export_is_read_outside_the_package_init():
     trees += [*_trees(ROOT / "tests").values(), *_trees(ROOT / "bench").values()]
     reads = set().union(*map(_reads, trees))
     assert [name for name in matderiv.__all__ if name not in reads] == []
+
+
+# attribute: the (module, top-level definition) pairs that may read it.
+# Matrix.entries, Algebra.mult and Matrix.from_rows stay for callers outside
+# the package; inside it, maps and subspaces are read through their nonzeros.
+DENSE_READS = {
+    "entries": {("exactlin.py", "Matrix"), ("matext.py", "verify_lemma22")},
+    "mult": set(),
+    "from_rows": set(),
+}
+
+
+def test_dense_forms_are_read_only_where_named():
+    bad = []
+    for fname, tree in _trees().items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in DENSE_READS
+                        and (fname, owner) not in DENSE_READS[node.attr]):
+                    bad.append(f"{fname}: {owner} reads .{node.attr}")
+    assert bad == []
