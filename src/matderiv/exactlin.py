@@ -6,13 +6,13 @@ columns, and nullspace bases use the canonical free-variable parametrization
 (entry 1 at the free column, other free columns 0), so every output is
 deterministic for a given input.
 
-Computations read Matrix rows and Subspace basis vectors through their
-nonzeros, (index, value) pairs sorted by index.  A Subspace stores only its
-nonzeros; its dense basis is a view for callers outside the package, built
-on first read and read by no module here.  member, quotient_dim and
-same_space reduce nonzeros against only the basis vectors whose pivots they
-meet (_contains).  A Matrix is built either from dense entries or from
-nonzeros (from_triples), and fills the other form on first read.
+A Matrix stores only its rows' nonzeros and a Subspace only its basis
+vectors' nonzeros, (index, value) pairs sorted by index, and computations
+read those.  A Matrix is built from dense entries or from nonzeros
+(from_triples).  Matrix.entries and Subspace.basis are dense views for
+callers outside the package, built on first read and read by no module
+here.  member, quotient_dim and same_space reduce nonzeros against only the
+basis vectors whose pivots they meet (_contains).
 
 Every elimination goes through _echelonize.  It takes sparse integer rows,
 as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
@@ -88,24 +88,26 @@ def _dense(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vector:
     return tuple(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Row-major matrix of rationals; computations read its nonzeros.
+    """Row-major matrix of rationals, stored as its nonzeros: each row's
+    (column, value) pairs, values nonzero and columns strictly increasing.
 
-    It keeps two forms: the dense entries field, and the nonzeros of a
-    matrix built by from_triples, which fill entries on first read.  Callers
-    outside the package build Matrix(rows, cols, entries) positionally and
-    read entries and at(), so the fields stay (rows, cols, entries)."""
+    Matrix(rows, cols, entries) takes dense rows; from_triples takes the
+    nonzeros.  entries and at() are a dense view for callers outside the
+    package, built on first read and read by no module here."""
 
     rows: int
     cols: int
-    entries: tuple[Vector, ...]
+    nonzeros: tuple[Nonzeros, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        if any(len(r) != self.cols for r in self.entries):
+        if any(len(r) != cols for r in entries):
             raise ValueError("ragged matrix")
+        self.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(
+            tuple([(j, Fraction(x)) for j, x in enumerate(r) if x]) for r in entries))
 
     @classmethod
     def from_triples(cls, rows: int, cols: int,
@@ -115,36 +117,21 @@ class Matrix:
         out: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
         for i, j, x in triples:
             out[i].append((j, x))
-        m = object.__new__(cls)
+        m = cls.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(map(tuple, out)))
         return m
 
-    def __getattr__(self, name: str):
-        """entries of a matrix built from its nonzeros, filled on first read."""
-        if name != "entries":
-            raise AttributeError(name)
-        self.__dict__[name] = tuple(_dense(r, self.cols) for r in self.nonzeros)
-        return self.__dict__[name]
-
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Matrix":
-        ent = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        ent = tuple(rows)
         if not ent:
             raise ValueError("matrix needs at least one row")
         return cls(len(ent), len(ent[0]), ent)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_triples(rows, cols, ())
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.from_triples(n, n, ((i, i, ONE) for i in range(n)))
-
     @cached_property
-    def nonzeros(self) -> tuple[Nonzeros, ...]:
-        """Each row's nonzero (column, value) pairs, sorted by column."""
-        return tuple(map(_nonzeros, self.entries))
+    def entries(self) -> tuple[Vector, ...]:
+        """Dense view of the rows."""
+        return tuple(_dense(r, self.cols) for r in self.nonzeros)
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]

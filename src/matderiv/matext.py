@@ -260,15 +260,24 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     matrix pair; each result carries the first offending index tuple."""
     if not D.certified:
         raise ValueError("verify_lemma22 requires a certified derivation")
+    if (D.linmap.algebra_dim != ma.algebra.dim
+            or D.linmap.module_dim != mm.bimodule.dim):
+        raise ValueError("derivation shape does not match the matrix pair")
     n, d, md = ma.n, ma.base.dim, mm.base.dim
     base_m = mm.base
     N, K = range(n), range(d)
-    big, unit = D.matrix.entries, _nonzeros(ma.base.unit)
-    # base column k of the component (i,j|r,s), read off D's rows, and the
-    # component's value at the unit
-    cols = {(i, j, r, s): [tuple(big[(i * n + j) * md + q][(r * n + s) * d + k]
-                                 for q in range(md)) for k in K]
+    unit = _nonzeros(ma.base.unit)
+    # base column k of the component (i,j|r,s), read off D's nonzeros: row
+    # (i,j,q) of M_n(M) and column (r,s,k) of M_n(A) hold its entry q; and
+    # the component's value at the unit
+    cols = {(i, j, r, s): [[ZERO] * md for _ in K]
             for i in N for j in N for r in N for s in N}
+    for t, row in enumerate(D.matrix.nonzeros):
+        i, j, q = mm.unflat(t)
+        for c, x in row:
+            r, s, k = ma.unflat(c)
+            cols[(i, j, r, s)][k][q] = x
+    cols = {key: [tuple(v) for v in cs] for key, cs in cols.items()}
     of_unit = {key: tuple(sum((u * cs[k][q] for k, u in unit), ZERO) for q in range(md))
                for key, cs in cols.items()}
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
                       basis_vec, catalog, certify,
@@ -223,8 +223,8 @@ def test_leibniz_failures_stop_early():
 
 def test_derivation_requires_linmap_shapes():
     a, m = catalog("dual_numbers")
-    wrong = LinearMap(Matrix.zeros(3, 2))
-    failures = leibniz_failures(a, m, LinearMap(Matrix.zeros(2, 2)))
+    wrong = LinearMap(Matrix.from_triples(3, 2, ()))
+    failures = leibniz_failures(a, m, LinearMap(Matrix.from_triples(2, 2, ())))
     assert failures == []
     with pytest.raises(ValueError):
         certify(a, m, wrong)
@@ -256,7 +256,7 @@ def test_linear_combinations_of_derivations(pairs, derspaces):
     a, m = pairs("full_matrix_2")
     ds = derspaces("full_matrix_2")
     for trial in range(5):
-        lin = LinearMap(Matrix.zeros(m.dim, a.dim))
+        lin = LinearMap(Matrix.from_triples(m.dim, a.dim, ()))
         for d in ds.basis:
             lin = lin + d.linmap.scale(F(rng.randint(-4, 4)))
         assert not leibniz_failures(a, m, lin)
@@ -552,7 +552,9 @@ def _rebased_pairs(draw, a, m):
 
 
 @pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
-@settings(max_examples=4)
+# no shrink phase: each shrink step rebuilds derivation spaces, so a
+# failing example is reported as drawn, in seconds
+@settings(max_examples=4, phases=(Phase.explicit, Phase.generate))
 @given(data=st.data())
 def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpairs):
     a, m = data.draw(_rebased_pairs(*_kernel_pair(name, n, pairs, mpairs)))

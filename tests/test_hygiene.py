@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the standard library's ast: no
 module imports a name it never reads, no private module-level function, class
 or constant is left that no module reads, no public export is left that no
-module, test or bench file reads, and the dense forms kept for callers outside
-the package are read only where named."""
+module, test or bench file reads, the dense forms kept for callers outside
+the package are read only where named, and no class fills attributes on
+demand through __getattr__."""
 
 import ast
 from pathlib import Path
@@ -80,7 +81,7 @@ def test_every_export_is_read_outside_the_package_init():
 # Matrix.entries, Algebra.mult and Matrix.from_rows stay for callers outside
 # the package; inside it, maps and subspaces are read through their nonzeros.
 DENSE_READS = {
-    "entries": {("exactlin.py", "Matrix"), ("matext.py", "verify_lemma22")},
+    "entries": {("exactlin.py", "Matrix")},
     "mult": set(),
     "from_rows": set(),
 }
@@ -95,4 +96,13 @@ def test_dense_forms_are_read_only_where_named():
                 if (isinstance(node, ast.Attribute) and node.attr in DENSE_READS
                         and (fname, owner) not in DENSE_READS[node.attr]):
                     bad.append(f"{fname}: {owner} reads .{node.attr}")
+    assert bad == []
+
+
+def test_no_class_defines_getattr():
+    """A stored form is its fields: no class fills a second form on demand."""
+    bad = [f"{fname}: {node.name}" for fname, tree in _trees().items()
+           for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+           for item in node.body
+           if isinstance(item, ast.FunctionDef) and item.name == "__getattr__"]
     assert bad == []

@@ -156,7 +156,7 @@ def test_lift_acts_entrywise(mpairs, derspaces):
 
 def test_lift_requires_certified(mpairs):
     ma, mm = mpairs("dual_numbers", 2)
-    fake = Derivation(LinearMap(Matrix.zeros(2, 2)), certified=False)
+    fake = Derivation(LinearMap(Matrix.from_triples(2, 2, ())), certified=False)
     with pytest.raises(ValueError):
         lift(fake, ma, mm)
 
@@ -351,7 +351,7 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
     outcomes = set()
     for seed in range(8):
         rng = random.Random(f"recompose:{name}:{n}:{seed}")
-        delta = LinearMap(Matrix.zeros(m.dim, a.dim))
+        delta = LinearMap(Matrix.from_triples(m.dim, a.dim, ()))
         for b in derspaces(name).basis:
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3), rng.choice((1, 5))))
         delta = certify(a, m, delta)
@@ -373,7 +373,8 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
             assert got.entries == _fraction_lincomb(t, dim, dim)
             assert all(x for row in got.nonzeros for _, x in row)
     assert outcomes == {True, False}
-    for wrong in (Matrix.zeros(dim, dim - 1), Matrix.zeros(dim + 1, dim)):
+    for wrong in (Matrix.from_triples(dim, dim - 1, ()),
+                  Matrix.from_triples(dim + 1, dim, ())):
         for c in (1, 0):
             with pytest.raises(ValueError, match="shape mismatch"):
                 lincomb(((1, D), (c, wrong)), dim, dim)
@@ -381,7 +382,7 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
 
 def test_decompose_rejects_uncertified(mpairs):
     ma, mm = mpairs("field", 2)
-    fake = Derivation(LinearMap(Matrix.zeros(4, 4)), certified=False)
+    fake = Derivation(LinearMap(Matrix.from_triples(4, 4, ())), certified=False)
     with pytest.raises(ValueError):
         decompose(fake, ma, mm)
 
@@ -397,6 +398,11 @@ def test_lemma22_passes_for_derivations(mpairs):
         report = verify_lemma22(d, ma, mm)
         assert report.passed
         assert [r.name for r in report.results] == ["i", "ii", "iii", "iv", "v"]
+    # a map shaped for another pair is rejected, not read in part
+    for rows, cols in ((9, 9), (6, 6), (8, 7)):
+        wrong = Derivation(LinearMap(Matrix.from_triples(rows, cols, ())), certified=True)
+        with pytest.raises(ValueError, match="shape does not match"):
+            verify_lemma22(wrong, ma, mm)
 
 
 def test_lemma22_forged_transpose_fails(mpairs):
@@ -504,7 +510,7 @@ def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
     dim = ma.algebra.dim
     for seed, identity in enumerate((None, "i", "ii", "iii", "iv", "v") * 2):
         rng = random.Random(f"lemma22:{name}:{n}:{seed}")
-        delta = LinearMap(Matrix.zeros(m.dim, a.dim))
+        delta = LinearMap(Matrix.from_triples(m.dim, a.dim, ()))
         for b in derspaces(name).basis:
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3)))
         w = rand_elt(rng, mm.bimodule.dim)

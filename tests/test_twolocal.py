@@ -62,7 +62,7 @@ def test_wrap_derivation_logs_queries():
 
 
 def test_wrap_requires_certified():
-    fake = Derivation(LinearMap(Matrix.zeros(4, 4)), certified=False)
+    fake = Derivation(LinearMap(Matrix.from_triples(4, 4, ())), certified=False)
     with pytest.raises(ValueError):
         wrap_derivation(fake)
 
@@ -138,7 +138,7 @@ def test_pair_witness_interpolates_random(mpairs, derspaces):
     sp = derspaces("dual_numbers", 2)
     for trial in range(10):
         coeffs = [F(rng.randint(-4, 4)) for _ in sp.basis]
-        lin = LinearMap(Matrix.zeros(mm.bimodule.dim, ma.algebra.dim))
+        lin = LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, ()))
         for c, b in zip(coeffs, sp.basis):
             lin = lin + b.linmap.scale(c)
         d = Derivation(lin, certified=True)
@@ -236,6 +236,33 @@ def test_evaluation_kernel_is_lift_line(mpairs, derspaces):
     assert ker.basis[0] == (F(0), F(1), F(0), F(0), F(0), F(0), F(1))
     combined = sp.basis[1].linmap + sp.basis[6].linmap
     assert combined.matrix == dlift.matrix
+
+
+# the five fixed catalog algebras, and a direct sum whose Der is nonzero
+_BLIND_SPOT_NAMES = ("field", "dual_numbers", "group_algebra_C2", "full_matrix_2",
+                     "upper_triangular_2", "direct_sum(dual_numbers,field)")
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", _BLIND_SPOT_NAMES)
+def test_evaluation_kernel_is_the_lifted_base_space(name, n, mpairs, derspaces):
+    """The two-query blind spot in closed form: the derivations of the
+    matrix pair that vanish at both S and T are exactly lift(Der(A, M)),
+    compared as canonical flattened subspaces."""
+    ma, mm = mpairs(name, n)
+    sp = derspaces(name, n)
+    s, t = canonical_S_T(ma)
+    rows = tuple(zip(*(b.apply(s) + b.apply(t) for b in sp.basis)))
+    ker = nullspace(Matrix(2 * mm.bimodule.dim, sp.dim, rows))
+    flat = [b.linmap.flatten() for b in sp.basis]
+    width = mm.bimodule.dim * ma.algebra.dim
+    blind = Subspace.from_span([tuple(sum((c * f[i] for c, f in zip(v, flat)), F(0))
+                                      for i in range(width)) for v in ker.basis], width)
+    base = derspaces(name)
+    lifted = Subspace.from_span([lift(delta, ma, mm).linmap.flatten()
+                                 for delta in base.basis], width)
+    assert blind == lifted
+    assert blind.dim == base.dim
 
 
 def test_reconstruct_raises_not_two_local(mpairs, derspaces):
