@@ -9,7 +9,6 @@ reconstructed from two canonical queries and verified on seeded samples.
 
 from .exactlin import (
     ONE,
-    RrefResult,
     Subspace,
     Vector,
     ZERO,
@@ -19,7 +18,6 @@ from .exactlin import (
     nullspace,
     nullspace_sparse,
     quotient_dim,
-    rref,
     same_space,
     solve,
     vadd,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence
 
 from .algcore import Algebra, Bimodule
@@ -91,16 +91,25 @@ class Derivation:
         return self.linmap.matrix
 
 
+def _check_derivation(d: Derivation, algebra_dim: int, module_dim: int, what: str) -> None:
+    """The guard of every function that takes a derivation: d must be
+    certified and shaped algebra_dim -> module_dim, the pair of what."""
+    if not d.certified:
+        raise ValueError(f"{what} requires a certified derivation")
+    if (d.linmap.algebra_dim, d.linmap.module_dim) != (algebra_dim, module_dim):
+        raise ValueError(f"derivation shape does not match the pair of {what}")
+
+
 def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
                      stop_early: bool = True) -> list[tuple[int, int]]:
     """Basis pairs (i, j) where delta(e_i e_j) != delta(e_i).e_j + e_i.delta(e_j),
     in lexicographic order (only the first one when stop_early).
 
     Only the nonzero entries of f are read: they are scaled to integers by
-    the lcm of their denominators and kept as sparse columns and rows.  The
-    residual is checked scaled by lcm(L_a, L_m) = L_a*L_m/g: the table view
-    meets the map times L_m/g and the action views meet it times L_a/g.
-    The residuals of a row i are summed in one dict keyed by j*md + q, for
+    the lcm of their denominators (exactlin._scaled) and kept as sparse
+    columns and rows.  The residual is checked scaled by lcm(L_a, L_m) =
+    L_a*L_m/g: the table view meets the map times L_m/g and the action views
+    meet it times L_a/g.  The residuals of a row i are summed in one dict keyed by j*md + q, for
     the pair (i, j) and module coordinate q, over the nonzero products only:
     the products e_i e_j that name a nonzero column k of f (found through
     Algebra.int_producers) against that column, the nonzeros p of column i
@@ -113,14 +122,12 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
     la = a.int_table[0]
     lm, left, right = m.int_tables
     nz = [(p, k, x) for p, row in enumerate(f.matrix.nonzeros) for k, x in row]
-    den = lcm(*[x.denominator for _, _, x in nz])
     g = gcd(la, lm)
     at_t, at_m = lm // g, la // g                   # table and action scales
     cols_t: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     cols_m: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     rows_m: list[list[tuple[int, int]]] = [[] for _ in range(md)]
-    for p, k, x in nz:
-        v = x.numerator * (den // x.denominator)
+    for (p, k, _), v in zip(nz, _scaled([x for _, _, x in nz])[1]):
         cols_t[k].append((p, at_t * v))
         cols_m[k].append((p, at_m * v))
         rows_m[p].append((k * md, at_m * v))
@@ -390,10 +397,7 @@ def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
 def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:
     """A witness w with d = delta_w (free coordinates zero), or None: each
     row of _inner_rows gets d's flattened coordinate times L_m as right side."""
-    if not d.certified:
-        raise ValueError("is_inner requires a certified derivation")
-    if d.linmap.algebra_dim != a.dim or d.linmap.module_dim != m.dim:
-        raise ValueError("derivation shape does not match the pair")
+    _check_derivation(d, a.dim, m.dim, "is_inner")
     md, lm = m.dim, m.int_tables[0]
     flat = {k * md + p: lm * x for p, row in enumerate(d.matrix.nonzeros) for k, x in row}
     return _solve_augmented((_primitive_pairs([*row.items(), (md, flat.get(t, 0))])

@@ -19,11 +19,12 @@ as a rule canonical keys (_primitive_pairs: rows equal up to a nonzero scale
 have the same key), splits them into components of columns that share a
 row, reduces each component on its own and divides back to fractions at the
 end.  Rows of different components have disjoint supports, so the result is
-the unique RREF of the whole system.  nullspace_sparse takes integer rows as
-they are; the other entry points build them from Fractions.  Matrix-vector
-products and linear combinations of matrices read each row scaled to
-integers (_int_rows, built once per matrix) and reduce each output entry
-once.
+the unique RREF of the whole system; Subspace.from_span returns it (reduced
+rows as nonzeros, pivots as pivot_cols, rank as dim).  nullspace_sparse
+takes integer rows as they are; the other entry points build them from
+Fractions.  Matrix-vector products and linear combinations of matrices read
+each row scaled to integers (_int_rows, built once per matrix) and reduce
+each output entry once.
 """
 
 from __future__ import annotations
@@ -344,21 +345,6 @@ def _echelonize(rows: Iterable[SparseRow], width: int) -> list[PivotRow]:
 # ---------------------------------------------------------------------------
 # public elimination API
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: Matrix
-    pivots: tuple[int, ...]
-    rank: int
-
-
-def rref(m: Matrix) -> RrefResult:
-    """The unique reduced row echelon form of m, with pivot columns and rank."""
-    piv = _echelonize(map(_primitive_pairs, m.nonzeros), m.cols)
-    reduced = Matrix.from_triples(m.rows, m.cols, ((i, c, x) for i, (_, r) in enumerate(piv)
-                                                    for c, x in r))
-    return RrefResult(reduced, tuple(c for c, _ in piv), len(piv))
-
 
 def _nullspace_core(pivot_rows: list[PivotRow], width: int) -> "Subspace":
     """The free-variable basis of the solutions of the given RREF rows: the

@@ -14,7 +14,9 @@ derivation to act entrywise, extracting component maps (i,j|r,s) of a
 derivation of the matrix pair, splitting such a derivation into an inner part
 plus a lifted base derivation (checked on the two parts it returns),
 checking the standard component identities, and the reblocking isomorphism
-M_{rk}(A) ~ M_r(M_k(A)).
+M_{rk}(A) ~ M_r(M_k(A)).  decompose reads both its witness B and delta
+through component.  Every function that takes a derivation checks it
+through dercalc._check_derivation: certified, and shaped for its own pair.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algcore import Algebra, Bimodule, Table, act, regular_bimodule
-from .dercalc import Derivation, LinearMap, certify, inner_derivation
+from .dercalc import Derivation, LinearMap, _check_derivation, certify, inner_derivation
 from .exactlin import Matrix, Vector, ZERO, _nonzeros, basis_vec, lincomb, vadd, vsub
 
 
@@ -162,11 +164,7 @@ def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixB
 
 def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation:
     """Entrywise extension: (a_ij) -> (delta(a_ij)) on the matrix pair."""
-    if not delta.certified:
-        raise ValueError("lift requires a certified derivation")
-    if (delta.linmap.algebra_dim != ma.base.dim
-            or delta.linmap.module_dim != mm.base.dim):
-        raise ValueError("derivation shape does not match the base pair")
+    _check_derivation(delta, ma.base.dim, mm.base.dim, "lift")
     if ma.n != mm.n:
         raise ValueError("matrix sizes differ")
     d, md, small = ma.base.dim, mm.base.dim, delta.matrix.nonzeros
@@ -180,8 +178,7 @@ def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation
 def component(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
               i: int, j: int, r: int, s: int) -> LinearMap:
     """The base-pair map a -> [D(a x E_rs)]_(i,j)."""
-    if not D.certified:
-        raise ValueError("component requires a certified derivation")
+    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "component")
     ma._check_block(i, j)
     ma._check_block(r, s)
     d, md = ma.base.dim, mm.base.dim
@@ -205,34 +202,24 @@ class Decomposition:
 
 def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
     """Split a derivation of the matrix pair as inner-by-B plus a lifted base
-    derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0); delta is the
-    (0,0|0,0) component.  The recomposition D - inner_part - lifted_part = 0
-    is checked exactly on the returned parts (exactlin.lincomb, in integers
-    over the nonzero entries), and a failure raises DecompositionError."""
-    if not D.certified:
-        raise ValueError("decompose requires a certified derivation")
-    if (D.linmap.algebra_dim != ma.algebra.dim
-            or D.linmap.module_dim != mm.bimodule.dim):
-        raise ValueError("derivation shape does not match the matrix pair")
-    n = ma.n
-    witness = [ZERO] * mm.bimodule.dim
-    for j in range(n):
-        image = D.apply(ma.embed(ma.base.unit, j, 0))
-        for i in range(n):
-            block = mm.entry(image, i, 0)
-            off = (i * n + j) * mm.base.dim
-            for p, c in enumerate(block):
-                witness[off + p] = c
-    witness_v = tuple(witness)
+    derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0), the (i,0|j,0)
+    component at the unit; delta is the (0,0|0,0) component.  The
+    recomposition D - inner_part - lifted_part = 0 is checked exactly on the
+    returned parts (exactlin.lincomb, in integers over the nonzero entries),
+    and a failure raises DecompositionError."""
+    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "decompose")
+    n, unit = ma.n, ma.base.unit
+    witness = tuple(x for i in range(n) for j in range(n)
+                    for x in component(D, ma, mm, i, 0, j, 0).apply(unit))
     delta = certify(ma.base, mm.base, component(D, ma, mm, 0, 0, 0, 0))
-    inner_part = inner_derivation(ma.algebra, mm.bimodule, witness_v)
+    inner_part = inner_derivation(ma.algebra, mm.bimodule, witness)
     lifted_part = lift(delta, ma, mm)
     residual = lincomb(((1, D.matrix), (-1, inner_part.matrix), (-1, lifted_part.matrix)),
                        mm.bimodule.dim, ma.algebra.dim)
     if not residual.is_zero():
         raise DecompositionError(
             "recomposition failed: inner part plus lifted part != D")
-    return Decomposition(witness_v, delta, inner_part, lifted_part)
+    return Decomposition(witness, delta, inner_part, lifted_part)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +245,7 @@ class Lemma22Report:
 def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemma22Report:
     """Check the five standard component identities of a derivation on the
     matrix pair; each result carries the first offending index tuple."""
-    if not D.certified:
-        raise ValueError("verify_lemma22 requires a certified derivation")
-    if (D.linmap.algebra_dim != ma.algebra.dim
-            or D.linmap.module_dim != mm.bimodule.dim):
-        raise ValueError("derivation shape does not match the matrix pair")
+    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "verify_lemma22")
     n, d, md = ma.n, ma.base.dim, mm.base.dim
     base_m = mm.base
     N, K = range(n), range(d)
@@ -388,11 +371,8 @@ def reblock_iso(a: Algebra, r: int, k: int) -> ReblockIso:
 def transport_derivation(iso: ReblockIso, D: Derivation) -> Derivation:
     """Conjugate a derivation of the source regular pair by the reblocking
     permutation; returns a certified derivation of the target regular pair."""
-    if not D.certified:
-        raise ValueError("transport requires a certified derivation")
     dim = iso.source.algebra.dim
-    if D.linmap.algebra_dim != dim or D.linmap.module_dim != dim:
-        raise ValueError("derivation is not on the source regular pair")
+    _check_derivation(D, dim, dim, "transport_derivation")
     big = D.matrix.nonzeros
     moved = Matrix.from_triples(dim, dim, ((u, c, x) for u in range(dim) for c, x in sorted(
         [(iso.forward[v], x) for v, x in big[iso.backward[u]]])))

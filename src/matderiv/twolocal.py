@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .algcore import Algebra, Bimodule, act, multiply
-from .dercalc import Derivation, DerivationSpace, LinearMap
+from .dercalc import Derivation, DerivationSpace, LinearMap, _check_derivation
 from .exactlin import (Matrix, Vector, _nonzeros, basis_vec, lincomb, solve, vadd, vscale,
                        zero_vec)
 from .matext import MatrixAlgebra, MatrixBimodule
@@ -59,8 +59,7 @@ class TwoLocalOracle:
 
 def wrap_derivation(d: Derivation, label: str = "") -> TwoLocalOracle:
     """Honest oracle: evaluates the derivation itself."""
-    if not d.certified:
-        raise ValueError("wrap_derivation requires a certified derivation")
+    _check_derivation(d, d.linmap.algebra_dim, d.linmap.module_dim, "wrap_derivation")
     return TwoLocalOracle(d.apply, label or "wrapped derivation")
 
 
@@ -76,8 +75,7 @@ def perturbed_oracle(d: Derivation, kind: str, ma: MatrixAlgebra,
     - quadratic_block: adds t^2 into the (1,2) block of the output;
     - sign_flip_offdiag: negates the whole output when t < 0.
     """
-    if not d.certified:
-        raise ValueError("perturbed_oracle requires a certified derivation")
+    _check_derivation(d, ma.algebra.dim, mm.bimodule.dim, "perturbed_oracle")
     t_col = ma.flat(0, 1, 0)
     if kind == "quadratic_block":
         out_pos = mm.flat(0, 1, 0)

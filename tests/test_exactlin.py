@@ -11,8 +11,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from matderiv import (Matrix, RrefResult, Subspace, basis_vec,
-                      member, nullspace, nullspace_sparse, quotient_dim, rref,
+from matderiv import (Matrix, Subspace, basis_vec,
+                      member, nullspace, nullspace_sparse, quotient_dim,
                       same_space, solve, vadd, vscale, vsub, zero_vec)
 from matderiv.exactlin import _nonzeros, _primitive_pairs
 from oracles import gauss_rank
@@ -62,11 +62,10 @@ def test_member_outside():
 
 def test_rref_known():
     # [[2,4],[1,2]] reduces to [[1,2],[0,0]] with pivot column 0
-    r = rref(mat([[2, 4], [1, 2]]))
-    assert r.pivots == (0,)
-    assert r.rank == 1
-    assert r.reduced.entries[0] == (F(1), F(2))
-    assert not any(r.reduced.entries[1])
+    r = Subspace.from_span(mat([[2, 4], [1, 2]]).entries, 2)
+    assert r.pivot_cols == (0,)
+    assert r.dim == 1
+    assert r.basis == ((F(1), F(2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +76,15 @@ def test_rref_properties_random():
     rng = random.Random(42)
     for trial in range(60):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        r = rref(m)
+        r = Subspace.from_span(m.entries, m.cols)
         # pivots strictly increase and land on unit columns
-        assert list(r.pivots) == sorted(set(r.pivots))
-        for row_idx, col in enumerate(r.pivots):
-            assert tuple(zip(*r.reduced.entries))[col] == basis_vec(m.rows, row_idx)
+        assert list(r.pivot_cols) == sorted(set(r.pivot_cols))
+        for row_idx, col in enumerate(r.pivot_cols):
+            assert tuple(zip(*r.basis))[col] == basis_vec(r.dim, row_idx)
         # idempotence: reducing the reduction changes nothing
-        again = rref(r.reduced)
-        assert again.reduced.entries == r.reduced.entries
-        assert again.pivots == r.pivots
+        assert Subspace.from_span(r.basis, m.cols) == r
         # rank agrees with the independent elimination
-        assert r.rank == gauss_rank([list(row) for row in m.entries])
+        assert r.dim == gauss_rank([list(row) for row in m.entries])
 
 
 def test_rank_nullity_random():
@@ -95,7 +92,7 @@ def test_rank_nullity_random():
     for trial in range(60):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         ns = nullspace(m)
-        assert rref(m).rank + ns.dim == m.cols
+        assert Subspace.from_span(m.entries, m.cols).dim + ns.dim == m.cols
         for v in ns.basis:
             assert not any(m.mul_vec(v)), f"trial {trial}: Av != 0"
 
@@ -181,7 +178,8 @@ def test_subspace_canonical_shape_enforced():
 def test_degenerate_shapes():
     z = Matrix.from_triples(3, 3, ())
     assert nullspace(z).dim == 3
-    assert rref(Matrix.from_triples(4, 4, ((i, i, F(1)) for i in range(4)))).rank == 4
+    eye = Matrix.from_triples(4, 4, ((i, i, F(1)) for i in range(4)))
+    assert Subspace.from_span(eye.entries, 4).dim == 4
     # zero-width system: empty solution vector, any nonzero rhs infeasible
     empty = Matrix(2, 0, ((), ()))
     assert solve(empty, (F(0), F(0))) == ()
@@ -346,12 +344,6 @@ def _ref_nullspace_sparse(rows, width):
         *_ref_echelonize([_ref_int_row(r) for r in dense], width), width)
 
 
-def _ref_rref(m):
-    frac_rows, cols = _ref_echelonize([_ref_int_row(r) for r in m.entries], m.cols)
-    padded = frac_rows + [zero_vec(m.cols)] * (m.rows - len(frac_rows))
-    return RrefResult(Matrix(m.rows, m.cols, tuple(padded)), tuple(cols), len(cols))
-
-
 def _ref_solve(m, b):
     aug = [_ref_int_row(tuple(r) + (F(bv),)) for r, bv in zip(m.entries, b)]
     frac_rows, cols = _ref_echelonize(aug, m.cols + 1)
@@ -447,10 +439,9 @@ def test_split_kernel_matches_unsplit_reference(case):
     # rows taken as they are, not renormalised, give the same unique RREF
     assert nullspace_sparse(map(_int_keys, rows), width) == got
     assert nullspace(m) == _ref_nullspace(m)
-    r = rref(m)
-    assert r == _ref_rref(m)
-    assert all(type(c) is F for row in r.reduced.entries for c in row)
-    assert Subspace.from_span(m.entries, width) == _ref_from_span(m.entries, width)
+    span = Subspace.from_span(m.entries, width)
+    assert span == _ref_from_span(m.entries, width)
+    assert all(type(c) is F for v in span.basis for c in v)
     consistent = m.mul_vec(x)
     assert solve(m, consistent) == _ref_solve(m, consistent) is not None
     assert solve(m, b) == _ref_solve(m, b)

@@ -10,12 +10,12 @@ import pytest
 from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       IdentityResult, LinearMap, Matrix, act, basis_vec,
                       catalog, certify, decompose,
-                      derivation_space, inner_derivation, lift,
+                      derivation_space, inner_derivation, is_inner, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
-                      multiply, reblock_iso, regular_bimodule, Subspace,
-                      transport_derivation,
+                      multiply, perturbed_oracle, reblock_iso, regular_bimodule,
+                      Subspace, transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
-                      vscale, vsub, zero_vec)
+                      vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
 from conftest import CATALOG, swap_outer, table_triples
 
@@ -385,6 +385,42 @@ def test_decompose_rejects_uncertified(mpairs):
     fake = Derivation(LinearMap(Matrix.from_triples(4, 4, ())), certified=False)
     with pytest.raises(ValueError):
         decompose(fake, ma, mm)
+
+
+# every function that takes a derivation: (call on a matrix pair, the
+# (algebra_dim, module_dim) of the pair it checks the derivation against)
+GUARDED = {
+    "is_inner": (lambda D, ma, mm: is_inner(ma.algebra, mm.bimodule, D),
+                 lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+    "lift": (lift, lambda ma, mm: (ma.base.dim, mm.base.dim)),
+    "component": (lambda D, ma, mm: component(D, ma, mm, 0, 1, 1, 0),
+                  lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+    "decompose": (decompose, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+    "verify_lemma22": (verify_lemma22, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+    "transport_derivation": (
+        lambda D, ma, mm: transport_derivation(reblock_iso(ma.base, 2, 2), D),
+        lambda ma, mm: (16 * ma.base.dim,) * 2),
+    "perturbed_oracle": (lambda D, ma, mm: perturbed_oracle(D, "quadratic_block", ma, mm),
+                         lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+    "wrap_derivation": (lambda D, ma, mm: wrap_derivation(D),
+                        lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_every_derivation_argument_is_guarded(name, mpairs, derspaces):
+    call, dims = GUARDED[name]
+    ma2, mm2 = mpairs("dual_numbers", 2)
+    ad, md = dims(ma2, mm2)
+    fake = Derivation(LinearMap(Matrix.from_triples(md, ad, ())), certified=False)
+    with pytest.raises(ValueError, match="requires a certified derivation"):
+        call(fake, ma2, mm2)
+    if name == "wrap_derivation":           # no pair to check the shape against
+        return
+    # a certified derivation of M_2(dual_numbers) against the M_3 pair
+    ma3, mm3 = mpairs("dual_numbers", 3)
+    with pytest.raises(ValueError, match="shape does not match"):
+        call(derspaces("dual_numbers", 2).basis[0], ma3, mm3)
 
 
 # ---------------------------------------------------------------------------
