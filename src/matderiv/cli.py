@@ -259,9 +259,9 @@ def _certified_map(lin: LinearMap, a: Algebra, m: Bimodule,
                    out: TextIO, bypass: bool = False) -> Derivation | None:
     """Certify a loaded map on the pair (a, m); on Leibniz failure print the
     failing pair and return None (exit 1 at the caller).  With bypass=True
-    the map is wrapped unchecked (negative-control door)."""
+    the map is wrapped on (a, m) unchecked (negative-control door)."""
     if bypass:
-        return Derivation(lin, certified=True)
+        return Derivation(lin, a, m)
     try:
         return certify(a, m, lin)
     except ValueError as exc:

@@ -20,7 +20,7 @@ products of the map, and the inner space spans sparse columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
@@ -76,12 +76,18 @@ def _unflatten_nonzeros(flat: Nonzeros, module_dim: int, algebra_dim: int) -> Li
 
 @dataclass(frozen=True)
 class Derivation:
-    """A Leibniz-certified linear map.  certify() is the honest constructor;
-    building one directly with certified=True bypasses the check (tests use
-    that to forge negative controls)."""
+    """A linear map and the pair (algebra, bimodule) it was certified on.
+    certify() is the honest constructor; a direct call, the door of negative
+    controls, skips the Leibniz check but not the shape check.  == compares
+    the pair; hash leaves it out, as hashing its tables takes ms at M_8."""
 
     linmap: LinearMap
-    certified: bool = False
+    algebra: Algebra = field(hash=False)
+    bimodule: Bimodule = field(hash=False)
+
+    def __post_init__(self):
+        if (self.matrix.cols, self.matrix.rows) != (self.algebra.dim, self.bimodule.dim):
+            raise ValueError("map shape does not match the algebra/bimodule pair")
 
     def apply(self, x: Sequence[Fraction]) -> Vector:
         return self.linmap.apply(x)
@@ -91,13 +97,11 @@ class Derivation:
         return self.linmap.matrix
 
 
-def _check_derivation(d: Derivation, algebra_dim: int, module_dim: int, what: str) -> None:
-    """The guard of every function that takes a derivation: d must be
-    certified and shaped algebra_dim -> module_dim, the pair of what."""
-    if not d.certified:
-        raise ValueError(f"{what} requires a certified derivation")
-    if (d.linmap.algebra_dim, d.linmap.module_dim) != (algebra_dim, module_dim):
-        raise ValueError(f"derivation shape does not match the pair of {what}")
+def _check_derivation(d: Derivation, a: Algebra, m: Bimodule, what: str) -> None:
+    """The guard of every function that takes a derivation of a given pair:
+    d must have been certified on (a, m), the pair of what."""
+    if (d.algebra, d.bimodule) != (a, m):
+        raise ValueError(f"{what} requires a derivation certified on its pair")
 
 
 def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
@@ -173,7 +177,7 @@ def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
     if bad:
         i, j = bad[0]
         raise ValueError(f"map violates the Leibniz rule at basis pair ({i},{j})")
-    return Derivation(f, certified=True)
+    return Derivation(f, a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivati
     s = lm * den
     return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, (
         (q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items() if x))),
-        certified=True)
+        a, m)
 
 
 def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
@@ -394,14 +398,13 @@ def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
                       nullspace_sparse((_canonical(sorted(r.items())) for r in rows), m.dim))
 
 
-def is_inner(a: Algebra, m: Bimodule, d: Derivation) -> Vector | None:
-    """A witness w with d = delta_w (free coordinates zero), or None: each
-    row of _inner_rows gets d's flattened coordinate times L_m as right side."""
-    _check_derivation(d, a.dim, m.dim, "is_inner")
-    md, lm = m.dim, m.int_tables[0]
+def is_inner(d: Derivation) -> Vector | None:
+    """A witness w with d = delta_w on d's own pair (free coordinates zero), or
+    None: each row of _inner_rows gets d's flattened coordinate times L_m as right side."""
+    md, lm = d.bimodule.dim, d.bimodule.int_tables[0]
     flat = {k * md + p: lm * x for p, row in enumerate(d.matrix.nonzeros) for k, x in row}
     return _solve_augmented((_primitive_pairs([*row.items(), (md, flat.get(t, 0))])
-                             for t, row in enumerate(_inner_rows(m))), md)
+                             for t, row in enumerate(_inner_rows(d.bimodule))), md)
 
 
 def h1_dim(a: Algebra, m: Bimodule) -> int:

@@ -16,7 +16,7 @@ plus a lifted base derivation (checked on the two parts it returns),
 checking the standard component identities, and the reblocking isomorphism
 M_{rk}(A) ~ M_r(M_k(A)).  decompose reads both its witness B and delta
 through component.  Every function that takes a derivation checks it
-through dercalc._check_derivation: certified, and shaped for its own pair.
+through dercalc._check_derivation: certified on its own pair.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixB
 
 def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation:
     """Entrywise extension: (a_ij) -> (delta(a_ij)) on the matrix pair."""
-    _check_derivation(delta, ma.base.dim, mm.base.dim, "lift")
+    _check_derivation(delta, ma.base, mm.base, "lift")
     if ma.n != mm.n:
         raise ValueError("matrix sizes differ")
     d, md, small = ma.base.dim, mm.base.dim, delta.matrix.nonzeros
@@ -178,7 +178,7 @@ def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation
 def component(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
               i: int, j: int, r: int, s: int) -> LinearMap:
     """The base-pair map a -> [D(a x E_rs)]_(i,j)."""
-    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "component")
+    _check_derivation(D, ma.algebra, mm.bimodule, "component")
     ma._check_block(i, j)
     ma._check_block(r, s)
     d, md = ma.base.dim, mm.base.dim
@@ -207,7 +207,7 @@ def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposi
     recomposition D - inner_part - lifted_part = 0 is checked exactly on the
     returned parts (exactlin.lincomb, in integers over the nonzero entries),
     and a failure raises DecompositionError."""
-    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "decompose")
+    _check_derivation(D, ma.algebra, mm.bimodule, "decompose")
     n, unit = ma.n, ma.base.unit
     witness = tuple(x for i in range(n) for j in range(n)
                     for x in component(D, ma, mm, i, 0, j, 0).apply(unit))
@@ -245,7 +245,7 @@ class Lemma22Report:
 def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemma22Report:
     """Check the five standard component identities of a derivation on the
     matrix pair; each result carries the first offending index tuple."""
-    _check_derivation(D, ma.algebra.dim, mm.bimodule.dim, "verify_lemma22")
+    _check_derivation(D, ma.algebra, mm.bimodule, "verify_lemma22")
     n, d, md = ma.n, ma.base.dim, mm.base.dim
     base_m = mm.base
     N, K = range(n), range(d)
@@ -325,22 +325,21 @@ class ReblockIso:
     backward: tuple[int, ...]
 
     def apply(self, x: Sequence[Fraction]) -> Vector:
-        if len(x) != self.source.algebra.dim:
-            raise ValueError("element length does not match source algebra")
-        out = [ZERO] * self.target.algebra.dim
-        for t, c in enumerate(x):
-            if c:
-                out[self.forward[t]] = c
-        return tuple(out)
+        return _permute(x, self.forward, "element length does not match source algebra")
 
     def inverse(self, y: Sequence[Fraction]) -> Vector:
-        if len(y) != self.target.algebra.dim:
-            raise ValueError("element length does not match target algebra")
-        out = [ZERO] * self.source.algebra.dim
-        for t, c in enumerate(y):
-            if c:
-                out[self.backward[t]] = c
-        return tuple(out)
+        return _permute(y, self.backward, "element length does not match target algebra")
+
+
+def _permute(x: Sequence[Fraction], perm: tuple[int, ...], error: str) -> Vector:
+    """x with coordinate t moved to perm[t]; both spaces have dimension len(perm)."""
+    if len(x) != len(perm):
+        raise ValueError(error)
+    out = [ZERO] * len(perm)
+    for t, c in enumerate(x):
+        if c:
+            out[perm[t]] = c
+    return tuple(out)
 
 
 def reblock_iso(a: Algebra, r: int, k: int) -> ReblockIso:
@@ -371,10 +370,9 @@ def reblock_iso(a: Algebra, r: int, k: int) -> ReblockIso:
 def transport_derivation(iso: ReblockIso, D: Derivation) -> Derivation:
     """Conjugate a derivation of the source regular pair by the reblocking
     permutation; returns a certified derivation of the target regular pair."""
-    dim = iso.source.algebra.dim
-    _check_derivation(D, dim, dim, "transport_derivation")
-    big = D.matrix.nonzeros
+    src, tgt = iso.source.algebra, iso.target.algebra
+    _check_derivation(D, src, regular_bimodule(src), "transport_derivation")
+    dim, big = src.dim, D.matrix.nonzeros
     moved = Matrix.from_triples(dim, dim, ((u, c, x) for u in range(dim) for c, x in sorted(
         [(iso.forward[v], x) for v, x in big[iso.backward[u]]])))
-    tgt = iso.target.algebra
     return certify(tgt, regular_bimodule(tgt), LinearMap(moved))

@@ -59,7 +59,6 @@ class TwoLocalOracle:
 
 def wrap_derivation(d: Derivation, label: str = "") -> TwoLocalOracle:
     """Honest oracle: evaluates the derivation itself."""
-    _check_derivation(d, d.linmap.algebra_dim, d.linmap.module_dim, "wrap_derivation")
     return TwoLocalOracle(d.apply, label or "wrapped derivation")
 
 
@@ -75,7 +74,7 @@ def perturbed_oracle(d: Derivation, kind: str, ma: MatrixAlgebra,
     - quadratic_block: adds t^2 into the (1,2) block of the output;
     - sign_flip_offdiag: negates the whole output when t < 0.
     """
-    _check_derivation(d, ma.algebra.dim, mm.bimodule.dim, "perturbed_oracle")
+    _check_derivation(d, ma.algebra, mm.bimodule, "perturbed_oracle")
     t_col = ma.flat(0, 1, 0)
     if kind == "quadratic_block":
         out_pos = mm.flat(0, 1, 0)
@@ -137,7 +136,7 @@ def pair_witness(space: DerivationSpace, x: Sequence[Fraction],
     lin = LinearMap(lincomb([(c, b.matrix) for c, b in zip(coeffs, space.basis) if c],
                             md, space.algebra.dim))
     # a linear combination of certified derivations is again a derivation
-    return WitnessReport(x, y, dx, dy, True, Derivation(lin, certified=True))
+    return WitnessReport(x, y, dx, dy, True, Derivation(lin, space.algebra, space.bimodule))
 
 
 def canonical_S_T(ma: MatrixAlgebra) -> tuple[Vector, Vector]:

@@ -126,7 +126,7 @@ def test_criterion_04_decompose_uniqueness(mpairs, derspaces):
                         for _ in range(mm.bimodule.dim))
         c = F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
         delta_prime = Derivation(base.basis[0].linmap.scale(c),
-                                 certified=True)
+                                 base.algebra, base.bimodule)
         part_inner = inner_derivation(ma.algebra, mm.bimodule, b_prime)
         part_lift = lift(delta_prime, ma, mm)
         D = certify(ma.algebra, mm.bimodule,
@@ -175,7 +175,7 @@ def test_criterion_06_component_identities(mpairs, derspaces):
     dim = ma.algebra.dim
     cols = [basis_vec(dim, ma.flat(j, i, k))
             for i in range(2) for j in range(2) for k in range(ma.base.dim)]
-    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), ma.algebra, mm.bimodule)
     report = verify_lemma22(forged, ma, mm)
     assert not report.passed
     outcomes = {r.name: r.counterexample for r in report.results

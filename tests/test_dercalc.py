@@ -62,7 +62,7 @@ def test_basis_certified_and_leibniz(name, pairs, derspaces):
     a, m = pairs(name)
     ds = derspaces(name)
     for d in ds.basis:
-        assert d.certified
+        assert (d.algebra, d.bimodule) == (a, m)
         assert not leibniz_failures(a, m, d.linmap)
         assert not any(d.apply(a.unit)), "derivations kill the unit"
 
@@ -111,7 +111,7 @@ def test_inner_derivation_frozen_full_matrix():
     # delta_{E11}: E12 -> E12, E21 -> -E21, diagonal units -> 0
     a, m = catalog("full_matrix_2")
     d = inner_derivation(a, m, basis_vec(4, 0))
-    assert d.certified
+    assert (d.algebra, d.bimodule) == (a, m)
     assert d.apply(basis_vec(4, 0)) == zero_vec(4)
     assert d.apply(basis_vec(4, 1)) == basis_vec(4, 1)
     assert d.apply(basis_vec(4, 2)) == vscale(F(-1), basis_vec(4, 2))
@@ -121,7 +121,7 @@ def test_inner_derivation_frozen_full_matrix():
 def test_is_inner_round_trip():
     a, m = catalog("full_matrix_2")
     d = inner_derivation(a, m, basis_vec(4, 0))
-    w = is_inner(a, m, d)
+    w = is_inner(d)
     assert w is not None
     # the witness regenerates the same operator (it may differ from E11 by
     # a central element)
@@ -129,13 +129,13 @@ def test_is_inner_round_trip():
 
     zero_d = inner_derivation(a, m, zero_vec(4))
     assert zero_d.matrix.is_zero()
-    assert is_inner(a, m, zero_d) == zero_vec(4)
+    assert is_inner(zero_d) == zero_vec(4)
 
 
 def test_is_inner_absent_for_dual_numbers():
     a, m = catalog("dual_numbers")
     ds = derivation_space(a, m)
-    assert is_inner(a, m, ds.basis[0]) is None, "commutative: no inner ones"
+    assert is_inner(ds.basis[0]) is None, "commutative: no inner ones"
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -154,7 +154,7 @@ def test_is_inner_round_trip_at_matrix_level(name, n, mpairs):
     ma, mm = mpairs(name, n)
     a, m = ma.algebra, mm.bimodule
     d = inner_derivation(a, m, rand_elt(random.Random(n), m.dim))
-    w = is_inner(a, m, d)
+    w = is_inner(d)
     assert w is not None
     assert inner_derivation(a, m, w).matrix == d.matrix
     # the witness with free coordinates zero of the dense system
@@ -166,10 +166,10 @@ def test_is_inner_rejects_the_lift_of_a_non_inner_derivation(n, mpairs, derspace
     ma, mm = mpairs("dual_numbers", n)
     a, m = ma.algebra, mm.bimodule
     lifted = lift(derspaces("dual_numbers").basis[0], ma, mm)
-    assert is_inner(a, m, lifted) is None
+    assert is_inner(lifted) is None
     w = rand_elt(random.Random(n), m.dim)
-    mixed = Derivation(lifted.linmap + inner_derivation(a, m, w).linmap, certified=True)
-    assert is_inner(a, m, mixed) is None
+    mixed = Derivation(lifted.linmap + inner_derivation(a, m, w).linmap, a, m)
+    assert is_inner(mixed) is None
 
 
 def test_inner_kernel_is_commutant():
@@ -189,15 +189,30 @@ def test_random_inner_derivations_live_in_space(pairs, derspaces):
         for trial in range(10):
             w = rand_elt(rng, m.dim)
             d = inner_derivation(a, m, w)
-            assert d.certified
+            assert (d.algebra, d.bimodule) == (a, m)
             assert member(ds.subspace, d.linmap.flatten())
+
+
+def test_derivation_carries_the_pair_it_was_certified_on(pairs):
+    # the zero map is a derivation of both 2-dimensional pairs: the same map,
+    # two derivations, told apart by == but hashed alike (the hash reads the
+    # map only)
+    dual, c2 = pairs("dual_numbers"), pairs("group_algebra_C2")
+    zero = LinearMap(Matrix.from_triples(2, 2, ()))
+    on_dual, on_c2 = certify(*dual, zero), certify(*c2, zero)
+    assert (on_dual.algebra, on_dual.bimodule) == dual
+    assert on_dual != on_c2 and hash(on_dual) == hash(on_c2)
+    assert on_dual == certify(*dual, zero) == Derivation(zero, *dual)
+    # no derivation, forged or certified, has a map shaped for another pair
+    with pytest.raises(ValueError, match="shape does not match"):
+        Derivation(LinearMap(Matrix.from_triples(2, 3, ())), *dual)
 
 
 def test_certify_accepts_and_rejects():
     a, m = catalog("full_matrix_2")
     d = inner_derivation(a, m, basis_vec(4, 1))
     again = certify(a, m, d.linmap)
-    assert again.certified and again.matrix == d.matrix
+    assert (again.algebra, again.bimodule) == (a, m) and again.matrix == d.matrix
 
     # transpose is linear but not a derivation; E11^t E11^t = E11^t yet the
     # Leibniz expansion differs already at (E11, E11)... the first failing
@@ -386,7 +401,7 @@ def test_leibniz_failures_match_dense_reference(name, n, data, pairs, mpairs):
         assert str(err.value) == \
             f"map violates the Leibniz rule at basis pair ({i},{j})"
     else:
-        assert certify(a, m, f).certified
+        assert certify(a, m, f) == Derivation(f, a, m)
 
 
 def test_derivation_space_rejects_a_corrupted_basis(monkeypatch):
@@ -424,7 +439,7 @@ def test_inner_derivation_matches_actions(name, n, pairs, mpairs):
         w = [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
              if rng.random() < 0.5 else F(0) for _ in range(m.dim)]
         d = inner_derivation(a, m, w)
-        assert d.certified
+        assert (d.algebra, d.bimodule) == (a, m)
         for j in range(a.dim):
             ej = basis_vec(a.dim, j)
             col = tuple(r[j] for r in d.matrix.entries)
@@ -568,7 +583,7 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
         ref_space = _nullspace_core(_echelonize(list(dict.fromkeys(ref)), width), width)
         sub = space(a, m).subspace
         assert (sub.basis, sub.pivot_cols) == (ref_space.basis, ref_space.pivot_cols)
-    assert all(d.certified for d in derivation_space(a, m).basis)
+    assert all((d.algebra, d.bimodule) == (a, m) for d in derivation_space(a, m).basis)
     phi = _ref_inner_matrix(a, m)
     inn = inner_space(a, m)
     assert inn.image == Subspace.from_span(list(zip(*phi.entries)), width)
@@ -576,7 +591,7 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     # is_inner solves the same system as the dense one, scaled by L_m
     w = tuple(data.draw(_scales) for _ in range(m.dim))
     for d in (inner_derivation(a, m, w), *derivation_space(a, m).basis):
-        assert is_inner(a, m, d) == solve(phi, d.linmap.flatten())
+        assert is_inner(d) == solve(phi, d.linmap.flatten())
 
 
 def test_assembly_emits_repeated_rows_once(mpairs):
@@ -665,7 +680,7 @@ def test_row_kernel_matches_per_pair_loop(name, n, data, pairs, mpairs):
         assert str(err.value) == \
             "map violates the Leibniz rule at basis pair ({},{})".format(*first[0])
     else:
-        assert certify(a, m, f).certified
+        assert certify(a, m, f) == Derivation(f, a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +752,7 @@ def test_sparse_basis_matches_dense_reference(name, n, data, pairs, mpairs):
                 for v in basis]
         assert [b.matrix.entries for b in got.basis] == maps
         assert [b.matrix.nonzeros for b in got.basis] == [_nonzeros_of(r) for r in maps]
-    assert all(d.certified for d in derivation_space(a, m).basis)
+    assert all((d.algebra, d.bimodule) == (a, m) for d in derivation_space(a, m).basis)
     cols = _dense_inner_columns(a, m)
     inn = inner_space(a, m)
     image = _dense_from_span(cols, width)

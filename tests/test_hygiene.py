@@ -2,8 +2,9 @@
 module imports a name it never reads, no private module-level function, class
 or constant is left that no module reads, no public export is left that no
 module, test or bench file reads, the dense forms kept for callers outside
-the package and the certificate flag are read only where named, and no class
-fills attributes on demand through __getattr__."""
+the package are read only where named, a Derivation is built only by the
+constructors that name the pair it was certified on, and no class fills
+attributes on demand through __getattr__."""
 
 import ast
 from pathlib import Path
@@ -80,13 +81,10 @@ def test_every_export_is_read_outside_the_package_init():
 # attribute: the (module, top-level definition) pairs that may read it.
 # Matrix.entries, Algebra.mult and Matrix.from_rows stay for callers outside
 # the package; inside it, maps and subspaces are read through their nonzeros.
-# Derivation.certified is read only by the one guard that every function
-# taking a derivation calls, so the policy lives in one place.
 NAMED_READS = {
     "entries": {("exactlin.py", "Matrix")},
     "mult": set(),
     "from_rows": set(),
-    "certified": {("dercalc.py", "_check_derivation")},
 }
 
 
@@ -100,6 +98,26 @@ def test_dense_forms_are_read_only_where_named():
                         and (fname, owner) not in NAMED_READS[node.attr]):
                     bad.append(f"{fname}: {owner} reads .{node.attr}")
     assert bad == []
+
+
+# the (module, top-level definition) pairs that may call Derivation(...): the
+# honest constructors, which set the pair they certified on, and the CLI's
+# --bypass-certify door, which forges a map on the pair under test
+DERIVATION_BUILDERS = {
+    ("dercalc.py", "certify"),
+    ("dercalc.py", "inner_derivation"),
+    ("twolocal.py", "pair_witness"),
+    ("cli.py", "_certified_map"),
+}
+
+
+def test_derivations_are_built_only_by_the_named_constructors():
+    built = {(fname, getattr(top, "name", None))
+             for fname, tree in _trees().items() for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Derivation"}
+    assert built == DERIVATION_BUILDERS
 
 
 def test_no_class_defines_getattr():

@@ -10,12 +10,12 @@ import pytest
 from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       IdentityResult, LinearMap, Matrix, act, basis_vec,
                       catalog, certify, decompose,
-                      derivation_space, inner_derivation, is_inner, lift,
+                      derivation_space, inner_derivation, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
                       multiply, perturbed_oracle, reblock_iso, regular_bimodule,
                       Subspace, transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
-                      vscale, vsub, wrap_derivation, zero_vec)
+                      vscale, vsub, zero_vec)
 from matderiv.exactlin import lincomb
 from conftest import CATALOG, swap_outer, table_triples
 
@@ -145,20 +145,13 @@ def test_lift_acts_entrywise(mpairs, derspaces):
     ma, mm = mpairs("dual_numbers", 2)
     base = derspaces("dual_numbers")
     dl = lift(base.basis[0], ma, mm)
-    assert dl.certified
+    assert (dl.algebra, dl.bimodule) == (ma.algebra, mm.bimodule)
     for trial in range(10):
         x = rand_elt(rng, a.dim)
         for i in range(2):
             for j in range(2):
                 got = dl.apply(ma.embed(x, i, j))
                 assert got == mm.embed(base.basis[0].apply(x), i, j)
-
-
-def test_lift_requires_certified(mpairs):
-    ma, mm = mpairs("dual_numbers", 2)
-    fake = Derivation(LinearMap(Matrix.from_triples(2, 2, ())), certified=False)
-    with pytest.raises(ValueError):
-        lift(fake, ma, mm)
 
 
 def test_diagonal_restriction_recovers_delta(mpairs, derspaces):
@@ -254,7 +247,7 @@ def test_decompose_uniqueness_commuting(mpairs, derspaces):
     for trial in range(10):
         b_prime = rand_elt(rng, ma.algebra.dim)
         c = F(rng.randint(-5, 5), rng.choice((1, 2)))
-        delta_prime = Derivation(base.basis[0].linmap.scale(c), certified=True)
+        delta_prime = Derivation(base.basis[0].linmap.scale(c), base.algebra, base.bimodule)
         inner_p = inner_derivation(ma.algebra, mm.bimodule, b_prime)
         lift_p = lift(delta_prime, ma, mm)
         d = certify(ma.algebra, mm.bimodule, inner_p.linmap + lift_p.linmap)
@@ -312,7 +305,7 @@ def test_decompose_raises_when_recomposition_fails():
     f, fm = catalog("field")
     ma, mm = matrix_pair(f, fm, 2)
     cols = [zero_vec(4)] * 3 + [basis_vec(4, mm.flat(0, 1, 0))]
-    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), ma.algebra, mm.bimodule)
     with pytest.raises(DecompositionError, match="recomposition failed"):
         decompose(forged, ma, mm)
 
@@ -380,47 +373,41 @@ def test_integer_recomposition_matches_fraction_sum(name, n, pairs, mpairs, ders
                 lincomb(((1, D), (c, wrong)), dim, dim)
 
 
-def test_decompose_rejects_uncertified(mpairs):
-    ma, mm = mpairs("field", 2)
-    fake = Derivation(LinearMap(Matrix.from_triples(4, 4, ())), certified=False)
-    with pytest.raises(ValueError):
-        decompose(fake, ma, mm)
-
-
-# every function that takes a derivation: (call on a matrix pair, the
-# (algebra_dim, module_dim) of the pair it checks the derivation against)
+# every function that takes a derivation of a given pair: (call on a matrix
+# pair, the (algebra_dim, module_dim) of the pair it checks the derivation
+# against, the n of the dual_numbers derivation space of those dimensions)
 GUARDED = {
-    "is_inner": (lambda D, ma, mm: is_inner(ma.algebra, mm.bimodule, D),
-                 lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
-    "lift": (lift, lambda ma, mm: (ma.base.dim, mm.base.dim)),
+    "lift": (lift, lambda ma, mm: (ma.base.dim, mm.base.dim), None),
     "component": (lambda D, ma, mm: component(D, ma, mm, 0, 1, 1, 0),
-                  lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
-    "decompose": (decompose, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
-    "verify_lemma22": (verify_lemma22, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+                  lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
+    "decompose": (decompose, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
+    "verify_lemma22": (verify_lemma22, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
     "transport_derivation": (
         lambda D, ma, mm: transport_derivation(reblock_iso(ma.base, 2, 2), D),
-        lambda ma, mm: (16 * ma.base.dim,) * 2),
+        lambda ma, mm: (16 * ma.base.dim,) * 2, 4),
     "perturbed_oracle": (lambda D, ma, mm: perturbed_oracle(D, "quadratic_block", ma, mm),
-                         lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
-    "wrap_derivation": (lambda D, ma, mm: wrap_derivation(D),
-                        lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim)),
+                         lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
 }
 
 
 @pytest.mark.parametrize("name", GUARDED)
 def test_every_derivation_argument_is_guarded(name, mpairs, derspaces):
-    call, dims = GUARDED[name]
-    ma2, mm2 = mpairs("dual_numbers", 2)
-    ad, md = dims(ma2, mm2)
-    fake = Derivation(LinearMap(Matrix.from_triples(md, ad, ())), certified=False)
-    with pytest.raises(ValueError, match="requires a certified derivation"):
-        call(fake, ma2, mm2)
-    if name == "wrap_derivation":           # no pair to check the shape against
-        return
+    call, dims, n = GUARDED[name]
+    message = f"{name} requires a derivation certified on its pair"
     # a certified derivation of M_2(dual_numbers) against the M_3 pair
     ma3, mm3 = mpairs("dual_numbers", 3)
-    with pytest.raises(ValueError, match="shape does not match"):
+    with pytest.raises(ValueError, match=message):
         call(derspaces("dual_numbers", 2).basis[0], ma3, mm3)
+    # certified derivations of the dual_numbers pair against the
+    # group_algebra_C2 pair of the same dimensions.  pytest.raises(ValueError)
+    # also rules out DecompositionError, which is no ValueError: it reports a
+    # failed recomposition identity, not a derivation of the wrong pair
+    assert not issubclass(DecompositionError, ValueError)
+    ma, mm = mpairs("group_algebra_C2", 2)
+    for D in derspaces("dual_numbers", n).basis:
+        assert (D.algebra.dim, D.bimodule.dim) == dims(ma, mm)
+        with pytest.raises(ValueError, match=message):
+            call(D, ma, mm)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +421,11 @@ def test_lemma22_passes_for_derivations(mpairs):
         report = verify_lemma22(d, ma, mm)
         assert report.passed
         assert [r.name for r in report.results] == ["i", "ii", "iii", "iv", "v"]
-    # a map shaped for another pair is rejected, not read in part
+    # a map shaped for another pair cannot even be forged on this one
     for rows, cols in ((9, 9), (6, 6), (8, 7)):
-        wrong = Derivation(LinearMap(Matrix.from_triples(rows, cols, ())), certified=True)
+        wrong = LinearMap(Matrix.from_triples(rows, cols, ()))
         with pytest.raises(ValueError, match="shape does not match"):
-            verify_lemma22(wrong, ma, mm)
+            Derivation(wrong, ma.algebra, mm.bimodule)
 
 
 def test_lemma22_forged_transpose_fails(mpairs):
@@ -450,7 +437,7 @@ def test_lemma22_forged_transpose_fails(mpairs):
     for i in range(2):
         for j in range(2):
             cols.append(basis_vec(4, ma.flat(j, i, 0)))
-    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), certified=True)
+    forged = Derivation(LinearMap(Matrix.from_rows(zip(*cols))), ma.algebra, mm.bimodule)
     report = verify_lemma22(forged, ma, mm)
     assert not report.passed
     by_name = {r.name: r for r in report.results}
@@ -471,7 +458,7 @@ def test_lemma22_counterexample_layout(mpairs):
     rows[mm.flat(0, 0, 1)][ma.flat(2, 0, 0)] = F(1)
     rows[mm.flat(0, 2, 0)][ma.flat(0, 1, 0)] = F(1)
     forged = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))),
-                        certified=True)
+                        ma.algebra, mm.bimodule)
     report = verify_lemma22(forged, ma, mm)
     assert {r.name: r.counterexample for r in report.results} == {
         "i": None, "ii": (0, 0, 2, 1, 0), "iii": (0, 2, 1, 0, 1),
@@ -558,7 +545,7 @@ def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
             rows[mm.flat(i, j, rng.randrange(m.dim))][ma.flat(r, s, k)] += \
                 F(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
         forged = Derivation(LinearMap(Matrix(dim, dim, tuple(map(tuple, rows)))),
-                            certified=True)
+                            ma.algebra, mm.bimodule)
         got = verify_lemma22(forged, ma, mm).results
         assert got == _unmemoized_lemma22(forged, ma, mm)
         failed = {r.name for r in got if not r.passed}
@@ -600,6 +587,18 @@ def test_reblock_needs_proper_factors():
         reblock_iso(f, 2, 1)
 
 
+def test_reblock_iso_moves_basis_vectors_and_checks_lengths():
+    f, _ = catalog("field")
+    iso = reblock_iso(f, 2, 2)
+    for t in range(16):
+        assert iso.apply(basis_vec(16, t)) == basis_vec(16, iso.forward[t])
+        assert iso.inverse(basis_vec(16, t)) == basis_vec(16, iso.backward[t])
+    with pytest.raises(ValueError, match="does not match source algebra"):
+        iso.apply(zero_vec(15))
+    with pytest.raises(ValueError, match="does not match target algebra"):
+        iso.inverse(zero_vec(17))
+
+
 def test_transport_derivation_conjugates():
     rng = random.Random(21)
     f, fm = catalog("field")
@@ -608,7 +607,8 @@ def test_transport_derivation_conjugates():
     src_m = regular_bimodule(src_a)
     d = inner_derivation(src_a, src_m, basis_vec(16, iso.source.flat(0, 1, 0)))
     moved = transport_derivation(iso, d)
-    assert moved.certified
+    tgt = iso.target.algebra
+    assert (moved.algebra, moved.bimodule) == (tgt, regular_bimodule(tgt))
     for trial in range(10):
         x = rand_elt(rng, 16)
         assert moved.apply(iso.apply(x)) == iso.apply(d.apply(x))

@@ -61,12 +61,6 @@ def test_wrap_derivation_logs_queries():
     assert orc.query_count == 1
 
 
-def test_wrap_requires_certified():
-    fake = Derivation(LinearMap(Matrix.from_triples(4, 4, ())), certified=False)
-    with pytest.raises(ValueError):
-        wrap_derivation(fake)
-
-
 def test_perturbed_oracle_kinds(mpairs):
     ma, mm = mpairs("field", 2)
     d = inner_derivation(ma.algebra, mm.bimodule, basis_vec(4, 0))
@@ -119,7 +113,7 @@ def test_pair_witness_frozen_example(mpairs, derspaces):
     rep = pair_witness(sp, s, t, zero_vec(4), e12)
     assert rep.feasible
     want = inner_derivation(ma.algebra, mm.bimodule, basis_vec(4, 0))
-    assert rep.witness.certified
+    assert (rep.witness.algebra, rep.witness.bimodule) == (sp.algebra, sp.bimodule)
     assert rep.witness.matrix == want.matrix
 
 
@@ -141,7 +135,7 @@ def test_pair_witness_interpolates_random(mpairs, derspaces):
         lin = LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, ()))
         for c, b in zip(coeffs, sp.basis):
             lin = lin + b.linmap.scale(c)
-        d = Derivation(lin, certified=True)
+        d = Derivation(lin, ma.algebra, mm.bimodule)
         x, y = seeded_elements(ma.algebra.dim, 2, 100 + trial)
         rep = pair_witness(sp, x, y, d.apply(x), d.apply(y))
         assert rep.feasible
@@ -341,7 +335,7 @@ def test_agreement_indices_match_fraction_evaluation(mpairs, derspaces, name, n)
     # the lift of a base derivation vanishes at S and T: a blind spot of the
     # two queries (non-inner for dual_numbers, inner for full_matrix_2)
     dlift = lift(derivation_space(*catalog(name)).basis[0], ma, mm)
-    blind = Derivation(d0.linmap + dlift.linmap, certified=True)
+    blind = Derivation(d0.linmap + dlift.linmap, ma.algebra, mm.bimodule)
     t_col, out_pos = ma.flat(0, 1, 0), mm.flat(0, 1, 0)
 
     def flipped(x):
