@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
                       past_digit_limit, regular_bimodule, validate_algebra,
@@ -368,6 +368,11 @@ def _parse_oracle_spec(spec: str) -> tuple[str | None, str]:
     return kind, path
 
 
+def _seeded(dim: int, count: int, seed: int) -> Iterator[Vector]:
+    """seeded_elements, drawn when agreement_failures reads the first one."""
+    yield from seeded_elements(dim, count, seed)
+
+
 def cmd_twolocal(args, out: TextIO) -> int:
     if args.samples < 0:
         raise CliInputError("--samples must be at least 0")
@@ -395,8 +400,7 @@ def cmd_twolocal(args, out: TextIO) -> int:
     if args.samples == 0:
         print("verdict: reconstructed, unverified", file=out)
         return 0
-    samples = seeded_elements(a.dim, args.samples, args.seed)
-    bad = agreement_failures(oracle, cand, samples)
+    bad = agreement_failures(oracle, cand, _seeded(a.dim, args.samples, args.seed))
     print(f"agreeing samples: {args.samples - len(bad)}/{args.samples}", file=out)
     if bad:
         print(f"verdict: disagreement at sample {bad[0]}", file=out)

@@ -6,9 +6,11 @@ here wrap honest derivations as oracles, build deliberately broken oracles as
 negative controls, solve the pair-interpolation problem over a derivation
 space, and run the two-query reconstruction: sample Delta at the separating
 elements S = sum_i (i+1)(1 x E_ii) and T = sum_i 1 x E_{i,i+1}, interpolate,
-then verify the candidate on caller-supplied samples.  Anything a derivation
-cannot see at S and T (entrywise lifts of base derivations vanish there, for
-instance) is exactly what the sampling step exists to catch.
+then verify the candidate on caller-supplied samples.  A wrapped derivation
+L is a linear oracle, verified on the difference map L - cand without
+further queries; a nonlinear oracle is queried once per sample.  Anything a
+derivation cannot see at S and T (entrywise lifts of base derivations vanish
+there, for instance) is exactly what the verification exists to catch.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ class NotTwoLocalError(Exception):
 
 
 class TwoLocalOracle:
-    """Deterministic black box with a query log."""
+    """Deterministic black box with a query log; derivation is the certified
+    derivation fn was built from, if any, and linear says fn is its apply."""
 
-    def __init__(self, fn: Callable[[Vector], Vector], label: str = ""):
+    def __init__(self, fn: Callable[[Vector], Vector], label: str = "",
+                 derivation: Derivation | None = None, linear: bool = False):
         self._fn = fn
         self.label = label
+        self.derivation = derivation
+        self.linear = linear
         self.query_log: list[tuple[Vector, Vector]] = []
 
     def evaluate(self, x: Sequence[Fraction]) -> Vector:
@@ -58,8 +64,8 @@ class TwoLocalOracle:
 
 
 def wrap_derivation(d: Derivation, label: str = "") -> TwoLocalOracle:
-    """Honest oracle: evaluates the derivation itself."""
-    return TwoLocalOracle(d.apply, label or "wrapped derivation")
+    """Honest oracle: evaluates the derivation itself, a linear oracle."""
+    return TwoLocalOracle(d.apply, label or "wrapped derivation", d, linear=True)
 
 
 PERTURBATION_KINDS = ("quadratic_block", "sign_flip_offdiag")
@@ -96,7 +102,7 @@ def perturbed_oracle(d: Derivation, kind: str, ma: MatrixAlgebra,
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}; "
                          f"expected one of {PERTURBATION_KINDS}")
-    return TwoLocalOracle(fn, f"perturbed:{kind}")
+    return TwoLocalOracle(fn, f"perturbed:{kind}", d)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +166,8 @@ def reconstruct(oracle: TwoLocalOracle, space: DerivationSpace,
     Exactly two oracle queries are issued.  Raises NotTwoLocalError when no
     derivation in the space matches both values.  The result agrees with the
     oracle at S, T and (for a genuine 2-local derivation) at every matrix
-    unit; agreement elsewhere is checked separately on samples, see
-    agreement_failures().
+    unit; agreement elsewhere is checked separately, with no further query
+    of a linear oracle, see agreement_failures().
     """
     s, t = canonical_S_T(ma)
     ds = oracle.evaluate(s)
@@ -174,11 +180,24 @@ def reconstruct(oracle: TwoLocalOracle, space: DerivationSpace,
 
 def agreement_failures(oracle: TwoLocalOracle, d: Derivation,
                        samples: Iterable[Sequence[Fraction]]) -> list[int]:
-    """Indices of samples where the oracle and the derivation disagree.
-    Queries the oracle once per sample."""
+    """Indices of samples where the oracle and the derivation disagree.  A
+    linear oracle L is decided on (L - d)x with no query, and reads no sample
+    when L = d; any other oracle is queried once per sample.  ValueError if
+    d is not of the oracle's pair or an oracle value has the wrong length."""
+    base = oracle.derivation
+    if base is not None:
+        _check_derivation(d, base.algebra, base.bimodule, "agreement_failures")
+    if oracle.linear:
+        diff = base.matrix - d.matrix
+        if diff.is_zero():
+            return []
+        return [idx for idx, x in enumerate(samples) if any(diff.mul_vec(x))]
     bad = []
     for idx, x in enumerate(samples):
-        if oracle.evaluate(x) != d.apply(x):
+        y = oracle.evaluate(x)
+        if len(y) != d.matrix.rows:
+            raise ValueError("oracle value has wrong dimension for the derivation")
+        if y != d.apply(x):
             bad.append(idx)
     return bad
 

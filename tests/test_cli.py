@@ -306,6 +306,36 @@ def test_twolocal_reports_are_byte_identical(capsys, inner_e11_file):
     assert out1 == out2
 
 
+def test_twolocal_lifted_oracle_matches_fraction_reference(capsys, tmp_path):
+    # ad_w plus the lift of a non-inner derivation of the dual numbers: the
+    # lift vanishes at S and T, so the reconstruction misses it and a sample
+    # disagrees unless all four of its eps coordinates are zero
+    a, m = catalog("dual_numbers")
+    ma, mm = matrix_pair(a, m, 2)
+    w = tuple(F(c) for c in (1, 0, -2, 1, 0, 3, 1, 0))
+    delta = lift(derivation_space(a, m).basis[0], ma, mm)
+    oracle = inner_derivation(ma.algebra, mm.bimodule, w).matrix + delta.matrix
+    path = write_map_file(tmp_path / "lifted.json", LinearMap(oracle),
+                          algebra="dual_numbers")
+    rc, out, _ = run_cli(capsys, "twolocal", "dual_numbers", "-n", "2",
+                         "--oracle", path, "--seed", "3", "--samples", "40")
+    lines = out.splitlines()
+    start = lines.index("reconstructed derivation:") + 1
+    cand = [[F(c) for c in row.strip("[]").split()] for row in lines[start:start + 8]]
+
+    def apply(rows, x):
+        return [sum((c * v for c, v in zip(row, x)), F(0)) for row in rows]
+
+    samples = matderiv.seeded_elements(8, 40, 3)
+    want = [idx for idx, x in enumerate(samples)
+            if apply(oracle.entries, x) != apply(cand, x)]
+    assert want
+    assert rc == 1
+    assert lines[start - 2] == "queries: 2"
+    assert lines[start + 8:] == [f"agreeing samples: {40 - len(want)}/40",
+                                 f"verdict: disagreement at sample {want[0]}"]
+
+
 # ---------------------------------------------------------------------------
 # file inputs are validated before any command computes on them
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
-                      IdentityResult, LinearMap, Matrix, act, basis_vec,
+                      IdentityResult, LinearMap, Matrix, act, agreement_failures, basis_vec,
                       catalog, certify, decompose,
                       derivation_space, inner_derivation, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
                       multiply, perturbed_oracle, reblock_iso, regular_bimodule,
                       Subspace, transport_derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
-                      vscale, vsub, zero_vec)
+                      vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
 from conftest import CATALOG, swap_outer, table_triples
 
@@ -387,6 +387,12 @@ GUARDED = {
         lambda ma, mm: (16 * ma.base.dim,) * 2, 4),
     "perturbed_oracle": (lambda D, ma, mm: perturbed_oracle(D, "quadratic_block", ma, mm),
                          lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
+    # the candidate against the pair of the oracle's own derivation
+    "agreement_failures": (
+        lambda D, ma, mm: agreement_failures(wrap_derivation(certify(
+            ma.algebra, mm.bimodule,
+            LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, ())))), D, ()),
+        lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
 }
 
 

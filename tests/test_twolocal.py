@@ -7,14 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from matderiv import (Derivation, LinearMap, Matrix, NotTwoLocalError,
+from matderiv import (Bimodule, Derivation, LinearMap, Matrix, NotTwoLocalError,
                       Subspace, TwoLocalOracle, agreement_failures, basis_vec,
                       canonical_S_T, catalog, central_idempotent_compat,
-                      derivation_space, inner_derivation, lift, matrix_pair,
+                      certify, derivation_space, inner_derivation, lift, matrix_pair,
                       member, nullspace, pair_witness, perturbed_oracle,
                       reconstruct, seeded_elements, vadd,
                       verify_2local_property, vscale, wrap_derivation,
                       zero_vec)
+
+from conftest import CATALOG
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +318,9 @@ def test_sign_flip_control(mpairs, derspaces):
 
 
 def _fraction_apply(matrix, x):
-    """Independent evaluation: one Fraction product and sum per entry."""
-    return tuple(sum((a * c for a, c in zip(row, x)), F(0))
+    """Independent evaluation: one Fraction product and sum per nonzero
+    entry of the dense rows."""
+    return tuple(sum((a * c for a, c in zip(row, x) if a), F(0))
                  for row in matrix.entries)
 
 
@@ -359,6 +362,111 @@ def test_agreement_indices_match_fraction_evaluation(mpairs, derspaces, name, n)
                 if reference(x) != _fraction_apply(cand.matrix, x)]
         assert bad == want, oracle.label
         assert 0 < len(bad) < len(samples), oracle.label
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", CATALOG)
+def test_difference_map_verdict_matches_fraction_evaluation(mpairs, derspaces, name, n):
+    # a wrapped oracle is decided on L - cand without queries; its indices
+    # must be those of a per-sample Fraction evaluation, for every basis
+    # derivation (mostly L = cand; dual_numbers has lifted, blind ones) and
+    # one with an added lift, on seeded, Fraction basis and int basis samples
+    ma, mm = mpairs(name, n)
+    sp = derspaces(name, n)
+    dim = ma.algebra.dim
+    samples = (seeded_elements(dim, 12, 5) + [basis_vec(dim, t) for t in range(dim)]
+               + [tuple(int(s == t) for s in range(dim)) for t in range(dim)])
+    dlift = [lift(b, ma, mm) for b in derivation_space(*catalog(name)).basis]
+    oracles = [wrap_derivation(d) for d in sp.basis]
+    if dlift:
+        # basis 0 plus the lift of a base derivation, which S and T miss
+        blind = Derivation(sp.basis[0].linmap + dlift[-1].linmap, ma.algebra, mm.bimodule)
+        oracles.append(wrap_derivation(blind))
+    differences, missed = set(), []
+    for oracle in oracles:
+        cand = reconstruct(oracle, sp, ma)
+        ref = oracle.derivation.matrix
+        missed.append(ref != cand.matrix)
+        # the reconstruction, and the first basis derivation as a candidate
+        # whose difference has nonzero rows of every kind
+        for d in (cand, sp.basis[0]):
+            bad = agreement_failures(oracle, d, samples)
+            want = [idx for idx, x in enumerate(samples)
+                    if _fraction_apply(ref, x) != _fraction_apply(d.matrix, x)]
+            assert bad == want
+            differences.add(len(want))
+        assert oracle.query_count == 2
+    # zero and nonzero differences are both met; the reconstruction misses a
+    # lifted component (at least the added one) wherever the base has
+    # derivations
+    assert 0 in differences and len(differences) > 1
+    assert any(missed) == bool(dlift)
+
+
+def test_difference_map_reads_every_entry(mpairs, derspaces):
+    # a candidate that differs from a wrapped oracle in the one entry (r, c)
+    # disagrees exactly on the samples whose coordinate c is nonzero
+    ma, mm = mpairs("dual_numbers", 2)
+    d = derspaces("dual_numbers", 2).basis[0]
+    dim, md = ma.algebra.dim, mm.bimodule.dim
+    samples = [basis_vec(dim, t) for t in range(dim)] + seeded_elements(dim, 20, 2)
+    for r in range(md):
+        for c in range(dim):
+            unit = LinearMap(Matrix.from_triples(md, dim, ((r, c, F(-1, 2)),)))
+            cand = Derivation(d.linmap + unit, ma.algebra, mm.bimodule)
+            want = [idx for idx, x in enumerate(samples) if x[c]]
+            assert agreement_failures(wrap_derivation(d), cand, samples) == want
+
+
+def test_query_accounting(mpairs, derspaces):
+    # a wrapped oracle is queried at S and T only; a perturbed one once more
+    # per sample; with a zero difference the samples are never read
+    ma, mm = mpairs("dual_numbers", 2)
+    sp = derspaces("dual_numbers", 2)
+    dim = ma.algebra.dim
+    samples = seeded_elements(dim, 30, 9)
+    d = sp.basis[6]
+    wrapped = wrap_derivation(d)
+    cand = reconstruct(wrapped, sp, ma)
+    assert cand.matrix != d.matrix     # basis 6 carries a lifted component
+    assert agreement_failures(wrapped, cand, samples)
+    assert wrapped.query_count == 2
+    for kind in ("quadratic_block", "sign_flip_offdiag"):
+        orc = perturbed_oracle(sp.basis[0], kind, ma, mm)
+        agreement_failures(orc, reconstruct(orc, sp, ma), samples)
+        assert orc.query_count == 2 + len(samples), kind
+
+    def unreadable():
+        raise AssertionError("a sample was read")
+        yield
+
+    honest = wrap_derivation(sp.basis[0])
+    cand = reconstruct(honest, sp, ma)
+    assert cand.matrix == sp.basis[0].matrix
+    assert agreement_failures(honest, cand, unreadable()) == []
+    assert honest.query_count == 2
+
+
+def test_agreement_rejects_a_candidate_of_another_pair(mpairs):
+    # the zero map of M_2(dual_numbers) into the regular bimodule against the
+    # certified zero derivation into M_2 of the character module (e0 -> 1,
+    # eps -> 0): every sample used to be reported as a disagreement
+    ma, mm = mpairs("dual_numbers", 2)
+    base, _ = catalog("dual_numbers")
+    character = Bimodule.from_sparse(1, 2, {(0, 0, 0): F(1)}, {(0, 0, 0): F(1)})
+    cma, cmm = matrix_pair(base, character, 2)
+    other = certify(cma.algebra, cmm.bimodule,
+                    LinearMap(Matrix.from_triples(cmm.bimodule.dim, cma.algebra.dim, ())))
+    zero = certify(ma.algebra, mm.bimodule,
+                   LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, ())))
+    samples = seeded_elements(ma.algebra.dim, 5, 1)
+    guarded = "agreement_failures requires a derivation certified on its pair"
+    cases = ((wrap_derivation(zero), guarded),
+             (perturbed_oracle(zero, "quadratic_block", ma, mm), guarded),
+             (TwoLocalOracle(lambda x: zero_vec(mm.bimodule.dim)), "wrong dimension"))
+    for oracle, message in cases:
+        with pytest.raises(ValueError, match=message):
+            agreement_failures(oracle, other, samples)
 
 
 # ---------------------------------------------------------------------------
