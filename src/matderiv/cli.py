@@ -33,8 +33,8 @@ from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
                       inner_space, jordan_derivation_space)
 from .exactlin import Matrix, Vector, quotient_dim
-from .matext import (MatrixAlgebra, MatrixBimodule, decompose, matrix_pair,
-                     verify_lemma22)
+from .matext import (DecompositionError, MatrixAlgebra, MatrixBimodule, decompose,
+                     matrix_pair, split_map, verify_lemma22)
 from .twolocal import (DEFAULT_SAMPLES, DEFAULT_SEED, NotTwoLocalError,
                        PERTURBATION_KINDS, agreement_failures,
                        perturbed_oracle, reconstruct, seeded_elements,
@@ -327,10 +327,12 @@ def cmd_decompose(args, out: TextIO) -> int:
     lin = load_map_file(args.derivation, m.dim, a.dim)
     print(f"algebra: {args.algebra}", file=out)
     print(f"matrix level: n={ma.n}", file=out)
-    d = _certified_map(lin, a, m, out)
-    if d is None:
-        return 1
-    dec = decompose(d, ma, mm)
+    dec = split_map(lin, ma, mm)                # a split certifies the map
+    if dec is None:
+        d = _certified_map(lin, a, m, out)      # names the failing pair
+        if d is None:
+            return 1
+        dec = decompose(d, ma, mm)              # raises DecompositionError
     print(fmt_blocks(ma, dec.witness), file=out)
     print("delta:", file=out)
     print(fmt_matrix(dec.delta.matrix), file=out)
@@ -478,9 +480,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except CliInputError as exc:
+    except (CliInputError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, CliInputError) else 1
 
 
 if __name__ == "__main__":

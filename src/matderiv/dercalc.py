@@ -173,6 +173,9 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
 
 
 def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
+    """f as a derivation of (a, m), or ValueError at the first basis pair that
+    breaks the Leibniz rule.  It checks dimensions, not that m is a bimodule
+    over a: callers pass validated pairs, as every CLI command does."""
     bad = leibniz_failures(a, m, f)
     if bad:
         i, j = bad[0]
@@ -315,7 +318,7 @@ class JordanDerivationSpace:
 
 def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
     """All derivations A -> M, as the nullspace of the Leibniz constraints;
-    every basis map is certified."""
+    every basis map is certified.  The bimodule axioms are trusted (certify)."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     sub = nullspace_sparse(_constraint_rows(a, m, jordan=False), a.dim * m.dim)
@@ -339,11 +342,11 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
 # ---------------------------------------------------------------------------
 
 def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
-    """delta_w(x) = w.x - x.w.  Always a derivation, so certified.  Column j
-    is delta_w(e_j) = sum_p w_p (f_p.e_j - e_j.f_p), summed in integers: w
-    scaled by the lcm of its denominators, its nonzeros against the cells
-    right[p][j] and left[j][p] of the integer views, then divided by that
-    lcm times L_m."""
+    """delta_w(x) = w.x - x.w, a derivation when m is a bimodule over a,
+    which is trusted, not checked (certify).  Column j is delta_w(e_j) =
+    sum_p w_p (f_p.e_j - e_j.f_p), summed in integers: w scaled by the lcm
+    of its denominators, its nonzeros against the cells right[p][j] and
+    left[j][p] of the integer views, then divided by that lcm times L_m."""
     if len(w) != m.dim:
         raise ValueError("witness length does not match module dimension")
     lm, left, right = m.int_tables

@@ -24,7 +24,7 @@ rows as nonzeros, pivots as pivot_cols, rank as dim).  nullspace_sparse
 takes integer rows as they are; the other entry points build them from
 Fractions.  Matrix-vector products and linear combinations of matrices read
 each row scaled to integers (_int_rows, built once per matrix) and reduce
-each output entry once.
+each output entry once; maps_to cross-multiplies instead of reducing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -147,21 +147,28 @@ class Matrix:
             out.append((den, tuple(zip([c for c, _ in r], nums))))
         return tuple(out)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        """The exact product of this matrix with v (Fraction or int entries),
-        as a tuple of Fractions.  v is scaled to integers by the lcm of its
-        denominators, so each entry is one integer dot product over the row's
-        nonzeros, reduced once."""
+    def _products(self, v: Sequence[Fraction]) -> Iterator[tuple[int, int]]:
+        """Each entry of this matrix times v (Fraction or int entries) as an
+        unreduced (integer dot product, denominator), v scaled to integers."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         den, nums = _scaled(v)
-        out = []
         for row_den, pairs in self._int_rows:
             acc = 0
             for j, a in pairs:
                 acc += a * nums[j]
-            out.append(Fraction(acc, row_den * den) if acc else ZERO)
-        return tuple(out)
+            yield acc, row_den * den
+
+    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
+        """The exact product with v, as Fractions, each entry reduced once."""
+        return tuple([Fraction(acc, s) if acc else ZERO for acc, s in self._products(v)])
+
+    def maps_to(self, v: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
+        """Whether this matrix maps v to y, decided by cross-multiplication."""
+        if len(y) != self.rows:
+            raise ValueError("image has wrong dimension for the matrix")
+        return all(acc * t.denominator == t.numerator * s
+                   for (acc, s), t in zip(self._products(v), y))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)

@@ -10,24 +10,28 @@ algebra's one table.  Rows and columns of the n x n grid are 0-based in code;
 printed labels use the usual 1-based matrix-unit names.
 
 Core operations: embedding base elements into blocks, lifting a base
-derivation to act entrywise, extracting component maps (i,j|r,s) of a
-derivation of the matrix pair, splitting such a derivation into an inner part
-plus a lifted base derivation (checked on the two parts it returns),
+derivation to act entrywise, extracting component maps (i,j|r,s), splitting
+a map of the matrix pair into an inner part plus a lifted base derivation
+(split_map: a zero residual certifies the map, with no Leibniz pass),
 checking the standard component identities, and the reblocking isomorphism
-M_{rk}(A) ~ M_r(M_k(A)).  decompose reads both its witness B and delta
-through component.  Every function that takes a derivation checks it
+M_{rk}(A) ~ M_r(M_k(A)).  Every function that takes a derivation checks it
 through dercalc._check_derivation: certified on its own pair.
+verify_lemma22 compares integers at one scale, L_D*L_u*L_m: D's nonzeros
+times the lcm L_D of their denominators, the base unit times its own lcm L_u
+and the actions of mm.base.int_tables, at scale L_m.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
-from .algcore import Algebra, Bimodule, Table, act, regular_bimodule
+from .algcore import Algebra, Bimodule, Table, regular_bimodule
 from .dercalc import Derivation, LinearMap, _check_derivation, certify, inner_derivation
-from .exactlin import Matrix, Vector, ZERO, _nonzeros, basis_vec, lincomb, vadd, vsub
+from .exactlin import Matrix, Vector, ZERO, _scaled, lincomb
 
 
 class DecompositionError(RuntimeError):
@@ -163,7 +167,7 @@ def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixB
 # ---------------------------------------------------------------------------
 
 def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation:
-    """Entrywise extension: (a_ij) -> (delta(a_ij)) on the matrix pair."""
+    """Entrywise extension (a_ij) -> (delta(a_ij)), a derivation block by block."""
     _check_derivation(delta, ma.base, mm.base, "lift")
     if ma.n != mm.n:
         raise ValueError("matrix sizes differ")
@@ -172,20 +176,26 @@ def lift(delta: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Derivation
     big_map = LinearMap(Matrix.from_triples(mm.bimodule.dim, ma.algebra.dim, (
         (b * md + q, b * d + k, x) for b in range(ma.n * ma.n)
         for q, row in enumerate(small) for k, x in row)))
-    return certify(ma.algebra, mm.bimodule, big_map)
+    return Derivation(big_map, ma.algebra, mm.bimodule)
 
 
 def component(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule,
               i: int, j: int, r: int, s: int) -> LinearMap:
     """The base-pair map a -> [D(a x E_rs)]_(i,j)."""
     _check_derivation(D, ma.algebra, mm.bimodule, "component")
+    return _component(D.linmap, ma, mm, i, j, r, s)
+
+
+def _component(f: LinearMap, ma: MatrixAlgebra, mm: MatrixBimodule,
+               i: int, j: int, r: int, s: int) -> LinearMap:
+    """component() of a map of the matrix pair, certified or not."""
     ma._check_block(i, j)
     ma._check_block(r, s)
     d, md = ma.base.dim, mm.base.dim
     m_off = (i * ma.n + j) * md
     a_off = (r * ma.n + s) * d
     return LinearMap(Matrix.from_triples(md, d, (
-        (q, c - a_off, x) for q, row in enumerate(D.matrix.nonzeros[m_off:m_off + md])
+        (q, c - a_off, x) for q, row in enumerate(f.matrix.nonzeros[m_off:m_off + md])
         for c, x in row if a_off <= c < a_off + d)))
 
 
@@ -200,26 +210,33 @@ class Decomposition:
     lifted_part: Derivation
 
 
-def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
-    """Split a derivation of the matrix pair as inner-by-B plus a lifted base
-    derivation.  B has blocks B_ij = [D(1 x E_j0)]_(i,0), the (i,0|j,0)
-    component at the unit; delta is the (0,0|0,0) component.  The
-    recomposition D - inner_part - lifted_part = 0 is checked exactly on the
-    returned parts (exactlin.lincomb, in integers over the nonzero entries),
-    and a failure raises DecompositionError."""
-    _check_derivation(D, ma.algebra, mm.bimodule, "decompose")
-    n, unit = ma.n, ma.base.unit
-    witness = tuple(x for i in range(n) for j in range(n)
-                    for x in component(D, ma, mm, i, 0, j, 0).apply(unit))
-    delta = certify(ma.base, mm.base, component(D, ma, mm, 0, 0, 0, 0))
+def split_map(f: LinearMap, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition | None:
+    """f as inner-by-B plus the lift of delta, B_ij = [f(1 x E_j0)]_(i,0)
+    and delta the (0,0|0,0) component; None when delta breaks the Leibniz
+    rule or the residual f - inner_part - lifted_part is nonzero.  Like
+    certify, it checks shapes and trusts mm to be a bimodule over ma."""
+    if (f.algebra_dim, f.module_dim) != (ma.algebra.dim, mm.bimodule.dim):
+        raise ValueError("map shape does not match the algebra/bimodule pair")
+    witness = tuple(x for i in range(ma.n) for j in range(ma.n)
+                    for x in _component(f, ma, mm, i, 0, j, 0).apply(ma.base.unit))
+    try:
+        delta = certify(ma.base, mm.base, _component(f, ma, mm, 0, 0, 0, 0))
+    except ValueError:
+        return None
     inner_part = inner_derivation(ma.algebra, mm.bimodule, witness)
     lifted_part = lift(delta, ma, mm)
-    residual = lincomb(((1, D.matrix), (-1, inner_part.matrix), (-1, lifted_part.matrix)),
+    residual = lincomb(((1, f.matrix), (-1, inner_part.matrix), (-1, lifted_part.matrix)),
                        mm.bimodule.dim, ma.algebra.dim)
-    if not residual.is_zero():
-        raise DecompositionError(
-            "recomposition failed: inner part plus lifted part != D")
-    return Decomposition(witness, delta, inner_part, lifted_part)
+    return Decomposition(witness, delta, inner_part, lifted_part) if residual.is_zero() else None
+
+
+def decompose(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition:
+    """split_map of a derivation of the matrix pair, or DecompositionError."""
+    _check_derivation(D, ma.algebra, mm.bimodule, "decompose")
+    dec = split_map(D.linmap, ma, mm)
+    if dec is None:
+        raise DecompositionError("recomposition failed: inner part plus lifted part != D")
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -244,36 +261,38 @@ class Lemma22Report:
 
 def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemma22Report:
     """Check the five standard component identities of a derivation on the
-    matrix pair; each result carries the first offending index tuple."""
+    matrix pair; each result carries the first offending index tuple.  The
+    columns are stored times L_m*L_u, at the scale of the actions on unit
+    values (module docstring), and compared in integers."""
     _check_derivation(D, ma.algebra, mm.bimodule, "verify_lemma22")
     n, d, md = ma.n, ma.base.dim, mm.base.dim
-    base_m = mm.base
     N, K = range(n), range(d)
-    unit = _nonzeros(ma.base.unit)
+    lm, left, right = mm.base.int_tables
+    lu, unit = _scaled(ma.base.unit)
     # base column k of the component (i,j|r,s), read off D's nonzeros: row
     # (i,j,q) of M_n(M) and column (r,s,k) of M_n(A) hold its entry q; and
-    # the component's value at the unit
-    cols = {(i, j, r, s): [[ZERO] * md for _ in K]
-            for i in N for j in N for r in N for s in N}
-    for t, row in enumerate(D.matrix.nonzeros):
+    # the component's value at the unit.  Only components with a nonzero
+    # entry are stored, and any other reads as a shared zero.
+    nz = [(t, c, x) for t, row in enumerate(D.matrix.nonzeros) for c, x in row]
+    entries = defaultdict(lambda: [[0] * md for _ in K])
+    for (t, c, _), v in zip(nz, _scaled([x for _, _, x in nz])[1]):
         i, j, q = mm.unflat(t)
-        for c, x in row:
-            r, s, k = ma.unflat(c)
-            cols[(i, j, r, s)][k][q] = x
-    cols = {key: [tuple(v) for v in cs] for key, cs in cols.items()}
-    of_unit = {key: tuple(sum((u * cs[k][q] for k, u in unit), ZERO) for q in range(md))
-               for key, cs in cols.items()}
+        r, s, k = ma.unflat(c)
+        entries[(i, j, r, s)][k][q] = v
+    zero = (0,) * md
+    cols = defaultdict(lambda: (zero,) * d, {key: tuple(tuple(lm * lu * v for v in c) for c in cs)
+                                             for key, cs in entries.items()})
+    of_unit = defaultdict(lambda: zero, {key: tuple(map(sum, zip(*(
+        [u * v for v in c] for u, c in zip(unit, cs))))) for key, cs in entries.items()})
 
-    acted: dict[tuple[str, int, tuple[int, int, int, int]], Vector] = {}
-
-    def act_basis(side: str, k: int, key: tuple[int, int, int, int]) -> Vector:
-        """e_k acting on the unit value of component key, once per argument
-        triple: keyed by the component, not by the value, whose Fractions
-        cost as much to hash as the action costs to compute."""
-        memo = (side, k, key)
-        if memo not in acted:
-            acted[memo] = act(base_m, side, basis_vec(d, k), of_unit[key])
-        return acted[memo]
+    @cache
+    def act_basis(side: str, k: int, key: tuple[int, int, int, int]) -> tuple[int, ...]:
+        """e_k acting on the unit value of component key, in integers."""
+        out = [0] * md
+        for p, x in enumerate(of_unit[key]):
+            for q, c in (left[k][p] if side == "left" else right[p][k]) if x else ():
+                out[q] += x * c
+        return tuple(out)
 
     searches = (
         # (i) zero component when both rows and both columns differ
@@ -297,10 +316,10 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
         # (v) diagonal components differ from the corner component by an
         # inner derivation of unit values
         ("v", ((i, j, m_, k) for i in N for j in N for m_ in N for k in K
-               if cols[(i, j, i, j)][k] != vadd(
-                   vsub(act_basis("right", k, (i, m_, i, m_)),
-                        act_basis("left", k, (j, m_, j, m_))),
-                   cols[(m_, m_, m_, m_)][k]))),
+               if cols[(i, j, i, j)][k] != tuple(
+                   x - y + z for x, y, z in zip(act_basis("right", k, (i, m_, i, m_)),
+                                                act_basis("left", k, (j, m_, j, m_)),
+                                                cols[(m_, m_, m_, m_)][k])))),
     )
     results = []
     for name, failures in searches:

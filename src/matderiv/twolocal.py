@@ -180,10 +180,11 @@ def reconstruct(oracle: TwoLocalOracle, space: DerivationSpace,
 
 def agreement_failures(oracle: TwoLocalOracle, d: Derivation,
                        samples: Iterable[Sequence[Fraction]]) -> list[int]:
-    """Indices of samples where the oracle and the derivation disagree.  A
-    linear oracle L is decided on (L - d)x with no query, and reads no sample
-    when L = d; any other oracle is queried once per sample.  ValueError if
-    d is not of the oracle's pair or an oracle value has the wrong length."""
+    """Indices of samples where the oracle and the derivation disagree, by
+    Matrix.maps_to.  A linear oracle L is decided on (L - d)x with no query,
+    and reads no sample when L = d; any other oracle is queried once per
+    sample.  ValueError if d is not of the oracle's pair or an oracle value
+    has the wrong length."""
     base = oracle.derivation
     if base is not None:
         _check_derivation(d, base.algebra, base.bimodule, "agreement_failures")
@@ -191,15 +192,9 @@ def agreement_failures(oracle: TwoLocalOracle, d: Derivation,
         diff = base.matrix - d.matrix
         if diff.is_zero():
             return []
-        return [idx for idx, x in enumerate(samples) if any(diff.mul_vec(x))]
-    bad = []
-    for idx, x in enumerate(samples):
-        y = oracle.evaluate(x)
-        if len(y) != d.matrix.rows:
-            raise ValueError("oracle value has wrong dimension for the derivation")
-        if y != d.apply(x):
-            bad.append(idx)
-    return bad
+        zero = (0,) * diff.rows
+        return [idx for idx, x in enumerate(samples) if not diff.maps_to(x, zero)]
+    return [idx for idx, x in enumerate(samples) if not d.matrix.maps_to(x, oracle.evaluate(x))]
 
 
 def verify_2local_property(oracle: TwoLocalOracle, space: DerivationSpace,

@@ -5,11 +5,11 @@ suite query the same objects."""
 import json
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from fractions import Fraction as F
 
-from matderiv import (Algebra, catalog, derivation_space, inner_space,
+from matderiv import (Algebra, Bimodule, catalog, derivation_space, inner_space,
                       matrix_pair)
 
 # Every property test runs under this profile: reproducible examples, no
@@ -93,6 +93,34 @@ def mixed_basis_full_matrix_2():
                     (2, 3, 0): half, (2, 3, 1): half,
                     (3, 2, 0): half, (3, 2, 1): -half})
     return Algebra.from_sparse(4, ("u", "h", "x", "y"), (1, 0, 0, 0), triples)
+
+
+# nonzero basis scales: signs and the denominators 3, 2 and 7
+SCALES = (F(1), F(-1), F(2), F(-1, 3), F(5, 2), F(-4, 7))
+_scales = st.sampled_from(SCALES)
+
+
+def rebase(a, m, s, t):
+    """The pair in the basis s_i e_i of the algebra and t_p f_p of the module,
+    for nonzero rationals s and t (all 1 gives the pair back)."""
+    mult = {(i, j, k): s[i] * s[j] / s[k] * c for i, plane in enumerate(a.table)
+            for j, cell in enumerate(plane) for k, c in cell}
+    left = {(i, p, q): s[i] * t[p] / t[q] * c for i, plane in enumerate(m.left_table)
+            for p, cell in enumerate(plane) for q, c in cell}
+    right = {(p, i, q): t[p] * s[i] / t[q] * c for p, plane in enumerate(m.right_table)
+             for i, cell in enumerate(plane) for q, c in cell}
+    unit = [u / s[k] for k, u in enumerate(a.unit)]
+    return (Algebra.from_sparse(a.dim, a.labels, unit, mult),
+            Bimodule.from_sparse(m.dim, a.dim, left, right))
+
+
+@st.composite
+def _rebased_pairs(draw, a, m):
+    """rebase(a, m, s, t) for drawn scales s of the algebra basis and t of
+    the module basis."""
+    s = [draw(_scales) for _ in range(a.dim)]
+    t = [draw(_scales) for _ in range(m.dim)]
+    return rebase(a, m, s, t)
 
 
 def dense_to_triples(tensor):

@@ -3,6 +3,7 @@ byte-for-byte determinism."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matderiv
-from matderiv import (Bimodule, basis_vec, catalog, derivation_space, inner_derivation,
-                      lift, matext, matrix_pair, validate_algebra, LinearMap, Matrix)
+from matderiv import (Bimodule, basis_vec, catalog, certify, dercalc, derivation_space,
+                      inner_derivation, leibniz_failures, lift, matext, matrix_pair,
+                      multiply, validate_algebra, LinearMap, Matrix)
 from matderiv.cli import (main, fmt_blocks, fmt_matrix, load_map_file,
                           parse_rational, CliInputError)
 from conftest import write_algebra_file, write_map_file, write_module_file
@@ -222,6 +224,95 @@ def test_decompose_shape_mismatch(capsys, tmp_path, inner_e11_file):
                          "--derivation", inner_e11_file)
     assert rc == 2
     assert "matrix must have 8 rows" in err
+
+
+def _honest_decompose_input(tmp_path, name, n):
+    """A seeded ad_W + lift(delta) of the regular pair of M_n(name), written
+    as a map file, and the decompose report it must give: B_ij = W_ij -
+    [i=j] W_00, and the printed delta is delta + ad_{W_00} on the base, with
+    ad_w(x) = w x - x w."""
+    rng = random.Random(f"decompose:{name}:{n}")
+    a, m = catalog(name)
+    ma, mm = matrix_pair(a, m, n)
+    delta = LinearMap(Matrix.from_triples(m.dim, a.dim, ()))
+    for b in derivation_space(a, m).basis:
+        delta = delta + b.linmap.scale(F(rng.randint(-3, 3), rng.choice((1, 2))))
+    w = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(mm.bimodule.dim))
+    lin = inner_derivation(ma.algebra, mm.bimodule, w).linmap + \
+        lift(certify(a, m, delta), ma, mm).linmap
+    path = write_map_file(tmp_path / f"honest_{name}.json", lin, algebra=name)
+    w00 = ma.entry(w, 0, 0)
+    lines = [f"algebra: {name}", f"matrix level: n={n}"]
+    for i in range(n):
+        for j in range(n):
+            blk = [x - y if i == j else x for x, y in zip(ma.entry(w, i, j), w00)]
+            lines.append(f"B[{i + 1}][{j + 1}] = " + " ".join(map(str, blk)))
+    cols = []
+    for k in range(a.dim):
+        e_k = basis_vec(a.dim, k)
+        ad = [x - y for x, y in zip(multiply(a, w00, e_k), multiply(a, e_k, w00))]
+        cols.append([x + delta.matrix.at(q, k) for q, x in enumerate(ad)])
+    lines.append("delta:")
+    lines += ["[" + " ".join(str(col[q]) for col in cols) + "]" for q in range(m.dim)]
+    lines.append("recomposition exact: yes")
+    return path, lin, ma, mm, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ("dual_numbers", "full_matrix_2"))
+def test_decompose_honest_map_report(capsys, tmp_path, name):
+    path, _, _, _, expected = _honest_decompose_input(tmp_path, name, 3)
+    assert run_cli(capsys, "decompose", name, "-n", "3", "--derivation", path) == \
+        (0, expected, "")
+
+
+@pytest.mark.parametrize("where", ("off_diagonal", "corner"))
+def test_decompose_one_entry_change_names_the_leibniz_pair(capsys, tmp_path, where):
+    # a one-entry change in the (0,1|0,1) or the (0,0|0,0) component: the
+    # map does not split, and the report is certify's first failing pair
+    name = "full_matrix_2"
+    _, lin, ma, mm = _honest_decompose_input(tmp_path, name, 3)[:4]
+    i, j = (0, 1) if where == "off_diagonal" else (0, 0)
+    rows = [list(r) for r in lin.matrix.entries]
+    rows[mm.flat(i, j, 2)][ma.flat(i, j, 1)] += F(-3, 2)
+    bad = LinearMap(Matrix.from_rows(rows))
+    assert matext.split_map(bad, ma, mm) is None
+    pair = leibniz_failures(ma.algebra, mm.bimodule, bad)[0]
+    path = write_map_file(tmp_path / "bad.json", bad, algebra=name)
+    assert run_cli(capsys, "decompose", name, "-n", "3", "--derivation", path) == (
+        1, f"algebra: {name}\nmatrix level: n=3\nnot a derivation: map violates the "
+           f"Leibniz rule at basis pair ({pair[0]},{pair[1]})\n", "")
+
+
+def test_decompose_runs_no_leibniz_pass_on_the_matrix_pair(capsys, tmp_path, monkeypatch):
+    # the split certifies an honest map; only delta is certified, on the
+    # base pair.  A map that does not split gets the matrix-level pass.
+    seen = []
+    real = dercalc.leibniz_failures
+
+    def counting(a, m, f, stop_early=True):
+        seen.append(a.dim)
+        return real(a, m, f, stop_early)
+
+    path, lin, ma, mm, expected = _honest_decompose_input(tmp_path, "full_matrix_2", 3)
+    monkeypatch.setattr(dercalc, "leibniz_failures", counting)
+    assert run_cli(capsys, "decompose", "full_matrix_2", "-n", "3", "--derivation", path)[:2] \
+        == (0, expected)
+    assert seen == [4]
+    rows = [list(r) for r in lin.matrix.entries]
+    rows[mm.flat(0, 1, 0)][ma.flat(0, 1, 3)] += 1
+    path = write_map_file(tmp_path / "bad.json", LinearMap(Matrix.from_rows(rows)))
+    assert run_cli(capsys, "decompose", "full_matrix_2", "-n", "3", "--derivation", path)[0] == 1
+    assert ma.algebra.dim in seen
+
+
+def test_decomposition_error_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
+    # a derivation whose split fails (forced here) is a failed check
+    for module in (matext, matderiv.cli):
+        monkeypatch.setattr(module, "split_map", lambda f, ma, mm: None)
+    path = _honest_decompose_input(tmp_path, "dual_numbers", 2)[0]
+    assert run_cli(capsys, "decompose", "dual_numbers", "-n", "2", "--derivation", path) == (
+        1, "algebra: dual_numbers\nmatrix level: n=2\n",
+        "error: recomposition failed: inner part plus lifted part != D\n")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from matderiv import dercalc, exactlin, matrix_pair
 from matderiv.dercalc import _constraint_rows, _unflatten_nonzeros
 from matderiv.exactlin import (_echelonize, _nonzeros, _nullspace_core,
                                _primitive_pairs)
-from conftest import CATALOG, mixed_basis_full_matrix_2
+from conftest import CATALOG, _rebased_pairs, _scales, mixed_basis_full_matrix_2
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
 # (Der, Inner, H1) for every catalog pair, derived by hand and re-derived by
@@ -544,26 +544,6 @@ def _signed(r):
     """A reference key with its first value made positive, as in the
     canonical key: rows equal up to sign then have the same key."""
     return tuple((c, -v) for c, v in r) if r and r[0][1] < 0 else r
-
-
-_scales = st.sampled_from((F(1), F(-1), F(2), F(-1, 3), F(5, 2), F(-4, 7)))
-
-
-@st.composite
-def _rebased_pairs(draw, a, m):
-    """The pair in the basis s_i e_i of the algebra and t_p f_p of the module,
-    for nonzero rationals s and t (all 1 in the simplest example)."""
-    s = [draw(_scales) for _ in range(a.dim)]
-    t = [draw(_scales) for _ in range(m.dim)]
-    mult = {(i, j, k): s[i] * s[j] / s[k] * c for i, plane in enumerate(a.table)
-            for j, cell in enumerate(plane) for k, c in cell}
-    left = {(i, p, q): s[i] * t[p] / t[q] * c for i, plane in enumerate(m.left_table)
-            for p, cell in enumerate(plane) for q, c in cell}
-    right = {(p, i, q): t[p] * s[i] / t[q] * c for p, plane in enumerate(m.right_table)
-             for i, cell in enumerate(plane) for q, c in cell}
-    unit = [u / s[k] for k, u in enumerate(a.unit)]
-    return (Algebra.from_sparse(a.dim, a.labels, unit, mult),
-            Bimodule.from_sparse(m.dim, a.dim, left, right))
 
 
 @pytest.mark.parametrize("name,n", _KERNEL_PAIRS)

@@ -247,6 +247,29 @@ def test_mul_vec_matches_fraction_reference(case):
     assert all(type(x) is F for row in m.entries for x in row)
 
 
+@settings(max_examples=300)
+@given(_matrix_and_vector(), st.data())
+@example((Matrix.from_triples(3, 2, ()), (F(1, 2), 5)), None)
+@example((Matrix(2, 3, ((1, 0, -4), (0, 0, 0))), (2, F(1, 3), -1)), None)
+def test_maps_to_matches_fraction_reference(case, data):
+    # m v == y decided in integers, against y = the product, the product
+    # with one entry moved, zeros and int entries
+    m, v = case
+    ref = _reference_mul_vec(m, v)
+    ys = [ref, tuple(int(x) if x.denominator == 1 else x for x in ref), (0,) * m.rows]
+    if data is not None:
+        r = data.draw(st.integers(0, m.rows - 1))
+        moved = list(ref)
+        moved[r] += data.draw(_rationals.filter(bool))
+        ys.append(tuple(moved))
+    for y in ys:
+        assert m.maps_to(v, y) == (ref == tuple(y))
+    for bad_v, bad_y, message in ((v + (F(1),), ref, "dimension mismatch"),
+                                  (v, ref + (F(0),), "wrong dimension")):
+        with pytest.raises(ValueError, match=message):
+            m.maps_to(bad_v, bad_y)
+
+
 # ---------------------------------------------------------------------------
 # the component split against the unsplit elimination it replaced
 # ---------------------------------------------------------------------------

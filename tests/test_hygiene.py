@@ -101,11 +101,14 @@ def test_dense_forms_are_read_only_where_named():
 
 
 # the (module, top-level definition) pairs that may call Derivation(...): the
-# honest constructors, which set the pair they certified on, and the CLI's
-# --bypass-certify door, which forges a map on the pair under test
+# honest constructors, which set the pair they certified on (lift builds
+# the lift of a certified base derivation, a derivation block by block),
+# and the CLI's --bypass-certify door, which forges a map on the pair under
+# test
 DERIVATION_BUILDERS = {
     ("dercalc.py", "certify"),
     ("dercalc.py", "inner_derivation"),
+    ("matext.py", "lift"),
     ("twolocal.py", "pair_witness"),
     ("cli.py", "_certified_map"),
 }

@@ -17,7 +17,7 @@ from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
-from conftest import CATALOG, swap_outer, table_triples
+from conftest import CATALOG, SCALES, rebase, swap_outer, table_triples
 
 
 def rand_elt(rng, dim):
@@ -529,18 +529,32 @@ def _component_targeting(rng, identity, n, unit):
     return i, j, r, s, k
 
 
-@pytest.mark.parametrize("name", ("dual_numbers", "upper_triangular_2", "full_matrix_2"))
+@pytest.mark.parametrize("name", ("dual_numbers", "upper_triangular_2", "full_matrix_2",
+                                  "rebased:dual_numbers", "rebased:upper_triangular_2",
+                                  "rebased:full_matrix_2"))
 @pytest.mark.parametrize("n", (2, 3))
 def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
     # seeded ad_W + lift(delta), unchanged or changed at one entry chosen to
-    # break each identity in turn, forged as derivations
-    ma, mm = mpairs(name, n)
-    a, m = pairs(name)
+    # break each identity in turn, forged as derivations.  A rebased pair
+    # has a module table with denominators (L_m != 1) and a unit with
+    # non-integral coordinates, so verify_lemma22's integer scales matter.
+    base_name = name.removeprefix("rebased:")
+    if name == base_name:
+        ma, mm = mpairs(name, n)
+        a, m = pairs(name)
+        base = derspaces(name)
+    else:
+        a, m = pairs(base_name)
+        a, m = rebase(a, m, [SCALES[(i + 4) % 6] for i in range(a.dim)],
+                      [SCALES[(p + 3) % 6] for p in range(m.dim)])
+        assert m.int_tables[0] != 1 and any(u.denominator != 1 for u in a.unit)
+        ma, mm = matrix_pair(a, m, n)
+        base = derivation_space(a, m)
     dim = ma.algebra.dim
     for seed, identity in enumerate((None, "i", "ii", "iii", "iv", "v") * 2):
         rng = random.Random(f"lemma22:{name}:{n}:{seed}")
         delta = LinearMap(Matrix.from_triples(m.dim, a.dim, ()))
-        for b in derspaces(name).basis:
+        for b in base.basis:
             delta = delta + b.linmap.scale(F(rng.randint(-3, 3)))
         w = rand_elt(rng, mm.bimodule.dim)
         D = inner_derivation(ma.algebra, mm.bimodule, w).linmap + \
