@@ -62,7 +62,7 @@ from .matext import (
     Lemma22Report,
     MatrixAlgebra,
     MatrixBimodule,
-    ReblockIso,
+    PairIso,
     component,
     decompose,
     lift,
@@ -70,7 +70,6 @@ from .matext import (
     matrix_bimodule,
     matrix_pair,
     reblock_iso,
-    transport_derivation,
     verify_lemma22,
 )
 from .twolocal import (

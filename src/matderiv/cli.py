@@ -185,19 +185,15 @@ def _require_valid(what: str, violations, labels=None) -> None:
                             f"first: {violations[0].describe(labels)}")
 
 
-def resolve_algebra(ref: str, check: bool = True) -> Algebra:
-    """Catalog name, or a path to an AlgebraFile; catalog names win.  An
-    algebra read from a file must satisfy the algebra axioms (input error
-    otherwise) unless check=False; catalog algebras are trusted."""
+def resolve_algebra(ref: str) -> Algebra:
+    """Catalog name, or a path to an AlgebraFile; catalog names win.  The
+    algebra is not validated here: _build_pair and cmd_validate check it."""
     try:
         return catalog_algebra(ref)
     except ValueError as exc:
         catalog_err = exc
     if os.path.exists(ref):
-        a = load_algebra_file(ref)
-        if check:
-            _require_valid(f"algebra {ref}", validate_algebra(a), a.labels)
-        return a
+        return load_algebra_file(ref)
     raise CliInputError(
         f"{ref!r} is neither a catalog name nor a readable file ({catalog_err})")
 
@@ -241,6 +237,7 @@ def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
     or the regular bimodule, and with -n the extensions ma, mm.  Returns
     (a, m, ma, mm), (a, m) at the level the command computes on."""
     base = resolve_algebra(args.algebra)
+    _require_valid(f"algebra {args.algebra}", validate_algebra(base), base.labels)
     module_path = getattr(args, "module", None)
     if module_path:
         base_mod = load_bimodule_file(module_path, base)
@@ -274,9 +271,9 @@ def _certified_map(lin: LinearMap, a: Algebra, m: Bimodule,
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, out: TextIO) -> int:
-    a = resolve_algebra(args.algebra, check=False)
+    a = resolve_algebra(args.algebra)
     violations = validate_algebra(a)
-    label = getattr(args, "module", None)
+    label = args.module
     # a module file is read before any output, and only for a valid algebra
     m = load_bimodule_file(label, a) if label and not violations else None
     print(f"algebra: {args.algebra}", file=out)

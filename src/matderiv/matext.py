@@ -13,9 +13,10 @@ Core operations: embedding base elements into blocks, lifting a base
 derivation to act entrywise, extracting component maps (i,j|r,s), splitting
 a map of the matrix pair into an inner part plus a lifted base derivation
 (split_map: a zero residual certifies the map, with no Leibniz pass),
-checking the standard component identities, and the reblocking isomorphism
-M_{rk}(A) ~ M_r(M_k(A)).  Every function that takes a derivation checks it
-through dercalc._check_derivation: certified on its own pair.
+checking the standard component identities, and relabeling pairs (PairIso,
+certified by its table comparison, so transport runs no Leibniz pass), as in
+the reblocking M_{rk}(A) ~ M_r(M_k(A)).  Every function that takes a
+derivation checks it through dercalc._check_derivation, against its pair.
 verify_lemma22 compares integers at one scale, L_D*L_u*L_m: D's nonzeros
 times the lcm L_D of their denominators, the base unit times its own lcm L_u
 and the actions of mm.base.int_tables, at scale L_m.
@@ -329,69 +330,72 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
 
 
 # ---------------------------------------------------------------------------
-# reblocking
+# relabeling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReblockIso:
-    """Basis bijection M_{rk}(A) -> M_r(M_k(A)):
-    e x E_{ik+p, jk+q}  |->  (e x E_pq) x E_ij."""
+def _renamed(table: Table, rows: Sequence[int], cols: Sequence[int],
+             out: Sequence[int]) -> Table:
+    """table with cell (i, j) moved to (rows[i], cols[j]) and each entry
+    (k, c) to (out[k], c), in canonical sparse form."""
+    moved = [[()] * len(cols) for _ in rows]
+    for i, plane in zip(rows, table):
+        for j, cell in zip(cols, plane):
+            moved[i][j] = tuple(sorted([(out[k], c) for k, c in cell]))
+    return tuple(map(tuple, moved))
 
-    source: MatrixAlgebra
-    inner: MatrixAlgebra
-    target: MatrixAlgebra
-    forward: tuple[int, ...]
-    backward: tuple[int, ...]
+
+@dataclass(frozen=True)
+class PairIso:
+    """The relabeling e_t -> e'_{alg[t]}, f_p -> f'_{mod[p]} of the pair
+    source onto target.  The constructor is its certificate, else ValueError:
+    alg and mod permute the bases, and the renamed source equals the target."""
+
+    source: tuple[Algebra, Bimodule]
+    target: tuple[Algebra, Bimodule]
+    alg: tuple[int, ...]
+    mod: tuple[int, ...]
+
+    def __post_init__(self):
+        (a, m), (a2, m2), alg, mod = self.source, self.target, self.alg, self.mod
+        if (sorted(alg) != list(range(a.dim)) or sorted(mod) != list(range(m.dim))
+                or m.algebra_dim != a.dim
+                or (self.apply(a.unit), _renamed(a.table, alg, alg, alg),
+                    _renamed(m.left_table, alg, mod, mod), _renamed(m.right_table, mod, alg, mod))
+                != (a2.unit, a2.table, m2.left_table, m2.right_table)):
+            raise ValueError("relabeling is not an isomorphism of the pairs")
 
     def apply(self, x: Sequence[Fraction]) -> Vector:
-        return _permute(x, self.forward, "element length does not match source algebra")
+        if len(x) != len(self.alg):
+            raise ValueError("element length does not match source algebra")
+        out = [ZERO] * len(self.alg)
+        for t, c in zip(self.alg, x):
+            out[t] = c
+        return tuple(out)
 
     def inverse(self, y: Sequence[Fraction]) -> Vector:
-        return _permute(y, self.backward, "element length does not match target algebra")
+        if len(y) != len(self.alg):
+            raise ValueError("element length does not match target algebra")
+        return tuple(y[t] for t in self.alg)
+
+    def transport(self, D: Derivation) -> Derivation:
+        """D with entry (p, k) moved to (mod[p], alg[k]): a derivation of the
+        target pair by the constructor's certificate, with no Leibniz pass."""
+        _check_derivation(D, *self.source, "transport")
+        a, m = self.target
+        return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, sorted(
+            (self.mod[p], self.alg[k], x) for p, row in enumerate(D.matrix.nonzeros)
+            for k, x in row))), a, m)
 
 
-def _permute(x: Sequence[Fraction], perm: tuple[int, ...], error: str) -> Vector:
-    """x with coordinate t moved to perm[t]; both spaces have dimension len(perm)."""
-    if len(x) != len(perm):
-        raise ValueError(error)
-    out = [ZERO] * len(perm)
-    for t, c in enumerate(x):
-        if c:
-            out[perm[t]] = c
-    return tuple(out)
-
-
-def reblock_iso(a: Algebra, r: int, k: int) -> ReblockIso:
-    """The reblocking isomorphism for n = r*k; needs r, k >= 2 (single-row or
-    single-column reblocking is excluded by the n >= 2 rule of
+def reblock_iso(a: Algebra, r: int, k: int) -> PairIso:
+    """e x E_{ik+p, jk+q} -> (e x E_pq) x E_ij, from the regular pair of
+    M_{rk}(a) onto that of M_r(M_k(a)); needs r, k >= 2 (the n >= 2 rule of
     matrix_algebra)."""
     if r < 2 or k < 2:
         raise ValueError("reblocking needs r >= 2 and k >= 2")
-    whole = matrix_algebra(a, r * k)
     inner = matrix_algebra(a, k)
     outer = matrix_algebra(inner.algebra, r)
-    n = r * k
-    d = a.dim
-    forward = [0] * whole.algebra.dim
-    for row in range(n):
-        i, p = divmod(row, k)
-        for col in range(n):
-            j, q = divmod(col, k)
-            for t in range(d):
-                src = (row * n + col) * d + t
-                forward[src] = outer.flat(i, j, inner.flat(p, q, t))
-    backward = [0] * whole.algebra.dim
-    for src, dst in enumerate(forward):
-        backward[dst] = src
-    return ReblockIso(whole, inner, outer, tuple(forward), tuple(backward))
-
-
-def transport_derivation(iso: ReblockIso, D: Derivation) -> Derivation:
-    """Conjugate a derivation of the source regular pair by the reblocking
-    permutation; returns a certified derivation of the target regular pair."""
-    src, tgt = iso.source.algebra, iso.target.algebra
-    _check_derivation(D, src, regular_bimodule(src), "transport_derivation")
-    dim, big = src.dim, D.matrix.nonzeros
-    moved = Matrix.from_triples(dim, dim, ((u, c, x) for u in range(dim) for c, x in sorted(
-        [(iso.forward[v], x) for v, x in big[iso.backward[u]]])))
-    return certify(tgt, regular_bimodule(tgt), LinearMap(moved))
+    perm = tuple(outer.flat(row // k, col // k, inner.flat(row % k, col % k, t))
+                 for row in range(r * k) for col in range(r * k) for t in range(a.dim))
+    pairs = [(b, regular_bimodule(b)) for b in (matrix_algebra(a, r * k).algebra, outer.algebra)]
+    return PairIso(*pairs, perm, perm)

@@ -95,6 +95,16 @@ def mixed_basis_full_matrix_2():
     return Algebra.from_sparse(4, ("u", "h", "x", "y"), (1, 0, 0, 0), triples)
 
 
+def column_module():
+    """T_2 acting on Q^2: columns on the left, the character E22 -> 1 on the
+    right, in the basis f_0 = e_1, f_1 = e_2/3 (so E12.f_1 = f_0/3)."""
+    a = catalog("upper_triangular_2")[0]
+    m = Bimodule.from_sparse(
+        2, 3, {(0, 0, 0): F(1), (1, 1, 0): F(1, 3), (2, 1, 1): F(1)},
+        {(0, 2, 0): F(1), (1, 2, 1): F(1)})
+    return a, m
+
+
 # nonzero basis scales: signs and the denominators 3, 2 and 7
 SCALES = (F(1), F(-1), F(2), F(-1, 3), F(5, 2), F(-4, 7))
 _scales = st.sampled_from(SCALES)

@@ -288,7 +288,7 @@ def test_criterion_11_reblock_and_jordan(pairs, mpairs, derspaces):
     t0 = time.perf_counter()
     a, _ = pairs("field")
     iso = reblock_iso(a, 2, 3)
-    src, tgt = iso.source.algebra, iso.target.algebra
+    src, tgt = iso.source[0], iso.target[0]
     assert iso.apply(src.unit) == tgt.unit
     for i in range(src.dim):
         ei = basis_vec(src.dim, i)

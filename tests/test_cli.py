@@ -786,6 +786,24 @@ def test_pair_errors_are_the_same_for_every_command(capsys, tmp_path, bad):
     assert expected in errors.pop()
 
 
+def test_every_command_validates_its_base_once(capsys, tmp_path, monkeypatch):
+    # a catalog base is validated as a file is, once per command, and the
+    # pair commands validate it before the (missing) map file is read
+    import matderiv.cli as cli
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return validate_algebra(a)
+    monkeypatch.setattr(cli, "validate_algebra", counted)
+    missing = str(tmp_path / "missing.json")
+    for argv in (("validate", "dual_numbers"), ("derspace", "dual_numbers"),
+                 *_pair_commands("dual_numbers", "2", missing)):
+        calls.clear()
+        run_cli(capsys, *argv)
+        assert [a.labels for a in calls] == [("1", "eps")], argv
+
+
 def test_format_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--format", "text", "derspace", "field"])

@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from matderiv import (Algebra, Bimodule, Derivation, LinearMap, Matrix, act,
+from matderiv import (Algebra, Derivation, LinearMap, Matrix, act,
                       basis_vec, catalog, certify,
                       derivation_space, h1_dim, inner_derivation,
                       inner_space, is_inner,
@@ -23,7 +23,8 @@ from matderiv import dercalc, exactlin, matrix_pair
 from matderiv.dercalc import _constraint_rows, _unflatten_nonzeros
 from matderiv.exactlin import (_echelonize, _nonzeros, _nullspace_core,
                                _primitive_pairs)
-from conftest import CATALOG, _rebased_pairs, _scales, mixed_basis_full_matrix_2
+from conftest import (CATALOG, _rebased_pairs, _scales, column_module,
+                      mixed_basis_full_matrix_2)
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
 # (Der, Inner, H1) for every catalog pair, derived by hand and re-derived by
@@ -313,16 +314,6 @@ def _dense_leibniz_failures(a, m, f, stop_early):
     return bad
 
 
-def _column_module():
-    """T_2 acting on Q^2: columns on the left, the character E22 -> 1 on the
-    right, in the basis f_0 = e_1, f_1 = e_2/3 (so E12.f_1 = f_0/3)."""
-    a = catalog("upper_triangular_2")[0]
-    m = Bimodule.from_sparse(
-        2, 3, {(0, 0, 0): F(1), (1, 1, 0): F(1, 3), (2, 1, 1): F(1)},
-        {(0, 2, 0): F(1), (1, 2, 1): F(1)})
-    return a, m
-
-
 def _scaled_c2():
     """C2 in the basis 1, g/2: (g/2)^2 = 1/4, a non-integer table."""
     a = Algebra.from_sparse(2, ("1", "h"), (1, 0),
@@ -343,7 +334,7 @@ _KERNEL_PAIRS = _CATALOG_AND_M2 + (
     ("column_module", None), ("scaled_C2", None), ("mixed_basis_M2", None))
 
 _SPECIAL_PAIRS = {
-    "column_module": _column_module,
+    "column_module": column_module,
     "scaled_C2": _scaled_c2,
     "mixed_basis_M2": _mixed_basis_m2,
 }
@@ -482,15 +473,15 @@ def test_integer_views_scale_the_tables(name, n, pairs, mpairs):
 
 
 def test_integer_views_cover_distinct_scales():
-    a, m = _column_module()
+    a, m = column_module()
     assert (a.int_table[0], m.int_tables[0]) == (1, 3)
     a, m = _scaled_c2()
     assert (a.int_table[0], m.int_tables[0]) == (4, 4)
 
 
 def test_cached_views_leave_equality_and_hash_alone():
-    a, m = _column_module()
-    a2, m2 = _column_module()
+    a, m = column_module()
+    a2, m2 = column_module()
     a.int_table, a.mult, m.int_tables
     assert "int_table" in vars(a) and "int_tables" in vars(m)
     assert "int_table" not in vars(a2) and "int_tables" not in vars(m2)

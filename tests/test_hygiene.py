@@ -100,24 +100,37 @@ def test_dense_forms_are_read_only_where_named():
     assert bad == []
 
 
-# the (module, top-level definition) pairs that may call Derivation(...): the
-# honest constructors, which set the pair they certified on (lift builds
-# the lift of a certified base derivation, a derivation block by block),
-# and the CLI's --bypass-certify door, which forges a map on the pair under
-# test
+def _owned_nodes(tree):
+    """(owner, node) for every node of a module below its top level: the
+    owner is the top-level definition, or Class.member inside a class."""
+    for top in tree.body:
+        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+            owner = getattr(member, "name", None)
+            if member is not top:
+                owner = f"{top.name}.{owner}" if owner else top.name
+            for node in ast.walk(member):
+                yield owner, node
+
+
+# the (module, definition) pairs that may call Derivation(...), a method
+# named Class.method: the honest constructors, which set the pair they
+# certified on (lift builds the lift of a certified base derivation, a
+# derivation block by block, and PairIso.transport moves a derivation along
+# the isomorphism of pairs its constructor certified), and the CLI's
+# --bypass-certify door, which forges a map on the pair under test
 DERIVATION_BUILDERS = {
     ("dercalc.py", "certify"),
     ("dercalc.py", "inner_derivation"),
     ("matext.py", "lift"),
+    ("matext.py", "PairIso.transport"),
     ("twolocal.py", "pair_witness"),
     ("cli.py", "_certified_map"),
 }
 
 
 def test_derivations_are_built_only_by_the_named_constructors():
-    built = {(fname, getattr(top, "name", None))
-             for fname, tree in _trees().items() for top in tree.body
-             for node in ast.walk(top)
+    built = {(fname, owner) for fname, tree in _trees().items()
+             for owner, node in _owned_nodes(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Derivation"}
     assert built == DERIVATION_BUILDERS

@@ -1,6 +1,6 @@
 """Matrix extensions M_n(A): block layout, entrywise lifts, component maps,
-the inner-plus-lift decomposition, the five component identities, and the
-reblocking isomorphism."""
+the inner-plus-lift decomposition, the five component identities, and
+relabelings of pairs: the reblocking isomorphism and the S_n conjugations."""
 
 import random
 from fractions import Fraction as F
@@ -12,12 +12,13 @@ from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       catalog, certify, decompose,
                       derivation_space, inner_derivation, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
-                      multiply, perturbed_oracle, reblock_iso, regular_bimodule,
-                      Subspace, transport_derivation,
+                      multiply, PairIso, perturbed_oracle, reblock_iso,
+                      regular_bimodule, Subspace,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
-from conftest import CATALOG, SCALES, rebase, swap_outer, table_triples
+from matderiv import dercalc
+from conftest import CATALOG, SCALES, column_module, rebase, swap_outer, table_triples
 
 
 def rand_elt(rng, dim):
@@ -382,8 +383,8 @@ GUARDED = {
                   lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
     "decompose": (decompose, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
     "verify_lemma22": (verify_lemma22, lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
-    "transport_derivation": (
-        lambda D, ma, mm: transport_derivation(reblock_iso(ma.base, 2, 2), D),
+    "transport": (
+        lambda D, ma, mm: reblock_iso(ma.base, 2, 2).transport(D),
         lambda ma, mm: (16 * ma.base.dim,) * 2, 4),
     "perturbed_oracle": (lambda D, ma, mm: perturbed_oracle(D, "quadratic_block", ma, mm),
                          lambda ma, mm: (ma.algebra.dim, mm.bimodule.dim), 2),
@@ -573,22 +574,23 @@ def test_lemma22_matches_unmemoized_search(name, n, pairs, mpairs, derspaces):
 
 
 # ---------------------------------------------------------------------------
-# reblocking
+# relabeling: reblocking and the S_n conjugations
 # ---------------------------------------------------------------------------
 
 def test_reblock_iso_unital_and_multiplicative_sampled():
     rng = random.Random(3)
     f, _ = catalog("field")
     iso = reblock_iso(f, 3, 2)
-    src = iso.source.algebra
-    tgt = iso.target.algebra
+    whole = matrix_algebra(f, 6)
+    src = iso.source[0]
+    tgt = iso.target[0]
+    assert src == whole.algebra
     assert src.dim == 36 and tgt.dim == 36
-    from matderiv import multiply
     assert iso.apply(src.unit) == tgt.unit
     # frozen generator pair: E_{14} E_{45} = E_{15} in 0-based flat indices
-    x = basis_vec(36, iso.source.flat(0, 3, 0))
-    y = basis_vec(36, iso.source.flat(3, 4, 0))
-    z = basis_vec(36, iso.source.flat(0, 4, 0))
+    x = basis_vec(36, whole.flat(0, 3, 0))
+    y = basis_vec(36, whole.flat(3, 4, 0))
+    z = basis_vec(36, whole.flat(0, 4, 0))
     assert multiply(src, x, y) == z
     assert multiply(tgt, iso.apply(x), iso.apply(y)) == iso.apply(z)
     for trial in range(30):
@@ -610,9 +612,10 @@ def test_reblock_needs_proper_factors():
 def test_reblock_iso_moves_basis_vectors_and_checks_lengths():
     f, _ = catalog("field")
     iso = reblock_iso(f, 2, 2)
+    assert iso.mod == iso.alg
     for t in range(16):
-        assert iso.apply(basis_vec(16, t)) == basis_vec(16, iso.forward[t])
-        assert iso.inverse(basis_vec(16, t)) == basis_vec(16, iso.backward[t])
+        assert iso.apply(basis_vec(16, t)) == basis_vec(16, iso.alg[t])
+        assert iso.inverse(basis_vec(16, iso.alg[t])) == basis_vec(16, t)
     with pytest.raises(ValueError, match="does not match source algebra"):
         iso.apply(zero_vec(15))
     with pytest.raises(ValueError, match="does not match target algebra"):
@@ -623,12 +626,86 @@ def test_transport_derivation_conjugates():
     rng = random.Random(21)
     f, fm = catalog("field")
     iso = reblock_iso(f, 2, 2)
-    src_a = iso.source.algebra
-    src_m = regular_bimodule(src_a)
-    d = inner_derivation(src_a, src_m, basis_vec(16, iso.source.flat(0, 1, 0)))
-    moved = transport_derivation(iso, d)
-    tgt = iso.target.algebra
+    src_a, src_m = iso.source
+    d = inner_derivation(src_a, src_m, basis_vec(16, matrix_algebra(f, 4).flat(0, 1, 0)))
+    moved = iso.transport(d)
+    tgt = iso.target[0]
     assert (moved.algebra, moved.bimodule) == (tgt, regular_bimodule(tgt))
     for trial in range(10):
         x = rand_elt(rng, 16)
         assert moved.apply(iso.apply(x)) == iso.apply(d.apply(x))
+
+
+def _conjugation(ma, mm, sigma):
+    """x (x) E_ij -> x (x) E_sigma(i)sigma(j) on both spaces of a matrix
+    pair, as a relabeling of the pair onto itself."""
+    def perm(d):
+        return tuple((sigma[i] * ma.n + sigma[j]) * d + k
+                     for i in range(ma.n) for j in range(ma.n) for k in range(d))
+    pair = (ma.algebra, mm.bimodule)
+    return PairIso(pair, pair, perm(ma.base.dim), perm(mm.base.dim))
+
+
+# the transposition (0 1) and the n-cycle i -> i+1 mod n, at n = 3
+SIGMAS = {"(0 1)": (1, 0, 2), "3-cycle": (1, 2, 0)}
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("name", CATALOG + ("column_module",))
+def test_conjugation_moves_lifts_and_inner_derivations(name, sigma, mpairs, derspaces,
+                                                       monkeypatch):
+    if name == "column_module":               # dim M = 2, dim A = 3
+        a, m = column_module()
+        (ma, mm), base = matrix_pair(a, m, 3), derivation_space(a, m)
+    else:
+        (ma, mm), base = mpairs(name, 3), derspaces(name)
+    iso = _conjugation(ma, mm, SIGMAS[sigma])
+    assert (iso.mod == iso.alg) == (name != "column_module")
+    rng = random.Random(7)
+    ws = [rand_elt(rng, mm.bimodule.dim) for _ in range(2)]
+    ws.append(mm.embed(basis_vec(mm.base.dim, 0), 0, 1))
+    inner = [inner_derivation(ma.algebra, mm.bimodule, w) for w in ws]
+    lifts = [lift(delta, ma, mm) for delta in base.basis]
+    calls = []
+    counted = dercalc.leibniz_failures
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+    monkeypatch.setattr(dercalc, "leibniz_failures", counting)
+    moved_lifts = [iso.transport(D) for D in lifts]
+    moved_inner = [iso.transport(D) for D in inner]
+    assert calls == []                           # the constructor is the certificate
+    monkeypatch.undo()
+    assert moved_lifts == lifts
+    for w, moved in zip(ws, moved_inner):
+        relabeled = [F(0)] * len(w)
+        for p, x in zip(iso.mod, w):
+            relabeled[p] = x
+        assert moved == inner_derivation(ma.algebra, mm.bimodule, relabeled)
+    for moved in moved_lifts + moved_inner:
+        assert certify(*iso.target, moved.linmap) == moved
+
+
+def test_relabeling_that_is_no_isomorphism_is_rejected(mpairs):
+    message = "not an isomorphism of the pairs"
+    # swapping the two base vectors 1, eps of the dual numbers
+    pair = catalog("dual_numbers")
+    with pytest.raises(ValueError, match=message):
+        PairIso(pair, pair, (1, 0), (1, 0))
+    # index lists that are no permutations of the bases
+    for alg, mod in (((0, 0), (0, 1)), ((0, 1), (1,)), ((0, 1, 2), (0, 1))):
+        with pytest.raises(ValueError, match=message):
+            PairIso(pair, pair, alg, mod)
+    # one cell of M_3(dual_numbers)'s module table changed: the transposition
+    # (0 1), an automorphism of the true pair, no longer maps it onto the
+    # changed one
+    ma, mm = mpairs("dual_numbers", 3)
+    iso = _conjugation(ma, mm, SIGMAS["(0 1)"])
+    left = [list(plane) for plane in mm.bimodule.left_table]
+    (q, c), = left[0][0]
+    left[0][0] = ((q, 2 * c),)
+    bad = Bimodule(mm.bimodule.dim, ma.algebra.dim, tuple(map(tuple, left)),
+                   mm.bimodule.right_table)
+    with pytest.raises(ValueError, match=message):
+        PairIso(iso.source, (ma.algebra, bad), iso.alg, iso.mod)
