@@ -44,7 +44,6 @@ from .dercalc import (
     Derivation,
     DerivationSpace,
     InnerSpace,
-    JordanDerivationSpace,
     LinearMap,
     certify,
     derivation_space,
@@ -53,6 +52,7 @@ from .dercalc import (
     inner_space,
     is_inner,
     jordan_derivation_space,
+    jordan_pair,
     leibniz_failures,
 )
 from .matext import (

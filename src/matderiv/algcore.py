@@ -1,4 +1,4 @@
-"""Finite-dimensional unital associative algebras over Q, by structure constants.
+"""Finite-dimensional algebras with a unit over Q, by structure constants.
 
 An Algebra stores its structure constants as a sparse table: table[i][j] is
 the tuple of (k, c) pairs with e_i e_j = sum c e_k, every c nonzero and k
@@ -15,8 +15,8 @@ nonzeros of its two operands.
 Validators check the defining axioms on every basis tuple and report each
 violation with the offending indices and both expansions.  Both expand the
 associativity axioms from the tables, summing only the products that occur
-and skipping a tuple whose two input cells are both empty.  Everything else
-in the package assumes its inputs have already been validated.
+and skipping a tuple whose two input cells are both empty.  No other
+function checks the axioms; dercalc names the ones that need them.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def _int_view(*tables: Table) -> tuple:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Unital associative algebra given by basis labels, unit and the sparse
-    table of its structure constants."""
+    """Algebra with a unit given by basis labels, unit and the sparse table of
+    its structure constants; validate_algebra checks that it is associative."""
 
     dim: int
     labels: tuple[str, ...]
@@ -227,11 +227,8 @@ def commutes(a: Algebra, m: Bimodule) -> bool:
     """True iff x.f = f.x for all basis x of a and basis f of m."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
-    for i in range(a.dim):
-        for p in range(m.dim):
-            if m.left_table[i][p] != m.right_table[p][i]:
-                return False
-    return True
+    # left[i] against column i of right, up to the first unequal cell
+    return all(row == col for row, col in zip(m.left_table, zip(*m.right_table)))
 
 
 # ---------------------------------------------------------------------------

@@ -306,16 +306,12 @@ def cmd_derspace(args, out: TextIO) -> int:
     h1 = quotient_dim(inn.image, ds.subspace)
     print(f"Der={ds.dim} Inner={inn.image.dim} H1={h1}", file=out)
     if args.jordan:
-        js = jordan_derivation_space(a, m)
-        print(f"Jordan={js.dim}", file=out)
-        basis = [lm.matrix for lm in js.basis]
-        title = "jordan basis"
-    else:
-        basis = [d.matrix for d in ds.basis]
-        title = "basis"
-    for idx, mat in enumerate(basis, start=1):
+        ds = jordan_derivation_space(a, m)
+        print(f"Jordan={ds.dim}", file=out)
+    title = "jordan basis" if args.jordan else "basis"
+    for idx, d in enumerate(ds.basis, start=1):
         print(f"{title} {idx}:", file=out)
-        print(fmt_matrix(mat), file=out)
+        print(fmt_matrix(d.matrix), file=out)
     return 0
 
 

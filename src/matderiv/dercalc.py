@@ -6,6 +6,10 @@ and module coordinate, so the derivation space is the nullspace of a
 (d^2*m) x (d*m) system in the flattened coordinates of the map.  Flattening
 is column-major: flat[k*m + p] is the f_p-coordinate of the image of e_k.
 Inner derivations use the sign convention delta_w(x) = w.x - x.w.
+leibniz_failures, certify and derivation_space solve or check the Leibniz
+rule of whatever tables they get, such as the non-associative jordan_pair.
+inner_derivation, inner_space and is_inner need a bimodule, as delta_w is a
+derivation only on one.  No function checks the axioms; the CLI does.
 
 Constraint assembly, certification, inner derivations and the inner space
 read the integer views Algebra.int_table (scale L_a) and Bimodule.int_tables
@@ -25,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .algcore import Algebra, Bimodule
+from .algcore import Algebra, Bimodule, SparseEntry, commutes, regular_bimodule
 from .exactlin import (Matrix, Nonzeros, Subspace, Vector, _canonical, _dense,
                        _primitive_pairs, _scaled, _solve_augmented, nullspace_sparse,
                        quotient_dim)
@@ -174,8 +178,8 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
 
 def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
     """f as a derivation of (a, m), or ValueError at the first basis pair that
-    breaks the Leibniz rule.  It checks dimensions, not that m is a bimodule
-    over a: callers pass validated pairs, as every CLI command does."""
+    breaks the Leibniz rule of these tables.  It checks dimensions, not the
+    axioms of the pair: callers pass validated pairs or a Jordan pair."""
     bad = leibniz_failures(a, m, f)
     if bad:
         i, j = bad[0]
@@ -199,30 +203,43 @@ def _by_output(table, scale: int, md: int) -> list[list[list[tuple[int, int]]]]:
     return out
 
 
-def _merge(*parts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The sum of sparse (index, value) lists, sorted, zeros dropped."""
-    acc: dict[int, int] = {}
-    for part in parts:
-        for c, v in part:
-            acc[c] = acc.get(c, 0) + v
-    return sorted([cv for cv in acc.items() if cv[1]])
+def _merge(x: Sequence[SparseEntry], y: Sequence[SparseEntry]) -> tuple[SparseEntry, ...]:
+    """The sum of two sparse (index, value) lists, sorted, zeros dropped."""
+    acc = dict(x)
+    for c, v in y:
+        acc[c] = acc.get(c, 0) + v
+    return tuple(sorted([cv for cv in acc.items() if cv[1]]))
 
 
-def _constraint_rows(a: Algebra, m: Bimodule,
-                     jordan: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+def jordan_pair(a: Algebra, m: Bimodule) -> tuple[Algebra, Bimodule]:
+    """The Jordan pair of (a, m): the product x o y = xy + yx with unit 1/2,
+    acting on m by x o f = f o x = x.f + f.x.  It is commutative and not
+    associative, and its derivations are the Jordan derivations of (a, m):
+    delta(xy + yx) = delta(x).y + x.delta(y) + delta(y).x + y.delta(x)."""
+    if m.algebra_dim != a.dim:
+        raise ValueError("bimodule is not over this algebra")
+
+    def symmetrized(t, u):                      # the cells t[i][p] + u[p][i]
+        return tuple(tuple(map(_merge, row, col)) for row, col in zip(t, zip(*u)))
+    left = symmetrized(m.left_table, m.right_table)
+    return (Algebra(a.dim, a.labels, tuple(u / 2 for u in a.unit),
+                    symmetrized(a.table, a.table)),
+            Bimodule(m.dim, a.dim, left, tuple(zip(*left))))
+
+
+def _constraint_rows(a: Algebra, m: Bimodule) -> Iterator[tuple[tuple[int, int], ...]]:
     """Sparse constraint rows as canonical keys (exactlin._canonical), in
-    lexicographic (i, j, module coordinate q) order of their first emission.
-
-    Leibniz:   delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0
-    Jordan (polarized): the same expression symmetrized over (i, j), so only
-    the pairs i <= j are visited.
+    lexicographic (i, j, module coordinate q) order of their first emission,
+    of delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0.  When a is
+    commutative and commutes with m (every Jordan pair, and every pair of
+    the paper's third theorem), the rows of (i, j) and (j, i) are equal, so
+    only the pairs i <= j are visited.
 
     Each row is read off the integer views times lcm(L_a, L_m) = L_a*L_m/g,
     as the sum of up to three terms: the product term table[i][j] at output
-    q (columns k*md + q), the part placed at block i (columns i*md + p) and
-    the part placed at block j.  For Leibniz these parts are the right
-    action of e_j and the left action of e_i on the q-th output; for Jordan
-    they are the sums of both actions of e_j and of e_i.
+    q (columns k*md + q), the part placed at block i (columns i*md + p), the
+    right action of e_j on the q-th output, and the part placed at block j,
+    the left action of e_i.
 
     A row with one nonempty term is a shifted copy of a pattern that depends
     on fewer indices: the product term on (table cell, q), the block-i part
@@ -232,6 +249,7 @@ def _constraint_rows(a: Algebra, m: Bimodule,
     Rows with two or three terms are built and emitted one by one.  Only
     repeats disappear: the set of distinct keys is that of every (i, j, q).
     """
+    symmetric = commutes(a, m) and commutes(a, regular_bimodule(a))
     d, md = a.dim, m.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
@@ -239,9 +257,6 @@ def _constraint_rows(a: Algebra, m: Bimodule,
     # at_i[j][q] = [(p, -R[p][j][q])] and at_j[i][q] = [(p, -L[i][p][q])], scaled
     at_i = _by_output(zip(*right), la // g, md)
     at_j = _by_output(left, la // g, md)
-    if jordan:
-        at_i = at_j = [[_merge(r, l) for r, l in zip(rx, lx)]
-                       for rx, lx in zip(at_i, at_j)]
     patterns: list[tuple[tuple[int, int], ...]] = []
     ids: dict[tuple[tuple[int, int], ...], int] = {}
 
@@ -253,13 +268,11 @@ def _constraint_rows(a: Algebra, m: Bimodule,
         return ids[key]
 
     ids_i = [[intern(part) if part else -1 for part in by_q] for by_q in at_i]
-    ids_j = ids_i if jordan else [[intern(part) if part else -1 for part in by_q]
-                                  for by_q in at_j]
+    ids_j = [[intern(part) if part else -1 for part in by_q] for by_q in at_j]
     emitted: set[tuple[int, int]] = set()
     for i in range(d):
-        for j in range(i if jordan else 0, d):
-            cell = _merge(table[i][j], table[j][i]) if jordan else table[i][j]
-            image = [(k * md, lm // g * c) for k, c in cell]
+        for j in range(i if symmetric else 0, d):
+            image = [(k * md, lm // g * c) for k, c in table[i][j]]
             pid = intern(image) if image else -1
             ui, uj, base_i, base_j = at_i[j], at_j[i], i * md, j * md
             for q in range(md):
@@ -304,37 +317,19 @@ class DerivationSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class JordanDerivationSpace:
-    algebra: Algebra
-    bimodule: Bimodule
-    basis: tuple[LinearMap, ...]
-    subspace: Subspace
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
-    """All derivations A -> M, as the nullspace of the Leibniz constraints;
-    every basis map is certified.  The bimodule axioms are trusted (certify)."""
-    if m.algebra_dim != a.dim:
-        raise ValueError("bimodule is not over this algebra")
-    sub = nullspace_sparse(_constraint_rows(a, m, jordan=False), a.dim * m.dim)
+    """All derivations A -> M, as the nullspace of the Leibniz constraints of
+    the tables of (a, m); certify certifies every basis map on (a, m)."""
+    sub = nullspace_sparse(_constraint_rows(a, m), a.dim * m.dim)
     basis = tuple(certify(a, m, _unflatten_nonzeros(v, m.dim, a.dim))
                   for v in sub.nonzeros)
     return DerivationSpace(a, m, basis, sub)
 
 
-def jordan_derivation_space(a: Algebra, m: Bimodule) -> JordanDerivationSpace:
-    """All Jordan derivations, via the char-0 polarized constraint
-    delta(xy + yx) = delta(x).y + x.delta(y) + delta(y).x + y.delta(x)."""
-    if m.algebra_dim != a.dim:
-        raise ValueError("bimodule is not over this algebra")
-    sub = nullspace_sparse(_constraint_rows(a, m, jordan=True), a.dim * m.dim)
-    basis = tuple(_unflatten_nonzeros(v, m.dim, a.dim) for v in sub.nonzeros)
-    return JordanDerivationSpace(a, m, basis, sub)
+def jordan_derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
+    """All Jordan derivations of (a, m), as the derivations of its Jordan
+    pair: each basis map is certified on that pair, not on (a, m)."""
+    return derivation_space(*jordan_pair(a, m))
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ class Decomposition:
 def split_map(f: LinearMap, ma: MatrixAlgebra, mm: MatrixBimodule) -> Decomposition | None:
     """f as inner-by-B plus the lift of delta, B_ij = [f(1 x E_j0)]_(i,0)
     and delta the (0,0|0,0) component; None when delta breaks the Leibniz
-    rule or the residual f - inner_part - lifted_part is nonzero.  Like
-    certify, it checks shapes and trusts mm to be a bimodule over ma."""
+    rule or the residual f - inner_part - lifted_part is nonzero.  It checks
+    shapes and, as inner_derivation does, trusts mm to be a bimodule over ma."""
     if (f.algebra_dim, f.module_dim) != (ma.algebra.dim, mm.bimodule.dim):
         raise ValueError("map shape does not match the algebra/bimodule pair")
     witness = tuple(x for i in range(ma.n) for j in range(ma.n)
@@ -357,10 +357,12 @@ class PairIso:
 
     def __post_init__(self):
         (a, m), (a2, m2), alg, mod = self.source, self.target, self.alg, self.mod
+        regular = mod == alg and m.left_table is a.table is m.right_table  # renamed once
         if (sorted(alg) != list(range(a.dim)) or sorted(mod) != list(range(m.dim))
                 or m.algebra_dim != a.dim
-                or (self.apply(a.unit), _renamed(a.table, alg, alg, alg),
-                    _renamed(m.left_table, alg, mod, mod), _renamed(m.right_table, mod, alg, mod))
+                or (self.apply(a.unit), table := _renamed(a.table, alg, alg, alg),
+                    table if regular else _renamed(m.left_table, alg, mod, mod),
+                    table if regular else _renamed(m.right_table, mod, alg, mod))
                 != (a2.unit, a2.table, m2.left_table, m2.right_table)):
             raise ValueError("relabeling is not an isomorphism of the pairs")
 

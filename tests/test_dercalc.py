@@ -15,8 +15,9 @@ from matderiv import (Algebra, Derivation, LinearMap, Matrix, act,
                       basis_vec, catalog, certify,
                       derivation_space, h1_dim, inner_derivation,
                       inner_space, is_inner,
-                      jordan_derivation_space,
-                      leibniz_failures, lift, member, nullspace, regular_bimodule,
+                      jordan_derivation_space, jordan_pair,
+                      leibniz_failures, lift, member, multiply, nullspace,
+                      regular_bimodule, seeded_elements,
                       same_space, solve, Subspace, vadd, validate_algebra,
                       validate_bimodule, vscale, vsub, zero_vec)
 from matderiv import dercalc, exactlin, matrix_pair
@@ -546,7 +547,8 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     a, m = data.draw(_rebased_pairs(*_kernel_pair(name, n, pairs, mpairs)))
     width = a.dim * m.dim
     for jordan, space in ((False, derivation_space), (True, jordan_derivation_space)):
-        got = list(_constraint_rows(a, m, jordan))
+        pair = jordan_pair(a, m) if jordan else (a, m)
+        got = list(_constraint_rows(*pair))
         ref = [_ref_primitive_pairs(r) for r in _ref_constraint_rows(a, m, jordan)]
         for g in got:
             assert g and g[0][1] > 0 and gcd(*(v for _, v in g)) == 1
@@ -567,13 +569,71 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
 
 def test_assembly_emits_repeated_rows_once(mpairs):
     # single-term rows of M_3(full_matrix_2) are shifted copies of few
-    # patterns, and the Jordan rows of (i, j) and (j, i) are equal
+    # patterns, and the Jordan pair is commutative and commutes with its
+    # module, so its rows of (i, j) and (j, i) are equal and only i <= j is
+    # visited
     ma, mm = mpairs("full_matrix_2", 3)
     a, m = ma.algebra, mm.bimodule
     for jordan, most in ((False, F(1, 3)), (True, F(1, 2))):
         ref = sum(1 for _ in _ref_constraint_rows(a, m, jordan))
         assert ref == (31026 if jordan else 19656)
-        assert len(list(_constraint_rows(a, m, jordan))) <= most * ref
+        pair = jordan_pair(a, m) if jordan else (a, m)
+        assert len(list(_constraint_rows(*pair))) <= most * ref
+
+
+def test_commuting_pair_visits_each_unordered_basis_pair_once(pairs):
+    # group_algebra_C2 is commutative and so commutes with its regular
+    # module: the rows of (i, j) and (j, i) are equal, and only i <= j is
+    # visited, d(d+1)/2 basis pairs of md rows each, 6 rows (not 8)
+    a, m = pairs("group_algebra_C2")
+    rows = list(_constraint_rows(a, m))
+    assert len(rows) <= a.dim * (a.dim + 1) // 2 * m.dim == 6
+    assert set(rows) == {_signed(_ref_primitive_pairs(r))
+                         for r in _ref_constraint_rows(a, m, False)} - {()}
+
+
+# ---------------------------------------------------------------------------
+# the Jordan pair: Jordan derivations as the derivations of x o y = xy + yx
+# ---------------------------------------------------------------------------
+
+_JORDAN_PAIRS = CATALOG + ("column_module",)
+
+
+def _base_pair(name, pairs):
+    return column_module() if name == "column_module" else pairs(name)
+
+
+@pytest.mark.parametrize("name", _JORDAN_PAIRS)
+def test_jordan_pair_multiplies_by_the_symmetrized_product(name, pairs):
+    a, m = _base_pair(name, pairs)
+    ja, jm = jordan_pair(a, m)
+    assert ja.unit == tuple(u / 2 for u in a.unit)
+    for x, y, f in zip(seeded_elements(a.dim, 8, 1), seeded_elements(a.dim, 8, 2),
+                       seeded_elements(m.dim, 8, 3)):
+        xy = vadd(multiply(a, x, y), multiply(a, y, x))
+        assert multiply(ja, x, y) == multiply(ja, y, x) == xy
+        xf = vadd(act(m, "left", x, f), act(m, "right", x, f))
+        assert act(jm, "left", x, f) == act(jm, "right", x, f) == xf
+        assert multiply(ja, ja.unit, x) == x and act(jm, "left", ja.unit, f) == f
+
+
+def test_a_bimodule_over_another_algebra_is_refused(pairs):
+    # derivation_space meets the check in the commutes test of its assembly
+    a, m = pairs("dual_numbers")[0], pairs("full_matrix_2")[1]
+    for build in (derivation_space, jordan_derivation_space, jordan_pair):
+        with pytest.raises(ValueError, match="bimodule is not over this algebra"):
+            build(a, m)
+
+
+@pytest.mark.parametrize("name", _JORDAN_PAIRS)
+def test_jordan_basis_is_certified_on_the_jordan_pair(name, pairs):
+    a, m = _base_pair(name, pairs)
+    js = jordan_derivation_space(a, m)
+    ja, jm = jordan_pair(a, m)
+    assert (js.algebra, js.bimodule) == (ja, jm) != (a, m)
+    for d in js.basis:
+        assert (d.algebra, d.bimodule) == (ja, jm)
+        assert leibniz_failures(ja, jm, d.linmap, stop_early=False) == []
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +776,8 @@ def test_sparse_basis_matches_dense_reference(name, n, data, pairs, mpairs):
     width = a.dim * m.dim
     for jordan, space in ((False, derivation_space), (True, jordan_derivation_space)):
         got = space(a, m)
-        basis, pivots = _dense_nullspace_sparse(_constraint_rows(a, m, jordan), width)
+        pair = jordan_pair(a, m) if jordan else (a, m)
+        basis, pivots = _dense_nullspace_sparse(_constraint_rows(*pair), width)
         assert (got.subspace.basis, got.subspace.pivot_cols) == (basis, pivots)
         assert got.subspace.nonzeros == _nonzeros_of(basis)
         maps = [tuple(tuple(v[k * m.dim + p] for k in range(a.dim)) for p in range(m.dim))
@@ -760,3 +821,11 @@ def test_layers_are_called_through_the_names_the_bench_wraps(monkeypatch):
     calls.clear()
     inner_space(ma.algebra, mm.bimodule)
     assert calls == {"from_span": 1, "nullspace_sparse": 1}
+    # the Jordan space is derivation_space on the Jordan pair, with its
+    # elimination and the certification of its basis counted
+    calls.clear()
+    monkeypatch.setattr(dercalc, "derivation_space",
+                        counted("derivation_space", dercalc.derivation_space))
+    js = jordan_derivation_space(ma.algebra, mm.bimodule)
+    assert js.dim == 15 and calls == {"derivation_space": 1, "nullspace_sparse": 1,
+                                      "certify": js.dim}

@@ -10,14 +10,14 @@ import pytest
 from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       IdentityResult, LinearMap, Matrix, act, agreement_failures, basis_vec,
                       catalog, certify, decompose,
-                      derivation_space, inner_derivation, lift,
+                      derivation_space, inner_derivation, jordan_derivation_space, lift,
                       component, matrix_algebra, matrix_bimodule, matrix_pair,
                       multiply, PairIso, perturbed_oracle, reblock_iso,
                       regular_bimodule, Subspace,
                       validate_algebra, validate_bimodule, vadd, verify_lemma22,
                       vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
-from matderiv import dercalc
+from matderiv import dercalc, matext
 from conftest import CATALOG, SCALES, column_module, rebase, swap_outer, table_triples
 
 
@@ -709,3 +709,36 @@ def test_relabeling_that_is_no_isomorphism_is_rejected(mpairs):
                    mm.bimodule.right_table)
     with pytest.raises(ValueError, match=message):
         PairIso(iso.source, (ma.algebra, bad), iso.alg, iso.mod)
+
+
+def test_relabeling_renames_each_distinct_table_once(monkeypatch):
+    # a regular pair's algebra, left and right tables are one object, and a
+    # reblocking moves algebra and module alike: one rename serves all three;
+    # a relabeling of M_3 of the column module renames three distinct tables
+    calls = []
+    counted = matext._renamed
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+    monkeypatch.setattr(matext, "_renamed", counting)
+    reblock_iso(catalog("full_matrix_2")[0], 2, 2)
+    assert len(calls) == 1
+    calls.clear()
+    ma, mm = matrix_pair(*column_module(), 3)
+    _conjugation(ma, mm, SIGMAS["3-cycle"])
+    assert len(calls) == 3
+
+
+def test_jordan_basis_is_refused_as_a_derivation_of_the_pair():
+    # each Jordan basis map is certified on the Jordan pair, so the pair
+    # guard refuses it where a derivation of the pair itself is required,
+    # even where the two bases hold the same matrix
+    a, m = catalog("dual_numbers")
+    (j,), (d,) = jordan_derivation_space(a, m).basis, derivation_space(a, m).basis
+    assert j.matrix == d.matrix
+    ma, mm = matrix_pair(a, m, 2)
+    with pytest.raises(ValueError, match="lift requires a derivation certified on its pair"):
+        lift(j, ma, mm)
+    lifted = lift(d, ma, mm)
+    assert (lifted.algebra, lifted.bimodule) == (ma.algebra, mm.bimodule)
