@@ -35,6 +35,7 @@ from .algcore import (
     catalog_algebra,
     commutes,
     direct_sum,
+    from_matrices,
     multiply,
     regular_bimodule,
     validate_algebra,

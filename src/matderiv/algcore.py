@@ -17,6 +17,9 @@ violation with the offending indices and both expansions.  Both expand the
 associativity axioms from the tables, summing only the products that occur
 and skipping a tuple whose two input cells are both empty.  No other
 function checks the axioms; dercalc names the ones that need them.
+
+Every catalog entry is a basis of matrices: from_matrices reads the table
+and the unit off one RREF of the basis, its products and the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
-from .exactlin import ZERO, Vector, _dense, _nonzeros, _scaled, basis_vec
+from .exactlin import (ZERO, Vector, _dense, _echelonize, _nonzeros, _primitive_pairs,
+                       _scaled, basis_vec)
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
@@ -48,6 +52,11 @@ def past_digit_limit(fmt):
             finally:
                 sys.set_int_max_str_digits(limit)
     return wrapper
+
+
+def clipped(text: str) -> str:
+    """The repr of text for an error message, cut to 100 characters and its length."""
+    return repr(text) if len(text) <= 100 else f"{text[:100]!r}... ({len(text)} characters)"
 
 
 SparseEntry = tuple[int, Fraction]
@@ -353,53 +362,49 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
 # catalog
 # ---------------------------------------------------------------------------
 
-F1 = Fraction(1)
+def from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]]) -> Algebra:
+    """The algebra with basis e_i = mats[i], square matrices of one size
+    labelled labels[i], under the matrix product.
+
+    The basis, the products mats[i] mats[j] in (i, j) order and the identity
+    are the columns of one system, reduced by _echelonize (the RREF kernel of
+    Subspace.from_span, which bench/layers.py times as the span layer); the
+    column of a product or of the identity then holds its coordinates in the
+    basis.  Raises ValueError if the basis is dependent, a product leaves its
+    span or the identity is not in it."""
+    d, k = len(mats), len(mats[0]) if mats else 0
+    if len(labels) != d or any(len(r) != k for m in mats for r in (m, *m)):
+        raise ValueError("need one label per basis matrix, all square of one size")
+    cols = [*mats, *([[sum(x[r][t] * y[t][s] for t in range(k)) for s in range(k)]
+                      for r in range(k)] for x in mats for y in mats),
+            [[int(r == s) for s in range(k)] for r in range(k)]]
+    rref = _echelonize([_primitive_pairs((c, m[r][s]) for c, m in enumerate(cols))
+                        for r in range(k) for s in range(k)], len(cols))
+    pivots = tuple(p for p, _ in rref)
+    if pivots[:d] != tuple(range(d)):
+        raise ValueError("the basis matrices are linearly dependent")
+    if len(pivots) > d:                      # the first column outside the span
+        p = pivots[d] - d
+        what = "the identity" if p == d * d else f"the product {labels[p // d]}*{labels[p % d]}"
+        raise ValueError(f"{what} is not in the span of the basis matrices")
+    # x at pivot t and column d + q, for q = i*d + j (e_i e_j) or d*d (the unit)
+    found = [(c - d, t, x) for t, row in rref for c, x in row if c >= d]
+    unit = _dense([(t, x) for q, t, x in found if q == d * d], d)
+    return Algebra.from_sparse(d, labels, unit,
+                               {(q // d, q % d, t): x for q, t, x in found if q < d * d})
 
 
-def _field() -> Algebra:
-    return Algebra.from_sparse(1, ("1",), (1,), {(0, 0, 0): F1})
+_I2, _E12 = ((1, 0), (0, 1)), ((0, 1), (0, 0))
+_E11, _E21, _E22 = ((1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))
 
-
-def _dual_numbers() -> Algebra:
-    # basis 1, eps with eps^2 = 0
-    return Algebra.from_sparse(
-        2, ("1", "eps"), (1, 0),
-        {(0, 0, 0): F1, (0, 1, 1): F1, (1, 0, 1): F1})
-
-
-def _group_algebra_c2() -> Algebra:
-    # basis 1, g with g^2 = 1
-    return Algebra.from_sparse(
-        2, ("1", "g"), (1, 0),
-        {(0, 0, 0): F1, (0, 1, 1): F1, (1, 0, 1): F1, (1, 1, 0): F1})
-
-
-def _matrix_units(n: int) -> dict[tuple[int, int, int], Fraction]:
-    # basis E_{ij} flattened as i*n+j; E_{ab} E_{cd} = [b=c] E_{ad}
-    triples = {}
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                triples[(a * n + b, b * n + d, a * n + d)] = F1
-    return triples
-
-
-def _full_matrix_2() -> Algebra:
-    labels = ("E11", "E12", "E21", "E22")
-    unit = (1, 0, 0, 1)
-    return Algebra.from_sparse(4, labels, unit, _matrix_units(2))
-
-
-def _upper_triangular_2() -> Algebra:
-    # basis E11, E12, E22
-    labels = ("E11", "E12", "E22")
-    triples = {
-        (0, 0, 0): F1,  # E11 E11
-        (0, 1, 1): F1,  # E11 E12
-        (1, 2, 1): F1,  # E12 E22
-        (2, 2, 2): F1,  # E22 E22
-    }
-    return Algebra.from_sparse(3, labels, (1, 0, 1), triples)
+# name: (labels, basis matrices)
+_CATALOG = {
+    "field": (("1",), [((1,),)]),
+    "dual_numbers": (("1", "eps"), [_I2, _E12]),                  # eps^2 = 0
+    "group_algebra_C2": (("1", "g"), [_I2, ((0, 1), (1, 0))]),    # g^2 = 1
+    "full_matrix_2": (("E11", "E12", "E21", "E22"), [_E11, _E12, _E21, _E22]),
+    "upper_triangular_2": (("E11", "E12", "E22"), [_E11, _E12, _E22]),
+}
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -414,15 +419,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(dim, labels, unit, table)
 
 
-_BUILDERS = {
-    "field": _field,
-    "dual_numbers": _dual_numbers,
-    "group_algebra_C2": _group_algebra_c2,
-    "full_matrix_2": _full_matrix_2,
-    "upper_triangular_2": _upper_triangular_2,
-}
-
-CATALOG_NAMES = tuple(_BUILDERS) + ("direct_sum(x,y)",)
+CATALOG_NAMES = tuple(_CATALOG) + ("direct_sum(x,y)",)
 
 _DIRECT_SUM_RE = re.compile(r"^direct_sum\((.*)\)$")
 
@@ -443,15 +440,15 @@ def _split_args(body: str) -> list[str]:
 
 def catalog_algebra(name: str) -> Algebra:
     name = name.strip()
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
+    if name in _CATALOG:
+        return from_matrices(*_CATALOG[name])
     m = _DIRECT_SUM_RE.match(name)
     if m:
         args = _split_args(m.group(1))
         if len(args) != 2:
-            raise ValueError(f"direct_sum takes two arguments, got {args!r}")
+            raise ValueError(f"direct_sum takes two arguments, got {len(args)}")
         return direct_sum(catalog_algebra(args[0]), catalog_algebra(args[1]))
-    raise ValueError(f"unknown catalog algebra {name!r}")
+    raise ValueError(f"unknown catalog algebra {clipped(name)}")
 
 
 def catalog(name: str) -> tuple[Algebra, Bimodule]:

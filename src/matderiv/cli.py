@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterator, Sequence, TextIO
 
-from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra,
+from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra, clipped,
                       past_digit_limit, regular_bimodule, validate_algebra,
                       validate_bimodule)
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
@@ -190,12 +190,12 @@ def resolve_algebra(ref: str) -> Algebra:
     algebra is not validated here: _build_pair and cmd_validate check it."""
     try:
         return catalog_algebra(ref)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # also a name nested past the stack
         catalog_err = exc
     if os.path.exists(ref):
         return load_algebra_file(ref)
     raise CliInputError(
-        f"{ref!r} is neither a catalog name nor a readable file ({catalog_err})")
+        f"{clipped(ref)} is neither a catalog name nor a readable file ({catalog_err})")
 
 
 def load_map_file(path: str, module_dim: int, algebra_dim: int) -> LinearMap:

@@ -9,8 +9,8 @@ from hypothesis import settings, strategies as st
 
 from fractions import Fraction as F
 
-from matderiv import (Algebra, Bimodule, catalog, derivation_space, inner_space,
-                      matrix_pair)
+from matderiv import (Algebra, Bimodule, catalog, derivation_space, from_matrices,
+                      inner_space, matrix_pair)
 
 # Every property test runs under this profile: reproducible examples, no
 # example database, no per-example deadline.  Each test sets max_examples.
@@ -85,14 +85,8 @@ def innerspaces(pairs, mpairs):
 def mixed_basis_full_matrix_2():
     """M_2(Q) in the basis u = E11+E22, h = E11-E22, x = E12, y = E21, where
     products have several terms (xy = (u+h)/2) that can cancel in sums."""
-    half = F(1, 2)
-    triples = {(0, k, k): F(1) for k in range(4)}
-    triples.update({(k, 0, k): F(1) for k in range(1, 4)})
-    triples.update({(1, 1, 0): F(1), (1, 2, 2): F(1), (2, 1, 2): F(-1),
-                    (1, 3, 3): F(-1), (3, 1, 3): F(1),
-                    (2, 3, 0): half, (2, 3, 1): half,
-                    (3, 2, 0): half, (3, 2, 1): -half})
-    return Algebra.from_sparse(4, ("u", "h", "x", "y"), (1, 0, 0, 0), triples)
+    return from_matrices(("u", "h", "x", "y"), [((1, 0), (0, 1)), ((1, 0), (0, -1)),
+                                                ((0, 1), (0, 0)), ((0, 0), (1, 0))])
 
 
 def column_module():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matderiv import (Algebra, Bimodule, CATALOG_NAMES, Violation, basis_vec,
-                      catalog, catalog_algebra, commutes, direct_sum,
+                      catalog, catalog_algebra, commutes, direct_sum, from_matrices,
                       matrix_pair, multiply, regular_bimodule, act,
                       validate_algebra, validate_bimodule, vadd, vscale,
                       zero_vec)
@@ -40,6 +40,70 @@ def test_catalog_dims_and_labels(pairs):
                     "direct_sum(field,field)": 2}
     assert pairs("dual_numbers")[0].labels == ("1", "eps")
     assert pairs("full_matrix_2")[0].labels == ("E11", "E12", "E21", "E22")
+
+
+# the hand-written structure constants the catalog had before it became
+# bases of matrices: name -> (labels, unit, {(i, j, k): coefficient of e_k
+# in e_i e_j})
+_REFERENCE_TABLES = {
+    "field": (("1",), (1,), {(0, 0, 0): 1}),
+    "dual_numbers": (("1", "eps"), (1, 0), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
+    "group_algebra_C2": (("1", "g"), (1, 0),
+                         {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}),
+    "full_matrix_2": (("E11", "E12", "E21", "E22"), (1, 0, 0, 1),
+                      {(a * 2 + b, b * 2 + d, a * 2 + d): 1
+                       for a in range(2) for b in range(2) for d in range(2)}),
+    "upper_triangular_2": (("E11", "E12", "E22"), (1, 0, 1),
+                           {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TABLES))
+def test_catalog_bases_of_matrices_rebuild_the_reference_tables(name):
+    labels, unit, triples = _REFERENCE_TABLES[name]
+    assert catalog_algebra(name) == Algebra.from_sparse(len(labels), labels, unit, triples)
+
+
+def test_mixed_basis_rebuilds_its_reference_table():
+    half = F(1, 2)
+    triples = {(0, k, k): F(1) for k in range(4)}
+    triples.update({(k, 0, k): F(1) for k in range(1, 4)})
+    triples.update({(1, 1, 0): F(1), (1, 2, 2): F(1), (2, 1, 2): F(-1),
+                    (1, 3, 3): F(-1), (3, 1, 3): F(1),
+                    (2, 3, 0): half, (2, 3, 1): half,
+                    (3, 2, 0): half, (3, 2, 1): -half})
+    assert mixed_basis_full_matrix_2() == Algebra.from_sparse(
+        4, ("u", "h", "x", "y"), (1, 0, 0, 0), triples)
+
+
+def test_from_matrices_takes_fractions_and_any_size():
+    # Q x Q as the diagonal of M_3 with a scaled basis: e = diag(1/2, 1/2, 0)
+    # and f = diag(0, 0, 3), so e e = e/2, f f = 3 f and 1 = 2e + f/3
+    a = from_matrices(("e", "f"), [((F(1, 2), 0, 0), (0, F(1, 2), 0), (0, 0, 0)),
+                                   ((0, 0, 0), (0, 0, 0), (0, 0, 3))])
+    assert a == Algebra.from_sparse(2, ("e", "f"), (2, F(1, 3)),
+                                    {(0, 0, 0): F(1, 2), (1, 1, 1): 3})
+    assert validate_algebra(a) == []
+
+
+@pytest.mark.parametrize("labels, mats, message", [
+    (("1", "two"), [((1, 0), (0, 1)), ((2, 0), (0, 2))],
+     "the basis matrices are linearly dependent"),
+    (("1", "zero"), [((1, 0), (0, 1)), ((0, 0), (0, 0))],
+     "the basis matrices are linearly dependent"),
+    (("1", "x", "y"), [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))],
+     "the product x*y is not in the span of the basis matrices"),
+    (("e", "x"), [((1, 0), (0, 0)), ((0, 1), (0, 0))],
+     "the identity is not in the span of the basis matrices"),
+    (("1",), [((1, 0), (0, 1)), ((0, 1), (0, 0))],
+     "need one label per basis matrix, all square of one size"),
+    (("1", "x"), [((1, 0), (0, 1)), ((1,),)],
+     "need one label per basis matrix, all square of one size"),
+])
+def test_from_matrices_rejects(labels, mats, message):
+    with pytest.raises(ValueError) as err:
+        from_matrices(labels, mats)
+    assert str(err.value) == message
 
 
 def test_frozen_products():

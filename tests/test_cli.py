@@ -508,6 +508,17 @@ def test_catalog_name_takes_precedence_and_errors_inform(capsys):
     assert "direct_sum takes two arguments" in err
 
 
+@pytest.mark.parametrize("name", (
+    "direct_sum(" * 1000 + "field" + ",field)" * 1000,     # past the stack
+    "no_such_algebra_" * 1000,
+))
+def test_long_or_deeply_nested_catalog_name_is_input_error(capsys, name):
+    rc, out, err = run_cli(capsys, "validate", name)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and len(err) < 400
+
+
 def test_console_entry_point():
     # the child imports the package under test, with or without PYTHONPATH
     src = str(Path(matderiv.__file__).resolve().parent.parent)

@@ -571,10 +571,11 @@ def test_assembly_emits_repeated_rows_once(mpairs):
     # single-term rows of M_3(full_matrix_2) are shifted copies of few
     # patterns, and the Jordan pair is commutative and commutes with its
     # module, so its rows of (i, j) and (j, i) are equal and only i <= j is
-    # visited
+    # visited: 7,326 rows of the reference's 31,026, and 12,036 without that
+    # symmetric visit
     ma, mm = mpairs("full_matrix_2", 3)
     a, m = ma.algebra, mm.bimodule
-    for jordan, most in ((False, F(1, 3)), (True, F(1, 2))):
+    for jordan, most in ((False, F(1, 3)), (True, F(1, 4))):
         ref = sum(1 for _ in _ref_constraint_rows(a, m, jordan))
         assert ref == (31026 if jordan else 19656)
         pair = jordan_pair(a, m) if jordan else (a, m)
