@@ -54,9 +54,10 @@ def past_digit_limit(fmt):
     return wrapper
 
 
-def clipped(text: str) -> str:
-    """The repr of text for an error message, cut to 100 characters and its length."""
-    return repr(text) if len(text) <= 100 else f"{text[:100]!r}... ({len(text)} characters)"
+def clipped(value: object) -> str:
+    """repr(value) for an error message, cut to 100 characters (a string before its repr)."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    return show(text) if len(text) <= 100 else f"{show(text[:100])}... ({len(text)} characters)"
 
 
 SparseEntry = tuple[int, Fraction]

@@ -5,10 +5,11 @@ UTF-8 JSON files with every rational written as a string ("3", "-1/2"); an
 algebra argument may also be a catalog name (field, dual_numbers,
 group_algebra_C2, full_matrix_2, upper_triangular_2, direct_sum(x,y)).
 
-Every command that computes on a pair builds it in _build_pair, through
-matext.matrix_pair.  The coefficient lists of algebra and module files are
-read by one helper, map files are read into their nonzeros, and matrices are
-printed from them.
+All five commands resolve their pair in _checked_pair, and derspace,
+decompose, lemma22 and twolocal refuse an invalid one in _build_pair.  The
+regular bimodule's axioms are the algebra's own, so validate does not expand
+them again.  One helper reads coefficient lists, map files are read into
+their nonzeros, and matrices are printed from those.
 
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 input
 error (undecodable files and numbers past Python's int digit limit too).
@@ -27,8 +28,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterator, Sequence, TextIO
 
-from .algcore import (Algebra, Bimodule, CATALOG_NAMES, catalog_algebra, clipped,
-                      past_digit_limit, regular_bimodule, validate_algebra,
+from .algcore import (Algebra, Bimodule, CATALOG_NAMES, Violation, catalog_algebra,
+                      clipped, past_digit_limit, regular_bimodule, validate_algebra,
                       validate_bimodule)
 from .dercalc import (Derivation, LinearMap, certify, derivation_space,
                       inner_space, jordan_derivation_space)
@@ -57,15 +58,15 @@ def parse_rational(text: Any) -> Fraction:
     """Rational grammar: optional sign, decimal integer, optional '/' and a
     positive decimal integer.  The Unicode minus sign is accepted."""
     if not isinstance(text, str):
-        raise CliInputError(f"rational must be a string, got {text!r}")
+        raise CliInputError(f"rational must be a string, got {clipped(text)}")
     s = text.replace("−", "-")
     if not _RATIONAL_RE.match(s):
-        raise CliInputError(f"not a rational: {text!r}")
+        raise CliInputError(f"not a rational: {clipped(text)}")
     num, _, den = s.partition("/")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
-        raise CliInputError(f"zero denominator: {text!r}") from None
+        raise CliInputError(f"zero denominator: {clipped(text)}") from None
     except ValueError as exc:                # past Python's int digit limit
         raise CliInputError(f"rational has too many digits: {text[:20]!r}... "
                             f"({len(text)} characters)") from exc
@@ -136,7 +137,7 @@ def _coefficients(entries: Any, field: str, keys: tuple[str, ...],
         idx = tuple(ent[k] for k in keys)
         for val, bound in zip(idx, bounds):
             if not _is_int(val) or not 0 <= val < bound:
-                raise CliInputError(f"{path}: {field} index {val!r} out of range")
+                raise CliInputError(f"{path}: {field} index {clipped(val)} out of range")
         if idx in found:
             raise CliInputError(f"{path}: duplicate {field} entry at {idx}")
         found[idx] = parse_rational(ent["c"])
@@ -187,7 +188,7 @@ def _require_valid(what: str, violations, labels=None) -> None:
 
 def resolve_algebra(ref: str) -> Algebra:
     """Catalog name, or a path to an AlgebraFile; catalog names win.  The
-    algebra is not validated here: _build_pair and cmd_validate check it."""
+    algebra is not validated here: _checked_pair checks it."""
     try:
         return catalog_algebra(ref)
     except (ValueError, RecursionError) as exc:  # also a name nested past the stack
@@ -231,19 +232,26 @@ def load_map_file(path: str, module_dim: int, algebra_dim: int) -> LinearMap:
 # shared command plumbing
 # ---------------------------------------------------------------------------
 
+def _checked_pair(args) -> tuple[Algebra, list[Violation], Bimodule | None, list[Violation]]:
+    """The algebra and its violations, then, for a valid algebra only, the
+    --module file (None: the regular bimodule, whose axioms are associativity
+    at (i,j,p), (p,i,j), (i,p,j) and the unit laws) and its violations."""
+    a = resolve_algebra(args.algebra)
+    violations = validate_algebra(a)
+    path = getattr(args, "module", None)
+    m = load_bimodule_file(path, a) if path and not violations else None
+    return a, violations, m, [] if m is None else validate_bimodule(a, m)
+
+
 def _build_pair(args) -> tuple[Algebra, Bimodule, MatrixAlgebra | None,
                                MatrixBimodule | None]:
-    """The one path from arguments to a validated pair: the algebra, --module
+    """The pair of _checked_pair, refused unless valid: the algebra, --module
     or the regular bimodule, and with -n the extensions ma, mm.  Returns
     (a, m, ma, mm), (a, m) at the level the command computes on."""
-    base = resolve_algebra(args.algebra)
-    _require_valid(f"algebra {args.algebra}", validate_algebra(base), base.labels)
-    module_path = getattr(args, "module", None)
-    if module_path:
-        base_mod = load_bimodule_file(module_path, base)
-        _require_valid(f"module {module_path}", validate_bimodule(base, base_mod))
-    else:
-        base_mod = regular_bimodule(base)
+    base, violations, base_mod, module_violations = _checked_pair(args)
+    _require_valid(f"algebra {args.algebra}", violations, base.labels)
+    _require_valid(f"module {getattr(args, 'module', None)}", module_violations)
+    base_mod = regular_bimodule(base) if base_mod is None else base_mod
     if args.n is None:
         return base, base_mod, None, None
     if args.n < 2:
@@ -271,26 +279,17 @@ def _certified_map(lin: LinearMap, a: Algebra, m: Bimodule,
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, out: TextIO) -> int:
-    a = resolve_algebra(args.algebra)
-    violations = validate_algebra(a)
-    label = args.module
-    # a module file is read before any output, and only for a valid algebra
-    m = load_bimodule_file(label, a) if label and not violations else None
+    a, violations, m, module_violations = _checked_pair(args)
     print(f"algebra: {args.algebra}", file=out)
     print(f"dim: {a.dim}", file=out)
-    if violations:
-        print(f"algebra axioms: FAIL ({_count(violations)})", file=out)
-        print(violations[0].describe(a.labels), file=out)
-        return 1
-    print("algebra axioms: ok", file=out)
-    if m is None:
-        m, label = regular_bimodule(a), "regular"
-    mv = validate_bimodule(a, m)
-    if mv:
-        print(f"module {label} axioms: FAIL ({_count(mv)})", file=out)
-        print(mv[0].describe(), file=out)
-        return 1
-    print(f"module {label} axioms: ok", file=out)
+    module = f"module {'regular' if m is None else args.module}"
+    for what, found, labels in (("algebra", violations, a.labels),
+                                (module, module_violations, None)):
+        if found:
+            print(f"{what} axioms: FAIL ({_count(found)})", file=out)
+            print(found[0].describe(labels), file=out)
+            return 1
+        print(f"{what} axioms: ok", file=out)
     return 0
 
 
@@ -358,7 +357,7 @@ def _parse_oracle_spec(spec: str) -> tuple[str | None, str]:
     if not sep or not path:
         raise CliInputError("oracle spec must be PATH or perturb:<kind>:<PATH>")
     if kind not in PERTURBATION_KINDS:
-        raise CliInputError(f"unknown perturbation kind {kind!r}; "
+        raise CliInputError(f"unknown perturbation kind {clipped(kind)}; "
                             f"expected one of {PERTURBATION_KINDS}")
     return kind, path
 

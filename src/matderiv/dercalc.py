@@ -18,8 +18,9 @@ Constraint rows leave as canonical keys (exactlin._canonical), and a row
 with a single term (a shifted copy of a pattern of the tables) is emitted
 once per pattern and shift.  The basis stays sparse from elimination to
 output: each basis map is built from the nonzeros of its nullspace vector,
-leibniz_failures sums a row of basis pairs at a time over the nonzero
-products of the map, and the inner space spans sparse columns.
+and leibniz_failures sums a row of basis pairs at a time over the nonzero
+products of the map.  delta_w has one kernel, _inner_columns: inner_derivation
+divides it back to Fractions, and inner_space and is_inner transpose it.
 """
 
 from __future__ import annotations
@@ -336,17 +337,10 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
 # inner derivations
 # ---------------------------------------------------------------------------
 
-def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
-    """delta_w(x) = w.x - x.w, a derivation when m is a bimodule over a,
-    which is trusted, not checked (certify).  Column j is delta_w(e_j) =
-    sum_p w_p (f_p.e_j - e_j.f_p), summed in integers: w scaled by the lcm
-    of its denominators, its nonzeros against the cells right[p][j] and
-    left[j][p] of the integer views, then divided by that lcm times L_m."""
-    if len(w) != m.dim:
-        raise ValueError("witness length does not match module dimension")
-    lm, left, right = m.int_tables
-    den, nums = _scaled(w)
-    nz = [(p, v) for p, v in enumerate(nums) if v]
+def _inner_columns(m: Bimodule, nz: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
+    """Column j of delta_w times L_m as {q: value}, zeros kept, for the integer
+    nonzeros (p, w_p) of w: sum_p w_p (f_p.e_j - e_j.f_p), from right[p][j], left[j][p]."""
+    _, left, right = m.int_tables
     cols: list[dict[int, int]] = [{} for _ in range(m.algebra_dim)]
     for p, wp in nz:
         for col, cell in zip(cols, right[p]):
@@ -356,24 +350,30 @@ def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivati
         for p, wp in nz:
             for q, c in plane[p]:
                 col[q] = col.get(q, 0) - wp * c
-    s = lm * den
-    return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, (
-        (q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items() if x))),
-        a, m)
+    return cols
+
+
+def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivation:
+    """delta_w(x) = w.x - x.w, a derivation when m is a bimodule over a (trusted,
+    not checked): _inner_columns of w times the lcm s of its denominators, / s*L_m."""
+    if len(w) != m.dim:
+        raise ValueError("witness length does not match module dimension")
+    den, nums = _scaled(w)
+    cols = _inner_columns(m, [(p, v) for p, v in enumerate(nums) if v])
+    s = m.int_tables[0] * den
+    triples = [(q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items() if x]
+    return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, triples)), a, m)
 
 
 def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
-    """Row j*md + q of the (d*md) x md matrix of w -> delta_w times L_m, as
-    {p: value} over its nonzeros: the f_q-coordinate of delta_{f_p}(e_j) =
-    f_p.e_j - e_j.f_p, read off the integer views right[p][j] and left[j][p]."""
-    _, left, right = m.int_tables
-    rows = []
-    for rq, lq in zip(_by_output(zip(*right), -1, m.dim), _by_output(left, 1, m.dim)):
-        for q in range(m.dim):
-            row = dict(rq[q])
-            for p, v in lq[q]:
-                row[p] = row.get(p, 0) + v
-            rows.append({p: v for p, v in row.items() if v})
+    """Row j*md + q of the (d*md) x md matrix of w -> delta_w times L_m, as {p: value}
+    over its nonzeros: the columns delta_{f_p} of _inner_columns, transposed."""
+    rows: list[dict[int, int]] = [{} for _ in range(m.algebra_dim * m.dim)]
+    for p in range(m.dim):
+        for j, col in enumerate(_inner_columns(m, ((p, 1),))):
+            for q, x in col.items():
+                if x:
+                    rows[j * m.dim + q][p] = x
     return rows
 
 
@@ -393,7 +393,7 @@ def inner_space(a: Algebra, m: Bimodule) -> InnerSpace:
         for p, x in row.items():
             cols[p][t] = x
     return InnerSpace(Subspace.from_span(cols, a.dim * m.dim),
-                      nullspace_sparse((_canonical(sorted(r.items())) for r in rows), m.dim))
+                      nullspace_sparse((_canonical(sorted(r.items())) for r in rows if r), m.dim))
 
 
 def is_inner(d: Derivation) -> Vector | None:

@@ -543,6 +543,23 @@ def test_validate_algebra_matches_dense_reference(case):
     assert got == _dense_validate_algebra(a)
 
 
+def _regular_shortcut_cases():
+    """The corrupted algebras, the clean catalog bases and their M_2."""
+    yield from _corrupted_algebras()
+    for name in CATALOG:
+        a, m = catalog(name)
+        yield name, a
+        yield f"M_2({name})", matrix_pair(a, m, 2)[0].algebra
+
+
+@pytest.mark.parametrize("case", list(_regular_shortcut_cases()), ids=lambda c: c[0])
+def test_regular_bimodule_is_valid_exactly_when_its_algebra_is(case):
+    # the regular bimodule's four axioms are the algebra's associativity on
+    # permuted index triples and its unit laws, so the CLI never checks them
+    _, a = case
+    assert (validate_bimodule(a, regular_bimodule(a)) == []) == (validate_algebra(a) == [])
+
+
 # ---------------------------------------------------------------------------
 # products and actions against the dense tensors
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import matderiv
 from matderiv import (Bimodule, basis_vec, catalog, certify, dercalc, derivation_space,
                       inner_derivation, leibniz_failures, lift, matext, matrix_pair,
-                      multiply, validate_algebra, LinearMap, Matrix)
+                      multiply, validate_algebra, validate_bimodule, LinearMap, Matrix)
 from matderiv.cli import (main, fmt_blocks, fmt_matrix, load_map_file,
                           parse_rational, CliInputError)
 from conftest import write_algebra_file, write_map_file, write_module_file
@@ -498,6 +498,23 @@ def test_validate_checks_a_file_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_regular_bimodule_is_not_checked_again(capsys, tmp_path, monkeypatch):
+    # its axioms are the algebra's own, so only a module file is checked
+    import matderiv.cli as cli
+    calls = []
+
+    def counted(a, m):
+        calls.append(m)
+        return validate_bimodule(a, m)
+    monkeypatch.setattr(cli, "validate_bimodule", counted)
+    for argv in (("validate", "full_matrix_2"), ("derspace", "full_matrix_2")):
+        assert run_cli(capsys, *argv)[0] == 0 and calls == [], argv
+    path = write_module_file(tmp_path / "field.json", catalog("field")[1])
+    rc, out, _ = run_cli(capsys, "validate", "field", "--module", path)
+    assert rc == 0 and f"module {path} axioms: ok" in out
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -735,6 +752,37 @@ def test_oversize_rational_message_is_truncated():
     message = _first_error("-" + _BIG + "/7")
     assert message == ("rational has too many digits: '-1111111111111111111'... "
                        "(5003 characters)")
+
+
+# a long value where an error message echoes it: a map file entry (its JSON
+# text), a mult index of an algebra file, or a perturbation kind
+_LONG_INPUTS = {
+    "map-not-a-rational": ("map", json.dumps("x" * 100_000)),
+    "map-zero-denominator": ("map", json.dumps("1" * 4000 + "/0")),
+    "map-not-a-string": ("map", json.dumps([0] * 50_000)),
+    "mult-index": ("algebra", None),
+    "perturbation-kind": ("kind", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_INPUTS))
+def test_error_messages_clip_long_inputs(capsys, tmp_path, inner_e11_file, case):
+    kind, entry = _LONG_INPUTS[case]
+    path = tmp_path / "long.json"
+    if kind == "map":
+        path.write_text(_FILES["map"].replace("@", entry), encoding="utf-8")
+        argv = ("decompose", "field", "-n", "2", "--derivation", str(path))
+    elif kind == "algebra":
+        path.write_text(_FILES["algebra"].replace("@", "1").replace(
+            '"i": 0', '"i": ' + "9" * 4000), encoding="utf-8")
+        argv = ("validate", str(path))
+    else:
+        argv = ("twolocal", "field", "-n", "2", "--oracle",
+                f"perturb:{'k' * 50_000}:{inner_e11_file}")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and len(err) < 400
 
 
 def test_results_past_the_digit_limit_are_printed(capsys, tmp_path):

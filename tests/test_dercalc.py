@@ -525,11 +525,8 @@ def _ref_constraint_rows(a, m, jordan):
 
 def _ref_inner_matrix(a, m):
     """(d*m) x m Fraction matrix whose column p is the flattened delta_{f_p},
-    built column by column from inner_derivation."""
-    cols = [inner_derivation(a, m, basis_vec(m.dim, p)).linmap.flatten()
-            for p in range(m.dim)]
-    rows = tuple(tuple(col[t] for col in cols) for t in range(a.dim * m.dim))
-    return Matrix(a.dim * m.dim, m.dim, rows)
+    built from act (_dense_inner_columns), not from the kernel under test."""
+    return Matrix(a.dim * m.dim, m.dim, tuple(zip(*_dense_inner_columns(a, m))))
 
 
 def _signed(r):
@@ -561,8 +558,11 @@ def test_integer_assembly_matches_fraction_reference(name, n, data, pairs, mpair
     inn = inner_space(a, m)
     assert inn.image == Subspace.from_span(list(zip(*phi.entries)), width)
     assert inn.kernel == nullspace(phi)
-    # is_inner solves the same system as the dense one, scaled by L_m
     w = tuple(data.draw(_scales) for _ in range(m.dim))
+    # delta_w is sum_p w_p delta_{f_p}
+    assert inner_derivation(a, m, w).linmap.flatten() == tuple(
+        sum(x * wp for x, wp in zip(row, w)) for row in phi.entries)
+    # is_inner solves the same system as the dense one, scaled by L_m
     for d in (inner_derivation(a, m, w), *derivation_space(a, m).basis):
         assert is_inner(d) == solve(phi, d.linmap.flatten())
 
