@@ -15,7 +15,7 @@ nonzeros of its two operands.
 Validators check the defining axioms on every basis tuple and report each
 violation with the offending indices and both expansions.  Both expand the
 associativity axioms from the tables, summing only the products that occur
-and skipping a tuple whose two input cells are both empty.  No other
+and visiting no tuple whose two input cells are both empty.  No other
 function checks the axioms; dercalc names the ones that need them.
 
 Every catalog entry is a basis of matrices: from_matrices reads the table
@@ -186,6 +186,13 @@ class Bimodule:
         scale, *views = _int_view(left) if right is left else _int_view(left, right)
         return scale, views[0], views[-1]
 
+    @cached_property
+    def int_right_cells(self) -> tuple:
+        """For each basis index p, the (j*dim, cell) with cell = right[p][j]
+        of the integer view nonempty, in j order."""
+        return tuple(tuple((j * self.dim, cell) for j, cell in enumerate(plane) if cell)
+                     for plane in self.int_tables[2])
+
 
 # ---------------------------------------------------------------------------
 # arithmetic
@@ -291,7 +298,7 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     Unit laws are checked first so a broken unit is reported before the
     associativity failures it usually drags along.  Associativity
     (e_i e_j) e_k = e_i (e_j e_k) is expanded from the table, and a triple
-    whose two input cells e_i e_j and e_j e_k are both empty is skipped.
+    whose two input cells e_i e_j and e_j e_k are both empty is not visited.
     """
     out: list[Violation] = []
     dim = a.dim
@@ -305,13 +312,14 @@ def validate_algebra(a: Algebra) -> list[Violation]:
             out.append(Violation("right unit law", (j,), rhs, ej))
     table = a.table
     by_k = tuple(zip(*table))                   # by_k[k][t] = table[t][k]
+    # the k with e_j e_k nonempty: the only k to visit when e_i e_j is empty
+    nonempty = [[k for k, cell in enumerate(plane) if cell] for plane in table]
     for i in range(dim):
         for j in range(dim):
             ij = table[i][j]
-            for k in range(dim):
-                if ij or table[j][k]:
-                    _report(out, dim, "associativity", (i, j, k),
-                            _expand(ij, by_k[k]), _expand(table[j][k], table[i]))
+            for k in range(dim) if ij else nonempty[j]:
+                _report(out, dim, "associativity", (i, j, k),
+                        _expand(ij, by_k[k]), _expand(table[j][k], table[i]))
     return out
 
 
@@ -322,7 +330,7 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     The unit actions are checked first.  Each associativity axiom is expanded
     from the tables on the basis tuple, so only products that appear in the
     tables are summed, and a tuple whose two input cells are both empty is
-    skipped; both sides are reported as dense vectors.
+    not visited; both sides are reported as dense vectors.
     """
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
@@ -341,12 +349,14 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     left_by_p = tuple(zip(*left))
     right_by_j = tuple(zip(*right))
     # each side expands one input cell, so when both cells are empty both
-    # sides are zero and the axiom holds on that tuple
+    # sides are zero and the axiom holds on that tuple; when e_i e_j is
+    # empty, the other cells lie in row or column i or j of left and right
+    touched = [{p for p in range(mdim) if left[x][p] or right[p][x]} for x in range(dim)]
     for i in range(dim):
         left_i = left[i]
         for j in range(dim):
             ij, left_j, right_at_j = a.table[i][j], left[j], right_by_j[j]
-            for p in range(mdim):
+            for p in range(mdim) if ij else sorted(touched[i] | touched[j]):
                 if ij or left_j[p]:                                # (e_i e_j).f_p
                     _report(out, mdim, "left associativity", (i, j, p),
                             _expand(ij, left_by_p[p]), _expand(left_j[p], left_i))

@@ -300,7 +300,7 @@ def cmd_derspace(args, out: TextIO) -> int:
     if ma is not None:
         print(f"matrix level: n={ma.n}", file=out)
     print(f"dim: {a.dim}", file=out)
-    ds = derivation_space(a, m)
+    ds = derivation_space(a, m, None if ma is None else ma.generators)
     inn = inner_space(a, m)
     h1 = quotient_dim(inn.image, ds.subspace)
     print(f"Der={ds.dim} Inner={inn.image.dim} H1={h1}", file=out)
@@ -381,7 +381,7 @@ def cmd_twolocal(args, out: TextIO) -> int:
     if d is None:
         return 1
     oracle = wrap_derivation(d) if kind is None else perturbed_oracle(d, kind, ma, mm)
-    space = derivation_space(a, m)
+    space = derivation_space(a, m, ma.generators)
     try:
         cand = reconstruct(oracle, space, ma)
     except NotTwoLocalError:

@@ -122,14 +122,14 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
     the pair (i, j) and module coordinate q, over the nonzero products only:
     the products e_i e_j that name a nonzero column k of f (found through
     Algebra.int_producers) against that column, the nonzeros p of column i
-    against the nonempty cells right[p][j], and the nonzero rows p of f
-    against the nonempty cells left[i][p].
+    against the nonempty cells right[p][j] (Bimodule.int_right_cells), and the
+    nonzero rows p of f against the nonempty cells left[i][p].
     """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
     d, md = a.dim, m.dim
     la = a.int_table[0]
-    lm, left, right = m.int_tables
+    lm, left, _ = m.int_tables
     nz = [(p, k, x) for p, row in enumerate(f.matrix.nonzeros) for k, x in row]
     g = gcd(la, lm)
     at_t, at_m = lm // g, la // g                   # table and action scales
@@ -147,9 +147,7 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
             for i, j, c in a.int_producers[k]:
                 products[i].append((j * md, c, col))
     used = [p for p, row in enumerate(rows_m) if row]   # the nonzero rows of f
-    # the nonempty cells right[p][j], as (j*md, cell), for the p that f uses
-    right_nz = {p: [(j * md, cell) for j, cell in enumerate(right[p]) if cell]
-                for p in used}
+    right_nz = m.int_right_cells
     bad: list[tuple[int, int]] = []
     for i in range(d):
         acc: dict[int, int] = {}
@@ -228,13 +226,15 @@ def jordan_pair(a: Algebra, m: Bimodule) -> tuple[Algebra, Bimodule]:
             Bimodule(m.dim, a.dim, left, tuple(zip(*left))))
 
 
-def _constraint_rows(a: Algebra, m: Bimodule) -> Iterator[tuple[tuple[int, int], ...]]:
+def _constraint_rows(a: Algebra, m: Bimodule, generators: Sequence[int] | None = None
+                     ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Sparse constraint rows as canonical keys (exactlin._canonical), in
-    lexicographic (i, j, module coordinate q) order of their first emission,
-    of delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0.  When a is
-    commutative and commutes with m (every Jordan pair, and every pair of
-    the paper's third theorem), the rows of (i, j) and (j, i) are equal, so
-    only the pairs i <= j are visited.
+    (i, j, module coordinate q) order of their first emission, of
+    delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) = 0, for the i in
+    generators (default: all).  On the full visit, when a is commutative and
+    commutes with m (every Jordan pair, and every pair of the paper's third
+    theorem), the rows of (i, j) and (j, i) are equal, so only i <= j is
+    visited.
 
     Each row is read off the integer views times lcm(L_a, L_m) = L_a*L_m/g,
     as the sum of up to three terms: the product term table[i][j] at output
@@ -252,6 +252,10 @@ def _constraint_rows(a: Algebra, m: Bimodule) -> Iterator[tuple[tuple[int, int],
     """
     symmetric = commutes(a, m) and commutes(a, regular_bimodule(a))
     d, md = a.dim, m.dim
+    if generators is None:
+        visits = ((i, range(i if symmetric else 0, d)) for i in range(d))
+    else:
+        visits = ((i, range(d)) for i in generators)
     la, table = a.int_table
     lm, left, right = m.int_tables
     g = gcd(la, lm)
@@ -271,8 +275,8 @@ def _constraint_rows(a: Algebra, m: Bimodule) -> Iterator[tuple[tuple[int, int],
     ids_i = [[intern(part) if part else -1 for part in by_q] for by_q in at_i]
     ids_j = [[intern(part) if part else -1 for part in by_q] for by_q in at_j]
     emitted: set[tuple[int, int]] = set()
-    for i in range(d):
-        for j in range(i if symmetric else 0, d):
+    for i, js in visits:
+        for j in js:
             image = [(k * md, lm // g * c) for k, c in table[i][j]]
             pid = intern(image) if image else -1
             ui, uj, base_i, base_j = at_i[j], at_j[i], i * md, j * md
@@ -318,10 +322,19 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
+def derivation_space(a: Algebra, m: Bimodule,
+                     generators: Sequence[int] | None = None) -> DerivationSpace:
     """All derivations A -> M, as the nullspace of the Leibniz constraints of
-    the tables of (a, m); certify certifies every basis map on (a, m)."""
-    sub = nullspace_sparse(_constraint_rows(a, m), a.dim * m.dim)
+    the tables of (a, m); certify certifies every basis map on (a, m).
+    generators (basis indices) limits the left factors of the rule.  On an
+    associative pair that they generate, the space is unchanged: the x that
+    satisfy the rule against every y form a subalgebra.  Fewer rows can only
+    enlarge the nullspace, and certify raises ValueError on a larger one."""
+    if generators is not None:
+        generators = tuple(generators)
+        if not all(0 <= g < a.dim for g in generators):
+            raise ValueError("generator index out of range for the algebra")
+    sub = nullspace_sparse(_constraint_rows(a, m, generators), a.dim * m.dim)
     basis = tuple(certify(a, m, _unflatten_nonzeros(v, m.dim, a.dim))
                   for v in sub.nonzeros)
     return DerivationSpace(a, m, basis, sub)

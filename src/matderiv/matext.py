@@ -94,6 +94,13 @@ class MatrixAlgebra(_BlockIndex):
     n: int
     algebra: Algebra
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """Flat indices of the n*d generators e_k x E_{i,i+1 mod n} of
+        M_n(base): products around the cycle give every E_ij (1 = sum u_k e_k)."""
+        return tuple(self.flat(i, (i + 1) % self.n, k)
+                     for i in range(self.n) for k in range(self.base.dim))
+
 
 @dataclass(frozen=True)
 class MatrixBimodule(_BlockIndex):

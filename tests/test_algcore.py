@@ -438,12 +438,17 @@ def _unskipped_validate_bimodule(a, m):
     return out
 
 
+# a diagonal base: almost every cell of its tables and of M_2's is empty, so
+# the validators visit few of the basis tuples
+_SPARSE_BASE = "direct_sum(field,direct_sum(field,field))"
+
+
 def _corrupted_bimodules():
-    """M_2(A) for three catalog A, each corrupted once: an existing left or
-    right coefficient changed or removed, a coefficient put into an empty
-    left or right cell (an empty cell then meets a nonempty one), or a
-    coordinate of the algebra's unit changed."""
-    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2"):
+    """M_2(A) for three catalog A and a diagonal one, each corrupted once:
+    an existing left or right coefficient changed or removed, a coefficient
+    put into an empty left or right cell (an empty cell then meets a
+    nonempty one), or a coordinate of the algebra's unit changed."""
+    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2", _SPARSE_BASE):
         ma, mm = matrix_pair(*catalog(name), 2)
         a, m = ma.algebra, mm.bimodule
         rng = random.Random(f"corrupt:{name}")
@@ -509,10 +514,11 @@ def _dense_validate_algebra(a):
 
 
 def _corrupted_algebras():
-    """M_2(A) for three catalog A with one structure constant changed,
-    removed, or put into an empty cell, or a coordinate of the unit changed;
-    and the mixed basis of M_2(Q) with one constant changed."""
-    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2"):
+    """M_2(A) for three catalog A and a diagonal one with one structure
+    constant changed, removed, or put into an empty cell, or a coordinate of
+    the unit changed; and the mixed basis of M_2(Q) with one constant
+    changed."""
+    for name in ("dual_numbers", "upper_triangular_2", "full_matrix_2", _SPARSE_BASE):
         a = matrix_pair(*catalog(name), 2)[0].algebra
         rng = random.Random(f"corrupt algebra:{name}")
         clean = table_triples(a.table)

@@ -20,12 +20,12 @@ from matderiv import (Algebra, Derivation, LinearMap, Matrix, act,
                       regular_bimodule, seeded_elements,
                       same_space, solve, Subspace, vadd, validate_algebra,
                       validate_bimodule, vscale, vsub, zero_vec)
-from matderiv import dercalc, exactlin, matrix_pair
+from matderiv import cli, dercalc, exactlin, matrix_pair
 from matderiv.dercalc import _constraint_rows, _unflatten_nonzeros
 from matderiv.exactlin import (_echelonize, _nonzeros, _nullspace_core,
                                _primitive_pairs)
 from conftest import (CATALOG, _rebased_pairs, _scales, column_module,
-                      mixed_basis_full_matrix_2)
+                      mixed_basis_full_matrix_2, write_map_file)
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
 # (Der, Inner, H1) for every catalog pair, derived by hand and re-derived by
@@ -473,6 +473,15 @@ def test_integer_views_scale_the_tables(name, n, pairs, mpairs):
                                             for j, cell in enumerate(plane) for k, c in cell]
 
 
+@pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
+def test_right_cells_list_the_nonempty_right_cells(name, n, pairs, mpairs):
+    _, m = _kernel_pair(name, n, pairs, mpairs)
+    right = m.int_tables[2]
+    assert m.int_right_cells == tuple(
+        tuple((j * m.dim, right[p][j]) for j in range(m.algebra_dim) if right[p][j])
+        for p in range(m.dim))
+
+
 def test_integer_views_cover_distinct_scales():
     a, m = column_module()
     assert (a.int_table[0], m.int_tables[0]) == (1, 3)
@@ -483,9 +492,11 @@ def test_integer_views_cover_distinct_scales():
 def test_cached_views_leave_equality_and_hash_alone():
     a, m = column_module()
     a2, m2 = column_module()
-    a.int_table, a.mult, m.int_tables
+    a.int_table, a.mult, m.int_tables, m.int_right_cells
     assert "int_table" in vars(a) and "int_tables" in vars(m)
+    assert "int_right_cells" in vars(m)
     assert "int_table" not in vars(a2) and "int_tables" not in vars(m2)
+    assert "int_right_cells" not in vars(m2)
     assert a == a2 and hash(a) == hash(a2)
     assert m == m2 and hash(m) == hash(m2)
 
@@ -799,14 +810,15 @@ def test_sparse_basis_matches_dense_reference(name, n, data, pairs, mpairs):
 # the layer boundaries bench/layers.py wraps by name
 # ---------------------------------------------------------------------------
 
-def test_layers_are_called_through_the_names_the_bench_wraps(monkeypatch):
+def test_layers_are_called_through_the_names_the_bench_wraps(monkeypatch, capsys, tmp_path):
     # the bench times and counts these calls by replacing the module-level
     # names, so a refactor that bypasses them would zero its metrics
-    calls = {}
+    calls, args_of = {}, {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            args_of.setdefault(name, []).append(args)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -830,3 +842,92 @@ def test_layers_are_called_through_the_names_the_bench_wraps(monkeypatch):
     js = jordan_derivation_space(ma.algebra, mm.bimodule)
     assert js.dim == 15 and calls == {"derivation_space": 1, "nullspace_sparse": 1,
                                       "certify": js.dim}
+    # derspace -n and twolocal pass the cycle generators to derivation_space:
+    # one elimination of width dim A * dim M and a certify per basis map;
+    # derspace's inner_space adds its span and its kernel, of width dim M
+    monkeypatch.setattr(cli, "derivation_space",
+                        counted("cli.derivation_space", cli.derivation_space))
+    zero = write_map_file(tmp_path / "zero.json", LinearMap(Matrix.from_triples(16, 16, ())))
+    for argv, line, spans, widths in (
+            (["derspace", "full_matrix_2", "-n", "2"], "Der=15 Inner=15 H1=0", 1, [256, 16]),
+            (["twolocal", "full_matrix_2", "-n", "2", "--oracle", zero], "verdict: verified",
+             0, [256])):
+        calls.clear()
+        args_of.clear()
+        assert cli.main(argv) == 0 and line in capsys.readouterr().out
+        assert calls == {"cli.derivation_space": 1, "nullspace_sparse": len(widths),
+                         "certify": 15, **({"from_span": spans} if spans else {})}
+        assert [w for _, w in args_of["nullspace_sparse"]] == widths
+        assert args_of["cli.derivation_space"] == [(ma.algebra, mm.bimodule, ma.generators)]
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz rule on the cycle generators e_k x E_{i,i+1 mod n} of M_n(A)
+# ---------------------------------------------------------------------------
+
+_GENERATED_PAIRS = (tuple((name, n) for n in (2, 3) for name in CATALOG)
+                    + (("column_module", 2), ("column_module", 3), ("mixed_basis_M2", 2)))
+
+
+def _assert_generator_visit_is_exact(ma, mm, full=None):
+    a, m = ma.algebra, mm.bimodule
+    full = derivation_space(a, m) if full is None else full
+    got = derivation_space(a, m, ma.generators)
+    assert got.subspace == full.subspace
+    assert got.basis == full.basis          # the maps, each on the pair (a, m)
+
+
+@pytest.mark.parametrize("name,n", _GENERATED_PAIRS)
+def test_generator_visit_gives_the_full_space(name, n, mpairs, derspaces):
+    if name in _SPECIAL_PAIRS:
+        _assert_generator_visit_is_exact(*matrix_pair(*_SPECIAL_PAIRS[name](), n))
+    else:
+        _assert_generator_visit_is_exact(*mpairs(name, n), derspaces(name, n))
+
+
+@pytest.mark.parametrize("name", CATALOG + ("column_module", "mixed_basis_M2"))
+# no shrink phase, as in test_integer_assembly_matches_fraction_reference
+@settings(max_examples=3, phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_generator_visit_on_rebased_pairs(name, data, pairs):
+    # rebased tables have non-integer constants, so the integer views scale
+    base = _SPECIAL_PAIRS[name]() if name in _SPECIAL_PAIRS else pairs(name)
+    _assert_generator_visit_is_exact(*matrix_pair(*data.draw(_rebased_pairs(*base)), 2))
+
+
+def test_generators_are_the_cycle_of_matrix_units(mpairs):
+    ma, _ = mpairs("upper_triangular_2", 3)
+    assert [ma.unflat(t) for t in ma.generators] == [
+        (i, j, k) for i, j in ((0, 1), (1, 2), (2, 0)) for k in range(3)]
+
+
+@pytest.mark.parametrize("name,n", (("full_matrix_2", 3), ("dual_numbers", 4)))
+def test_a_set_that_does_not_generate_is_refused(name, n, mpairs):
+    # without the wrap-around edge E_{n-1,0} the set generates only strictly
+    # upper triangular matrices: the nullspace is too large, and certify
+    # refuses a basis map instead of the space being returned
+    ma, mm = mpairs(name, n)
+    path = tuple(t for t in ma.generators if ma.unflat(t)[:2] != (n - 1, 0))
+    assert len(path) == (n - 1) * ma.base.dim
+    with pytest.raises(ValueError, match="map violates the Leibniz rule at basis pair"):
+        derivation_space(ma.algebra, mm.bimodule, path)
+
+
+def test_a_generator_index_out_of_range_is_refused(mpairs):
+    ma, mm = mpairs("dual_numbers", 2)
+    dim = ma.algebra.dim
+    for bad in ((*ma.generators, dim), (-1, *ma.generators)):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            derivation_space(ma.algebra, mm.bimodule, bad)
+
+
+def test_generator_visit_emits_fewer_rows(mpairs):
+    # M_3(full_matrix_2): 2,892 rows against the full visit's 4,896; a visit
+    # that ignored generators would emit all of them
+    ma, mm = mpairs("full_matrix_2", 3)
+    a, m = ma.algebra, mm.bimodule
+    full = list(_constraint_rows(a, m))
+    rows = list(_constraint_rows(a, m, ma.generators))
+    assert len(rows) <= F(3, 5) * len(full)
+    assert set(rows) < set(full)
+
