@@ -13,10 +13,11 @@ both sides of act are one table-product kernel, which visits only the
 nonzeros of its two operands.
 
 Validators check the defining axioms on every basis tuple and report each
-violation with the offending indices and both expansions.  Both expand the
-associativity axioms from the tables, summing only the products that occur
-and visiting no tuple whose two input cells are both empty.  No other
-function checks the axioms; dercalc names the ones that need them.
+violation with the offending indices and the nonzeros of both sides.  Every
+axiom, the unit laws included, is expanded from the tables by one kernel,
+which sums only the products that occur; no tuple whose two input cells are
+both empty is visited.  No other function checks the axioms; dercalc names
+the ones that need them.
 
 Every catalog entry is a basis of matrices: from_matrices reads the table
 and the unit off one RREF of the basis, its products and the identity.
@@ -31,8 +32,8 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
-from .exactlin import (ZERO, Vector, _dense, _echelonize, _nonzeros, _primitive_pairs,
-                       _scaled, basis_vec)
+from .exactlin import (ONE, ZERO, Nonzeros, Vector, _dense, _echelonize, _nonzeros,
+                       _primitive_pairs, _scaled)
 
 Tensor3 = tuple[tuple[Vector, ...], ...]
 
@@ -254,10 +255,13 @@ def commutes(a: Algebra, m: Bimodule) -> bool:
 
 @dataclass(frozen=True)
 class Violation:
+    """An axiom failing at a basis tuple: both sides are the nonzeros of
+    vectors of dim coordinates."""
     axiom: str
     indices: tuple[int, ...]
-    lhs: Vector
-    rhs: Vector
+    dim: int
+    lhs: Nonzeros
+    rhs: Nonzeros
 
     @past_digit_limit
     def describe(self, labels: Sequence[str] | None = None) -> str:
@@ -265,8 +269,8 @@ class Violation:
             where = ",".join(labels[i] for i in self.indices)
         else:
             where = ",".join(str(i) for i in self.indices)
-        lhs = " ".join(str(c) for c in self.lhs)
-        rhs = " ".join(str(c) for c in self.rhs)
+        lhs = " ".join(str(c) for c in _dense(self.lhs, self.dim))
+        rhs = " ".join(str(c) for c in _dense(self.rhs, self.dim))
         return f"{self.axiom} violated at ({where}): lhs=[{lhs}] rhs=[{rhs}]"
 
 
@@ -283,12 +287,11 @@ def _expand(cell: tuple[SparseEntry, ...],
 
 def _report(out: list[Violation], dim: int, axiom: str, indices: tuple[int, ...],
             lhs: dict[int, Fraction], rhs: dict[int, Fraction]) -> None:
-    """Append a violation of axiom at indices, both sides as dense vectors of
-    dim coordinates, unless the expansions lhs and rhs agree."""
+    """Append a violation of axiom at indices, on vectors of dim coordinates,
+    unless the expansions lhs and rhs agree."""
     if lhs != rhs:
-        out.append(Violation(axiom, indices,
-                             tuple(lhs.get(q, ZERO) for q in range(dim)),
-                             tuple(rhs.get(q, ZERO) for q in range(dim))))
+        out.append(Violation(axiom, indices, dim, tuple(sorted(lhs.items())),
+                             tuple(sorted(rhs.items()))))
 
 
 def validate_algebra(a: Algebra) -> list[Violation]:
@@ -296,22 +299,16 @@ def validate_algebra(a: Algebra) -> list[Violation]:
 
     Returns an empty list exactly when a is a unital associative algebra.
     Unit laws are checked first so a broken unit is reported before the
-    associativity failures it usually drags along.  Associativity
-    (e_i e_j) e_k = e_i (e_j e_k) is expanded from the table, and a triple
-    whose two input cells e_i e_j and e_j e_k are both empty is not visited.
+    associativity failures it usually drags along.  Each side is expanded
+    from the table, and an associativity triple whose two input cells
+    e_i e_j and e_j e_k are both empty is not visited.
     """
     out: list[Violation] = []
-    dim = a.dim
-    for j in range(dim):
-        ej = basis_vec(dim, j)
-        lhs = multiply(a, a.unit, ej)
-        if lhs != ej:
-            out.append(Violation("left unit law", (j,), lhs, ej))
-        rhs = multiply(a, ej, a.unit)
-        if rhs != ej:
-            out.append(Violation("right unit law", (j,), rhs, ej))
-    table = a.table
+    dim, table, unit = a.dim, a.table, _nonzeros(a.unit)
     by_k = tuple(zip(*table))                   # by_k[k][t] = table[t][k]
+    for j in range(dim):                        # 1 e_j and e_j 1 against e_j
+        _report(out, dim, "left unit law", (j,), _expand(unit, by_k[j]), {j: ONE})
+        _report(out, dim, "right unit law", (j,), _expand(unit, table[j]), {j: ONE})
     # the k with e_j e_k nonempty: the only k to visit when e_i e_j is empty
     nonempty = [[k for k, cell in enumerate(plane) if cell] for plane in table]
     for i in range(dim):
@@ -327,27 +324,22 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
     """Check the four bimodule axioms on all basis tuples:
     (xy).f = x.(y.f), f.(xy) = (f.x).y, (x.f).y = x.(f.y), 1.f = f = f.1.
 
-    The unit actions are checked first.  Each associativity axiom is expanded
-    from the tables on the basis tuple, so only products that appear in the
-    tables are summed, and a tuple whose two input cells are both empty is
-    not visited; both sides are reported as dense vectors.
+    The unit actions are checked first.  Each axiom is expanded from the
+    tables on the basis tuple, so only products that appear in the tables
+    are summed, and a tuple whose two input cells are both empty is not
+    visited; both sides are reported by their nonzeros.
     """
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
     out: list[Violation] = []
-    dim, mdim = a.dim, m.dim
-    for p in range(mdim):
-        fp = basis_vec(mdim, p)
-        lhs = act(m, "left", a.unit, fp)
-        if lhs != fp:
-            out.append(Violation("left unit action", (p,), lhs, fp))
-        rhs = act(m, "right", a.unit, fp)
-        if rhs != fp:
-            out.append(Violation("right unit action", (p,), rhs, fp))
+    dim, mdim, unit = a.dim, m.dim, _nonzeros(a.unit)
     left, right = m.left_table, m.right_table
     # left_by_p[p][t] = left[t][p] and right_by_j[j][s] = right[s][j]
     left_by_p = tuple(zip(*left))
     right_by_j = tuple(zip(*right))
+    for p in range(mdim):                       # 1.f_p and f_p.1 against f_p
+        _report(out, mdim, "left unit action", (p,), _expand(unit, left_by_p[p]), {p: ONE})
+        _report(out, mdim, "right unit action", (p,), _expand(unit, right[p]), {p: ONE})
     # each side expands one input cell, so when both cells are empty both
     # sides are zero and the axiom holds on that tuple; when e_i e_j is
     # empty, the other cells lie in row or column i or j of left and right

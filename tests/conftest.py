@@ -9,8 +9,8 @@ from hypothesis import settings, strategies as st
 
 from fractions import Fraction as F
 
-from matderiv import (Algebra, Bimodule, catalog, derivation_space, from_matrices,
-                      inner_space, matrix_pair)
+from matderiv import (Algebra, Bimodule, Violation, catalog, derivation_space,
+                      from_matrices, inner_space, matrix_pair)
 
 # Every property test runs under this profile: reproducible examples, no
 # example database, no per-example deadline.  Each test sets max_examples.
@@ -148,6 +148,14 @@ def dense_cube(table, dim):
     for (i, j, k), c in table_triples(table).items():
         cube[i][j][k] = c
     return cube
+
+
+def dense_violation(axiom, indices, lhs, rhs):
+    """The Violation of axiom at indices between the dense vectors lhs and
+    rhs, packaged as the validators store it: both sides by their nonzeros."""
+    assert len(lhs) == len(rhs)
+    return Violation(axiom, indices, len(lhs), tuple((q, c) for q, c in enumerate(lhs) if c),
+                     tuple((q, c) for q, c in enumerate(rhs) if c))
 
 
 def swap_outer(triples):

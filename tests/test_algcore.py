@@ -2,6 +2,7 @@
 documented tamperings, and element arithmetic."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,8 @@ from matderiv import (Algebra, Bimodule, CATALOG_NAMES, Violation, basis_vec,
                       matrix_pair, multiply, regular_bimodule, act,
                       validate_algebra, validate_bimodule, vadd, vscale,
                       zero_vec)
-from conftest import (CATALOG, dense_cube, dense_to_triples,
-                      mixed_basis_full_matrix_2, swap_outer, table_triples)
+from conftest import (CATALOG, _rebased_pairs, dense_cube, dense_to_triples,
+                      dense_violation, mixed_basis_full_matrix_2, swap_outer, table_triples)
 
 
 def rand_elt(rng, dim):
@@ -327,10 +328,10 @@ def _reference_validate_bimodule(a, m):
         fp = basis_vec(m.dim, p)
         lhs = act_("left", a.unit, fp)
         if lhs != fp:
-            out.append(Violation("left unit action", (p,), lhs, fp))
+            out.append(dense_violation("left unit action", (p,), lhs, fp))
         rhs = act_("right", a.unit, fp)
         if rhs != fp:
-            out.append(Violation("right unit action", (p,), rhs, fp))
+            out.append(dense_violation("right unit action", (p,), rhs, fp))
     for i in range(a.dim):
         ei = basis_vec(a.dim, i)
         for j in range(a.dim):
@@ -341,15 +342,15 @@ def _reference_validate_bimodule(a, m):
                 lhs = act_("left", prod, fp)
                 rhs = act_("left", ei, act_("left", ej, fp))
                 if lhs != rhs:
-                    out.append(Violation("left associativity", (i, j, p), lhs, rhs))
+                    out.append(dense_violation("left associativity", (i, j, p), lhs, rhs))
                 lhs = act_("right", prod, fp)
                 rhs = act_("right", ej, act_("right", ei, fp))
                 if lhs != rhs:
-                    out.append(Violation("right associativity", (p, i, j), lhs, rhs))
+                    out.append(dense_violation("right associativity", (p, i, j), lhs, rhs))
                 lhs = act_("right", ej, act_("left", ei, fp))
                 rhs = act_("left", ei, act_("right", ej, fp))
                 if lhs != rhs:
-                    out.append(Violation("mixed associativity", (i, p, j), lhs, rhs))
+                    out.append(dense_violation("mixed associativity", (i, p, j), lhs, rhs))
     return out
 
 
@@ -408,10 +409,10 @@ def _unskipped_validate_bimodule(a, m):
         fp = basis_vec(m.dim, p)
         lhs = act(m, "left", a.unit, fp)
         if lhs != fp:
-            out.append(Violation("left unit action", (p,), lhs, fp))
+            out.append(dense_violation("left unit action", (p,), lhs, fp))
         rhs = act(m, "right", a.unit, fp)
         if rhs != fp:
-            out.append(Violation("right unit action", (p,), rhs, fp))
+            out.append(dense_violation("right unit action", (p,), rhs, fp))
     left, right = m.left_table, m.right_table
     left_by_p, right_by_j = tuple(zip(*left)), tuple(zip(*right))
 
@@ -434,7 +435,7 @@ def _unskipped_validate_bimodule(a, m):
                         ("mixed associativity", (i, p, j), expand(left[i][p], right_by_j[j]),
                          expand(right[p][j], left[i]))):
                     if lhs != rhs:
-                        out.append(Violation(axiom, idx, lhs, rhs))
+                        out.append(dense_violation(axiom, idx, lhs, rhs))
     return out
 
 
@@ -490,10 +491,10 @@ def _dense_validate_algebra(a):
         ej = basis_vec(dim, j)
         lhs = multiply(a, a.unit, ej)
         if lhs != ej:
-            out.append(Violation("left unit law", (j,), lhs, ej))
+            out.append(dense_violation("left unit law", (j,), lhs, ej))
         rhs = multiply(a, ej, a.unit)
         if rhs != ej:
-            out.append(Violation("right unit law", (j,), rhs, ej))
+            out.append(dense_violation("right unit law", (j,), rhs, ej))
     table = a.table
     for i in range(dim):
         for j in range(dim):
@@ -508,8 +509,7 @@ def _dense_validate_algebra(a):
                     for s, c2 in table[i][t]:
                         rhs[s] += c * c2
                 if lhs != rhs:
-                    out.append(Violation("associativity", (i, j, k),
-                                         tuple(lhs), tuple(rhs)))
+                    out.append(dense_violation("associativity", (i, j, k), lhs, rhs))
     return out
 
 
@@ -564,6 +564,82 @@ def test_regular_bimodule_is_valid_exactly_when_its_algebra_is(case):
     # permuted index triples and its unit laws, so the CLI never checks them
     _, a = case
     assert (validate_bimodule(a, regular_bimodule(a)) == []) == (validate_algebra(a) == [])
+
+
+def _dense_text(v, labels=None):
+    """v rendered from its sides written out densely, one coordinate each,
+    in the form Violation.describe prints."""
+    where = ",".join(labels[i] if labels else str(i) for i in v.indices)
+    lhs, rhs = ([dict(side).get(q, 0) for q in range(v.dim)] for side in (v.lhs, v.rhs))
+    return (f"{v.axiom} violated at ({where}): lhs=[{' '.join(map(str, lhs))}] "
+            f"rhs=[{' '.join(map(str, rhs))}]")
+
+
+def _regular(a):
+    return a, regular_bimodule(a)
+
+
+# the catalog pairs, the mixed basis of M_2(Q), and catalog pairs rebased by
+# scales with denominators, whose tables have non-integer constants and
+# whose unit is not integral
+_DRAWN_PAIRS = st.one_of(st.sampled_from(CATALOG).map(catalog),
+                         st.builds(mixed_basis_full_matrix_2).map(_regular),
+                         st.sampled_from(CATALOG).flatmap(
+                             lambda name: _rebased_pairs(*catalog(name))))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_validators_match_dense_references_on_drawn_tampers(data):
+    # one entry of the table, of left or of right, or one coordinate of the
+    # unit is changed or removed, at the base or at n = 2; a unit tamper at
+    # n = 2 gives a unit with several nonzeros to expand
+    a, m = data.draw(_DRAWN_PAIRS)
+    if data.draw(st.booleans()):
+        ma, mm = matrix_pair(a, m, 2)
+        a, m = ma.algebra, mm.bimodule
+    kind = data.draw(st.sampled_from(("table", "left", "right", "unit")))
+    change = data.draw(st.sampled_from((F(-2), F(1), F(3, 2), F(-1, 3), None)))
+    if kind == "unit":
+        unit = list(a.unit)
+        k = data.draw(st.integers(0, a.dim - 1))
+        unit[k] = F(0) if change is None else unit[k] + change
+        a = Algebra(a.dim, a.labels, tuple(unit), a.table)
+    else:
+        tables = {"table": table_triples(a.table), "left": table_triples(m.left_table),
+                  "right": table_triples(m.right_table)}
+        triples = tables[kind]
+        key = data.draw(st.sampled_from(sorted(triples)))
+        if change is None:
+            del triples[key]
+        else:
+            triples[key] += change
+        a = Algebra.from_sparse(a.dim, a.labels, a.unit, tables["table"])
+        m = Bimodule.from_sparse(m.dim, a.dim, tables["left"], tables["right"])
+    for got, want, labels in ((validate_algebra(a), _dense_validate_algebra(a), a.labels),
+                              (validate_bimodule(a, m), _reference_validate_bimodule(a, m),
+                               None)):
+        assert got == want
+        if got:
+            assert got[0].describe(labels) == _dense_text(want[0], labels)
+
+
+def test_validate_bimodule_memory_grows_with_the_nonzeros():
+    # a module of dimension 1,500 on which both actions are zero: every f_p
+    # breaks both unit actions, and each side is stored by its at most one
+    # nonzero, not as 1,500 coordinates
+    dim = 1500
+    a, m = catalog_algebra("field"), Bimodule.from_sparse(dim, 1, {}, {})
+    tracemalloc.start()
+    try:
+        got = validate_bimodule(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 3000
+    assert peak < 4 * 2**20, f"{peak} bytes traced"
+    assert got == [Violation(f"{side} unit action", (p,), dim, (), ((p, F(1)),))
+                   for p in range(dim) for side in ("left", "right")]
 
 
 # ---------------------------------------------------------------------------

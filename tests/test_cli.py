@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,27 @@ def test_validate_module_file(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "validate", "dual_numbers", "--module", path)
     assert rc == 0
     assert f"module {path} axioms: ok" in out
+
+
+def test_validate_module_of_unit_action_violations_stays_small(capsys, tmp_path):
+    # both actions zero on a module of dimension 1,500: 3,000 unit-action
+    # violations are found and the first is printed with every coordinate,
+    # but each is stored by its nonzeros, not as two 1,500-long vectors
+    dim = 1500
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": dim, "left": [], "right": []}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "validate", "field", "--module", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    zeros = " ".join(["0"] * (dim - 1))
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        f"module {path} axioms: FAIL (3000 violations)",
+        f"left unit action violated at (0): lhs=[0 {zeros}] rhs=[1 {zeros}]"]
+    assert peak < 4 * 2**20, f"{peak} bytes traced"
 
 
 def test_validate_rejects_bad_rational(capsys, tmp_path):

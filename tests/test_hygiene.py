@@ -2,9 +2,10 @@
 module imports a name it never reads, no private module-level function, class
 or constant is left that no module reads, no public export is left that no
 module, test or bench file reads, the dense forms kept for callers outside
-the package are read only where named, a Derivation is built only by the
-constructors that name the pair it was certified on, and no class fills
-attributes on demand through __getattr__."""
+the package are read only where named, dense vectors are built only where
+named, a Derivation is built only by the constructors that name the pair it
+was certified on, and no class fills attributes on demand through
+__getattr__."""
 
 import ast
 from pathlib import Path
@@ -134,6 +135,25 @@ def test_derivations_are_built_only_by_the_named_constructors():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Derivation"}
     assert built == DERIVATION_BUILDERS
+
+
+# the (function, module, definition) triples that may call a dense vector
+# builder of exactlin: the two twolocal functions that build query points
+# coordinate by coordinate.  The builders stay for callers outside the
+# package; inside it, the validators and every other function expand
+# nonzeros, so a dense basis vector per basis element never comes back.
+DENSE_VECTOR_CALLS = {
+    ("basis_vec", "twolocal.py", "central_idempotent_compat"),
+    ("zero_vec", "twolocal.py", "canonical_S_T"),
+}
+
+
+def test_dense_vectors_are_built_only_where_named():
+    called = {(node.func.id, fname, owner) for fname, tree in _trees().items()
+              for owner, node in _owned_nodes(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("basis_vec", "zero_vec")}
+    assert called == DENSE_VECTOR_CALLS
 
 
 def test_no_class_defines_getattr():
