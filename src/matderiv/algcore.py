@@ -1,16 +1,16 @@
 """Finite-dimensional algebras with a unit over Q, by structure constants.
 
-An Algebra stores its structure constants as a sparse table: table[i][j] is
-the tuple of (k, c) pairs with e_i e_j = sum c e_k, every c nonzero and k
-strictly increasing, together with the coordinates of its unit.  A Bimodule
-over an algebra stores its left and right actions as tables of the same
-form.  The canonical form makes equal algebras have equal tables.  The dense
-tensor mult[i][j][k] and the integer views (int_table, int_tables: the
-tables times the lcm of their denominators) are derived views, built on
-first use.
+An Algebra stores its structure constants as a table of its nonempty cells:
+row i lists the (j, cell) with e_i e_j != 0, and the cell the (k, c)
+with e_i e_j = sum c e_k, c != 0, j and k strictly increasing.  A Bimodule
+stores its left and right actions as tables of the same form.  Equal
+algebras have equal tables; _transpose exchanges rows and columns.  The
+dense tensor mult[i][j][k], the regular bimodule and the integer views
+(int_table, int_tables: the tables times the lcm of their denominators, one
+for an algebra and its regular bimodule) are built on first use.
 Elements are plain tuples of Fraction over the owning basis; multiply and
 both sides of act are one table-product kernel, which visits only the
-nonzeros of its two operands.
+nonzeros of its left operand and the cells of their rows.
 
 Validators check the defining axioms on every basis tuple and report each
 violation with the offending indices and the nonzeros of both sides.  Every
@@ -63,49 +63,47 @@ def clipped(value: object) -> str:
 
 SparseEntry = tuple[int, Fraction]
 
-Table = tuple[tuple[tuple[SparseEntry, ...], ...], ...]
+Cell = tuple[SparseEntry, ...]
+Table = tuple[tuple[tuple[int, Cell], ...], ...]
 
 
 def _table(dim0: int, dim1: int, dim2: int,
            triples: Mapping[tuple[int, int, int], Fraction]) -> Table:
-    cells: list[list[dict[int, Fraction]]] = [[{} for _ in range(dim1)]
-                                              for _ in range(dim0)]
+    rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim0)]
     for (i, j, k), c in triples.items():
         if not (0 <= i < dim0 and 0 <= j < dim1 and 0 <= k < dim2):
             raise ValueError(f"structure constant index {(i, j, k)} out of range")
         c = Fraction(c)
         if c:
-            cells[i][j][k] = c
-    return tuple(tuple(tuple(sorted(cell.items())) for cell in plane)
-                 for plane in cells)
+            rows[i].setdefault(j, {})[k] = c
+    return tuple(tuple((j, tuple(sorted(cell.items()))) for j, cell in sorted(row.items()))
+                 for row in rows)
 
 
 def _check_table(table: Table, dim0: int, dim1: int, dim2: int, what: str) -> None:
-    """Raise unless table has shape dim0 x dim1 and every cell lists nonzero
+    """Raise unless table has dim0 rows, each listing nonempty cells at
+    strictly increasing columns below dim1, and every cell lists nonzero
     coefficients at strictly increasing indices below dim2."""
-    if len(table) != dim0 or any(len(plane) != dim1 for plane in table):
+    if len(table) != dim0:
         raise ValueError(f"{what} table shape mismatch")
-    for i, plane in enumerate(table):
-        for j, cell in enumerate(plane):
+    for i, row in enumerate(table):
+        for pairs, bound in ((row, dim1), *((cell, dim2) for _, cell in row)):
             prev = -1
-            for k, c in cell:
-                if not prev < k < dim2:
-                    raise ValueError(f"{what} table cell {(i, j)}: index {k} "
-                                     "out of range or out of order")
-                if not c:
-                    raise ValueError(f"{what} table cell {(i, j)}: zero "
-                                     f"coefficient at index {k}")
+            for k, x in pairs:
+                if not (prev < k < bound and x):
+                    raise ValueError(f"{what} table row {i}: entry {k} out of range, "
+                                     "out of order, empty or zero")
                 prev = k
 
 
-def _int_view(*tables: Table) -> tuple:
-    """(L, *views): L is the positive lcm of the denominators of all the
-    tables' coefficients, and each view is its table times L, in ints."""
-    scale, nums = _scaled([c for t in tables for plane in t for cell in plane
-                           for _, c in cell])
-    it = iter(nums)
-    return (scale, *(tuple(tuple(tuple([(k, next(it)) for k, _ in cell]) if cell else ()
-                                 for cell in plane) for plane in t) for t in tables))
+def _transpose(table: Table, dim1: int) -> Table:
+    """A table of dim1 columns with rows and columns exchanged: row j lists
+    the (i, table[i][j]), i increasing."""
+    out: list[list[tuple[int, Cell]]] = [[] for _ in range(dim1)]
+    for i, row in enumerate(table):
+        for j, cell in row:
+            out[j].append((i, cell))
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -134,20 +132,28 @@ class Algebra:
     @cached_property
     def mult(self) -> Tensor3:
         """Dense view: mult[i][j][k] is the coefficient of e_k in e_i e_j."""
-        return tuple(tuple(_dense(cell, self.dim) for cell in plane) for plane in self.table)
+        dim, zero = self.dim, _dense((), self.dim)
+        return tuple(tuple(_dense(cells[j], dim) if j in cells else zero for j in range(dim))
+                     for cells in map(dict, self.table))
+
+    @cached_property
+    def regular(self) -> "Bimodule":
+        """The regular bimodule: both tables are this one."""
+        return Bimodule(self.dim, self.dim, self.table, self.table)
 
     @cached_property
     def int_table(self) -> tuple:
-        """Integer view (L_a, table times L_a), L_a the lcm of its denominators."""
-        return _int_view(self.table)
+        """Integer view (L_a, table times L_a), L_a the lcm of its denominators:
+        the regular bimodule's."""
+        return self.regular.int_tables[:2]
 
     @cached_property
     def int_producers(self) -> tuple:
         """For each basis index k, the (i, j, c) with c != 0 the coefficient of
         e_k in e_i e_j in the integer view, in (i, j) order."""
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
-        for i, plane in enumerate(self.int_table[1]):
-            for j, cell in enumerate(plane):
+        for i, row in enumerate(self.int_table[1]):
+            for j, cell in row:
                 for k, c in cell:
                     out[k].append((i, j, c))
         return tuple(map(tuple, out))
@@ -155,8 +161,8 @@ class Algebra:
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Bimodule over an Algebra: left_table[i][p] lists e_i . f_p and
-    right_table[p][i] lists f_p . e_i, in the sparse form of Algebra.table."""
+    """Bimodule over an Algebra: left_table holds e_i . f_p in row i, column p
+    and right_table f_p . e_i in row p, column i, as Algebra.table does."""
 
     dim: int
     algebra_dim: int
@@ -184,15 +190,13 @@ class Bimodule:
         """Integer view (L_m, left, right): both tables times their joint lcm;
         one table (the regular bimodule's) is converted once."""
         left, right = self.left_table, self.right_table
-        scale, *views = _int_view(left) if right is left else _int_view(left, right)
+        tables = (left,) if right is left else (left, right)
+        scale, nums = _scaled([c for t in tables for row in t for _, cell in row
+                               for _, c in cell])
+        it = iter(nums)
+        views = [tuple(tuple([(j, tuple([(k, next(it)) for k, _ in cell])) for j, cell in row])
+                       for row in t) for t in tables]
         return scale, views[0], views[-1]
-
-    @cached_property
-    def int_right_cells(self) -> tuple:
-        """For each basis index p, the (j*dim, cell) with cell = right[p][j]
-        of the integer view nonempty, in j order."""
-        return tuple(tuple((j * self.dim, cell) for j, cell in enumerate(plane) if cell)
-                     for plane in self.int_tables[2])
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +206,12 @@ class Bimodule:
 def _product(table: Table, x: Sequence[Fraction], y: Sequence[Fraction],
              dim: int) -> Vector:
     """sum x_i y_j table[i][j] in dim coordinates, over the nonzeros of x and
-    of y only."""
+    the cells of their rows only."""
     acc = [ZERO] * dim
-    y_nz = _nonzeros(y)
     for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = table[i]
-        for j, yj in y_nz:
-            s = xi * yj
-            for k, c in row[j]:
+        for j, cell in table[i] if xi else ():
+            s = xi * y[j]
+            for k, c in cell if s else ():
                 acc[k] += s * c
     return tuple(acc)
 
@@ -236,17 +236,15 @@ def act(m: Bimodule, side: str, a_coords: Sequence[Fraction],
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
-    """The algebra acting on itself on both sides."""
-    # e_i . e_p and e_p . e_i are both products in a, so both tables are a's
-    return Bimodule(a.dim, a.dim, a.table, a.table)
+    """The algebra acting on itself on both sides: Algebra.regular."""
+    return a.regular
 
 
 def commutes(a: Algebra, m: Bimodule) -> bool:
     """True iff x.f = f.x for all basis x of a and basis f of m."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
-    # left[i] against column i of right, up to the first unequal cell
-    return all(row == col for row, col in zip(m.left_table, zip(*m.right_table)))
+    return m.left_table == _transpose(m.right_table, a.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +272,12 @@ class Violation:
         return f"{self.axiom} violated at ({where}): lhs=[{lhs}] rhs=[{rhs}]"
 
 
-def _expand(cell: tuple[SparseEntry, ...],
-            rows: Sequence[tuple[SparseEntry, ...]]) -> dict[int, Fraction]:
-    """The nonzero coordinates of sum c * rows[t] over the entries (t, c) of a
-    table cell, where each rows[t] is a table cell too."""
+def _expand(cell: Cell, cells: Mapping[int, Cell]) -> dict[int, Fraction]:
+    """The nonzero coordinates of sum c * cells.get(t, ()) over the entries
+    (t, c) of a table cell, for cells a dict of a table row or column."""
     acc: dict[int, Fraction] = {}
     for t, c in cell:
-        for s, c2 in rows[t]:
+        for s, c2 in cells.get(t, ()):
             acc[s] = acc.get(s, ZERO) + c * c2
     return {s: v for s, v in acc.items() if v}
 
@@ -304,19 +301,19 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     e_i e_j and e_j e_k are both empty is not visited.
     """
     out: list[Violation] = []
-    dim, table, unit = a.dim, a.table, _nonzeros(a.unit)
-    by_k = tuple(zip(*table))                   # by_k[k][t] = table[t][k]
+    dim, unit = a.dim, _nonzeros(a.unit)
+    # rows[i][j] = e_i e_j and cols[k][t] = e_t e_k, as dicts
+    rows, cols = (list(map(dict, t)) for t in (a.table, _transpose(a.table, dim)))
     for j in range(dim):                        # 1 e_j and e_j 1 against e_j
-        _report(out, dim, "left unit law", (j,), _expand(unit, by_k[j]), {j: ONE})
-        _report(out, dim, "right unit law", (j,), _expand(unit, table[j]), {j: ONE})
-    # the k with e_j e_k nonempty: the only k to visit when e_i e_j is empty
-    nonempty = [[k for k, cell in enumerate(plane) if cell] for plane in table]
-    for i in range(dim):
-        for j in range(dim):
-            ij = table[i][j]
-            for k in range(dim) if ij else nonempty[j]:
+        _report(out, dim, "left unit law", (j,), _expand(unit, cols[j]), {j: ONE})
+        _report(out, dim, "right unit law", (j,), _expand(unit, rows[j]), {j: ONE})
+    live = {j for j, row in enumerate(rows) if row}
+    for i, row_i in enumerate(rows):
+        for j in sorted(live | row_i.keys()):
+            ij, row_j = row_i.get(j, ()), rows[j]
+            for k in range(dim) if ij else row_j:
                 _report(out, dim, "associativity", (i, j, k),
-                        _expand(ij, by_k[k]), _expand(table[j][k], table[i]))
+                        _expand(ij, cols[k]), _expand(row_j.get(k, ()), row_i))
     return out
 
 
@@ -333,31 +330,34 @@ def validate_bimodule(a: Algebra, m: Bimodule) -> list[Violation]:
         raise ValueError("bimodule is not over this algebra")
     out: list[Violation] = []
     dim, mdim, unit = a.dim, m.dim, _nonzeros(a.unit)
-    left, right = m.left_table, m.right_table
-    # left_by_p[p][t] = left[t][p] and right_by_j[j][s] = right[s][j]
-    left_by_p = tuple(zip(*left))
-    right_by_j = tuple(zip(*right))
+    # left[i][p] = e_i.f_p, right[p][i] = f_p.e_i, left_by_p[p][t] = e_t.f_p
+    # and right_by_j[j][s] = f_s.e_j, as dicts
+    left, right, left_by_p, right_by_j = (list(map(dict, t)) for t in (
+        m.left_table, m.right_table, _transpose(m.left_table, mdim),
+        _transpose(m.right_table, dim)))
     for p in range(mdim):                       # 1.f_p and f_p.1 against f_p
         _report(out, mdim, "left unit action", (p,), _expand(unit, left_by_p[p]), {p: ONE})
         _report(out, mdim, "right unit action", (p,), _expand(unit, right[p]), {p: ONE})
     # each side expands one input cell, so when both cells are empty both
     # sides are zero and the axiom holds on that tuple; when e_i e_j is
     # empty, the other cells lie in row or column i or j of left and right
-    touched = [{p for p in range(mdim) if left[x][p] or right[p][x]} for x in range(dim)]
-    for i in range(dim):
+    touched = [left[x].keys() | right_by_j[x].keys() for x in range(dim)]
+    for i, row_i in enumerate(map(dict, a.table)):
         left_i = left[i]
         for j in range(dim):
-            ij, left_j, right_at_j = a.table[i][j], left[j], right_by_j[j]
+            ij, left_j, right_at_j = row_i.get(j, ()), left[j], right_by_j[j]
             for p in range(mdim) if ij else sorted(touched[i] | touched[j]):
-                if ij or left_j[p]:                                # (e_i e_j).f_p
+                ip, jp, right_p = left_i.get(p, ()), left_j.get(p, ()), right[p]
+                pi, pj = right_p.get(i, ()), right_p.get(j, ())
+                if ij or jp:                                       # (e_i e_j).f_p
                     _report(out, mdim, "left associativity", (i, j, p),
-                            _expand(ij, left_by_p[p]), _expand(left_j[p], left_i))
-                if ij or right[p][i]:                              # f_p.(e_i e_j)
+                            _expand(ij, left_by_p[p]), _expand(jp, left_i))
+                if ij or pi:                                       # f_p.(e_i e_j)
                     _report(out, mdim, "right associativity", (p, i, j),
-                            _expand(ij, right[p]), _expand(right[p][i], right_at_j))
-                if left_i[p] or right[p][j]:                       # (e_i.f_p).e_j
+                            _expand(ij, right_p), _expand(pi, right_at_j))
+                if ip or pj:                                       # (e_i.f_p).e_j
                     _report(out, mdim, "mixed associativity", (i, p, j),
-                            _expand(left_i[p], right_at_j), _expand(right[p][j], left_i))
+                            _expand(ip, right_at_j), _expand(pj, left_i))
     return out
 
 
@@ -415,11 +415,9 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     dim = a.dim + b.dim
     labels = tuple(f"({lab},0)" for lab in a.labels) + tuple(f"(0,{lab})" for lab in b.labels)
     unit = tuple(a.unit) + tuple(b.unit)
-    shifted = tuple(tuple(tuple((a.dim + k, c) for k, c in cell) for cell in plane)
-                    for plane in b.table)
-    table = (tuple(plane + ((),) * b.dim for plane in a.table)
-             + tuple(((),) * a.dim + plane for plane in shifted))
-    return Algebra(dim, labels, unit, table)
+    shifted = tuple(tuple((a.dim + j, tuple((a.dim + k, c) for k, c in cell)) for j, cell in row)
+                    for row in b.table)
+    return Algebra(dim, labels, unit, a.table + shifted)
 
 
 CATALOG_NAMES = tuple(_CATALOG) + ("direct_sum(x,y)",)

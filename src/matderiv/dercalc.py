@@ -12,8 +12,9 @@ inner_derivation, inner_space and is_inner need a bimodule, as delta_w is a
 derivation only on one.  No function checks the axioms; the CLI does.
 
 Constraint assembly, certification, inner derivations and the inner space
-read the integer views Algebra.int_table (scale L_a) and Bimodule.int_tables
-(scale L_m); a positive scale changes no row space and no failing pair.
+read the rows of the integer views Algebra.int_table (scale L_a) and
+Bimodule.int_tables (scale L_m), and their columns through _transpose; a
+positive scale changes no row space and no failing pair.
 Constraint rows leave as canonical keys (exactlin._canonical), and a row
 with a single term (a shifted copy of a pattern of the tables) is emitted
 once per pattern and shift.  The basis stays sparse from elimination to
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .algcore import Algebra, Bimodule, SparseEntry, commutes, regular_bimodule
+from .algcore import Algebra, Bimodule, Table, _transpose, commutes, regular_bimodule
 from .exactlin import (Matrix, Nonzeros, Subspace, Vector, _canonical, _dense,
                        _primitive_pairs, _scaled, _solve_augmented, nullspace_sparse,
                        quotient_dim)
@@ -122,14 +123,14 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
     the pair (i, j) and module coordinate q, over the nonzero products only:
     the products e_i e_j that name a nonzero column k of f (found through
     Algebra.int_producers) against that column, the nonzeros p of column i
-    against the nonempty cells right[p][j] (Bimodule.int_right_cells), and the
-    nonzero rows p of f against the nonempty cells left[i][p].
+    against row p of the right table, and row i of the left table against
+    the rows of f.
     """
     if f.algebra_dim != a.dim or f.module_dim != m.dim:
         raise ValueError("map shape does not match the algebra/bimodule pair")
     d, md = a.dim, m.dim
     la = a.int_table[0]
-    lm, left, _ = m.int_tables
+    lm, left, right = m.int_tables
     nz = [(p, k, x) for p, row in enumerate(f.matrix.nonzeros) for k, x in row]
     g = gcd(la, lm)
     at_t, at_m = lm // g, la // g                   # table and action scales
@@ -146,8 +147,6 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
         if col:
             for i, j, c in a.int_producers[k]:
                 products[i].append((j * md, c, col))
-    used = [p for p, row in enumerate(rows_m) if row]   # the nonzero rows of f
-    right_nz = m.int_right_cells
     bad: list[tuple[int, int]] = []
     for i in range(d):
         acc: dict[int, int] = {}
@@ -156,17 +155,15 @@ def leibniz_failures(a: Algebra, m: Bimodule, f: LinearMap,
                 key = base + q
                 acc[key] = acc.get(key, 0) + c * v
         for p, v in cols_m[i]:                       # - delta(e_i).e_j
-            for base, cell in right_nz[p]:
+            for j, cell in right[p]:
+                for q, c in cell:
+                    key = j * md + q
+                    acc[key] = acc.get(key, 0) - v * c
+        for p, cell in left[i]:                      # - e_i.delta(e_j)
+            for base, v in rows_m[p]:
                 for q, c in cell:
                     key = base + q
                     acc[key] = acc.get(key, 0) - v * c
-        for p in used:                               # - e_i.delta(e_j)
-            cell = left[i][p]
-            if cell:
-                for base, v in rows_m[p]:
-                    for q, c in cell:
-                        key = base + q
-                        acc[key] = acc.get(key, 0) - v * c
         failing = sorted({key // md for key, x in acc.items() if x})
         if failing:
             if stop_early:
@@ -190,23 +187,24 @@ def certify(a: Algebra, m: Bimodule, f: LinearMap) -> Derivation:
 # constraint assembly
 # ---------------------------------------------------------------------------
 
-def _by_output(table, scale: int, md: int) -> list[list[list[tuple[int, int]]]]:
+def _by_output(table: Table, scale: int, md: int) -> list[list[list[tuple[int, int]]]]:
     """out[i][q] = [(p, -scale*c)] over the entries (q, c) of table[i][p]."""
     out = []
-    for plane in table:
+    for row in table:
         by_q = [[] for _ in range(md)]
-        for p, cell in enumerate(plane):
+        for p, cell in row:
             for q, c in cell:
                 by_q[q].append((p, -scale * c))
         out.append(by_q)
     return out
 
 
-def _merge(x: Sequence[SparseEntry], y: Sequence[SparseEntry]) -> tuple[SparseEntry, ...]:
-    """The sum of two sparse (index, value) lists, sorted, zeros dropped."""
+def _merge(x: Sequence, y: Sequence) -> tuple:
+    """The sum of two sparse (index, value) lists, sorted, zeros dropped; the
+    values may be such lists (the cells of two table rows)."""
     acc = dict(x)
     for c, v in y:
-        acc[c] = acc.get(c, 0) + v
+        acc[c] = _merge(acc.get(c, ()), v) if isinstance(v, tuple) else acc.get(c, 0) + v
     return tuple(sorted([cv for cv in acc.items() if cv[1]]))
 
 
@@ -217,13 +215,11 @@ def jordan_pair(a: Algebra, m: Bimodule) -> tuple[Algebra, Bimodule]:
     delta(xy + yx) = delta(x).y + x.delta(y) + delta(y).x + y.delta(x)."""
     if m.algebra_dim != a.dim:
         raise ValueError("bimodule is not over this algebra")
-
-    def symmetrized(t, u):                      # the cells t[i][p] + u[p][i]
-        return tuple(tuple(map(_merge, row, col)) for row, col in zip(t, zip(*u)))
-    left = symmetrized(m.left_table, m.right_table)
-    return (Algebra(a.dim, a.labels, tuple(u / 2 for u in a.unit),
-                    symmetrized(a.table, a.table)),
-            Bimodule(m.dim, a.dim, left, tuple(zip(*left))))
+    # row i of t plus column i of u: t[i][p] + u[p][i]
+    table, left = (tuple(map(_merge, t, _transpose(u, a.dim))) for t, u in (
+        (a.table, a.table), (m.left_table, m.right_table)))
+    return (Algebra(a.dim, a.labels, tuple(u / 2 for u in a.unit), table),
+            Bimodule(m.dim, a.dim, left, _transpose(left, m.dim)))
 
 
 def _constraint_rows(a: Algebra, m: Bimodule, generators: Sequence[int] | None = None
@@ -260,7 +256,7 @@ def _constraint_rows(a: Algebra, m: Bimodule, generators: Sequence[int] | None =
     lm, left, right = m.int_tables
     g = gcd(la, lm)
     # at_i[j][q] = [(p, -R[p][j][q])] and at_j[i][q] = [(p, -L[i][p][q])], scaled
-    at_i = _by_output(zip(*right), la // g, md)
+    at_i = _by_output(_transpose(right, d), la // g, md)
     at_j = _by_output(left, la // g, md)
     patterns: list[tuple[tuple[int, int], ...]] = []
     ids: dict[tuple[tuple[int, int], ...], int] = {}
@@ -276,8 +272,9 @@ def _constraint_rows(a: Algebra, m: Bimodule, generators: Sequence[int] | None =
     ids_j = [[intern(part) if part else -1 for part in by_q] for by_q in at_j]
     emitted: set[tuple[int, int]] = set()
     for i, js in visits:
+        cells = dict(table[i])
         for j in js:
-            image = [(k * md, lm // g * c) for k, c in table[i][j]]
+            image = [(k * md, lm // g * c) for k, c in cells.get(j, ())]
             pid = intern(image) if image else -1
             ui, uj, base_i, base_j = at_i[j], at_j[i], i * md, j * md
             for q in range(md):
@@ -350,19 +347,18 @@ def jordan_derivation_space(a: Algebra, m: Bimodule) -> DerivationSpace:
 # inner derivations
 # ---------------------------------------------------------------------------
 
-def _inner_columns(m: Bimodule, nz: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
+def _inner_columns(m: Bimodule, left_by_p: Table,
+                   nz: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
     """Column j of delta_w times L_m as {q: value}, zeros kept, for the integer
-    nonzeros (p, w_p) of w: sum_p w_p (f_p.e_j - e_j.f_p), from right[p][j], left[j][p]."""
-    _, left, right = m.int_tables
+    nonzeros (p, w_p) of w: sum_p w_p (f_p.e_j - e_j.f_p), from row p of right
+    and of left_by_p, the integer left table transposed."""
     cols: list[dict[int, int]] = [{} for _ in range(m.algebra_dim)]
-    for p, wp in nz:
-        for col, cell in zip(cols, right[p]):
-            for q, c in cell:
-                col[q] = col.get(q, 0) + wp * c
-    for col, plane in zip(cols, left):
+    for sign, table in ((1, m.int_tables[2]), (-1, left_by_p)):
         for p, wp in nz:
-            for q, c in plane[p]:
-                col[q] = col.get(q, 0) - wp * c
+            for j, cell in table[p]:
+                col = cols[j]
+                for q, c in cell:
+                    col[q] = col.get(q, 0) + sign * wp * c
     return cols
 
 
@@ -372,7 +368,8 @@ def inner_derivation(a: Algebra, m: Bimodule, w: Sequence[Fraction]) -> Derivati
     if len(w) != m.dim:
         raise ValueError("witness length does not match module dimension")
     den, nums = _scaled(w)
-    cols = _inner_columns(m, [(p, v) for p, v in enumerate(nums) if v])
+    nz = [(p, v) for p, v in enumerate(nums) if v]
+    cols = _inner_columns(m, _transpose(m.int_tables[1], m.dim), nz)
     s = m.int_tables[0] * den
     triples = [(q, j, Fraction(x, s)) for j, col in enumerate(cols) for q, x in col.items() if x]
     return Derivation(LinearMap(Matrix.from_triples(m.dim, a.dim, triples)), a, m)
@@ -382,8 +379,9 @@ def _inner_rows(m: Bimodule) -> list[dict[int, int]]:
     """Row j*md + q of the (d*md) x md matrix of w -> delta_w times L_m, as {p: value}
     over its nonzeros: the columns delta_{f_p} of _inner_columns, transposed."""
     rows: list[dict[int, int]] = [{} for _ in range(m.algebra_dim * m.dim)]
+    left_by_p = _transpose(m.int_tables[1], m.dim)
     for p in range(m.dim):
-        for j, col in enumerate(_inner_columns(m, ((p, 1),))):
+        for j, col in enumerate(_inner_columns(m, left_by_p, ((p, 1),))):
             for q, x in col.items():
                 if x:
                     rows[j * m.dim + q][p] = x

@@ -4,7 +4,8 @@ Basis layout: M_n(A) has basis (base element k) placed in matrix block (i, j),
 flattened as (i*n + j)*d + k; M_n(M) is laid out the same way.  Multiplication
 is (a x E_ij)(b x E_kl) = [j=k] (ab x E_il), with matching left/right module
 actions, so the sparse structure tables of M_n(A) and M_n(M) are assembled
-block by block from the base tables; no dense tensor is formed.  matrix_pair
+block by block from the base tables, storing only the n^3 block pairs with
+j = k; no empty cell or dense tensor is formed.  matrix_pair
 builds M_n of a regular base pair as the regular bimodule of M_n(A), on the
 algebra's one table.  Rows and columns of the n x n grid are 0-based in code;
 printed labels use the usual 1-based matrix-unit names.
@@ -111,23 +112,18 @@ class MatrixBimodule(_BlockIndex):
     bimodule: Bimodule
 
 
-def _block_table(table: Table, n: int, d0: int, d1: int, d2: int) -> Table:
-    """Table of the products (x E_ij)(y E_jl) = xy E_il, all other block
-    pairs giving 0, for base factors x < d0, y < d1 and products in a base
-    space of dimension d2 described by table."""
-    planes = []
+def _block_table(table: Table, n: int, d1: int, d2: int) -> Table:
+    """Table of the products (x E_ij)(y E_jl) = xy E_il, the only nonempty
+    cells, for the rows x of table, its columns y < d1 and products of
+    dimension d2."""
+    rows = []
     for i in range(n):
+        # row x at columns l*d1 + y, into output block (i, l); j shifts them
+        moved = [[(l * d1 + y, tuple([((i * n + l) * d2 + t, c) for t, c in cell]))
+                  for l in range(n) for y, cell in row] for row in table]
         for j in range(n):
-            for x in range(d0):
-                plane = [()] * (n * n * d1)
-                for l in range(n):
-                    out_off = (i * n + l) * d2
-                    col_off = (j * n + l) * d1
-                    for y in range(d1):
-                        plane[col_off + y] = tuple((out_off + t, c)
-                                                   for t, c in table[x][y])
-                planes.append(tuple(plane))
-    return tuple(planes)
+            rows.extend(tuple([(j * n * d1 + col, cell) for col, cell in row]) for row in moved)
+    return tuple(rows)
 
 
 def matrix_algebra(a: Algebra, n: int) -> MatrixAlgebra:
@@ -143,7 +139,7 @@ def matrix_algebra(a: Algebra, n: int) -> MatrixAlgebra:
         off = (i * n + i) * d
         for k, c in enumerate(a.unit):
             unit[off + k] = c
-    big = Algebra(dim, labels, tuple(unit), _block_table(a.table, n, d, d, d))
+    big = Algebra(dim, labels, tuple(unit), _block_table(a.table, n, d, d))
     return MatrixAlgebra(a, n, big)
 
 
@@ -154,8 +150,8 @@ def matrix_bimodule(m: Bimodule, n: int) -> MatrixBimodule:
         raise ValueError("matrix extension needs n >= 2")
     d, md = m.algebra_dim, m.dim
     return MatrixBimodule(m, n, Bimodule(n * n * md, n * n * d,
-                                         _block_table(m.left_table, n, d, md, md),
-                                         _block_table(m.right_table, n, md, d, md)))
+                                         _block_table(m.left_table, n, md, md),
+                                         _block_table(m.right_table, n, d, md)))
 
 
 def matrix_pair(a: Algebra, m: Bimodule, n: int) -> tuple[MatrixAlgebra, MatrixBimodule]:
@@ -275,7 +271,8 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
     _check_derivation(D, ma.algebra, mm.bimodule, "verify_lemma22")
     n, d, md = ma.n, ma.base.dim, mm.base.dim
     N, K = range(n), range(d)
-    lm, left, right = mm.base.int_tables
+    lm, *tables = mm.base.int_tables
+    left, right = (list(map(dict, t)) for t in tables)
     lu, unit = _scaled(ma.base.unit)
     # base column k of the component (i,j|r,s), read off D's nonzeros: row
     # (i,j,q) of M_n(M) and column (r,s,k) of M_n(A) hold its entry q; and
@@ -298,7 +295,8 @@ def verify_lemma22(D: Derivation, ma: MatrixAlgebra, mm: MatrixBimodule) -> Lemm
         """e_k acting on the unit value of component key, in integers."""
         out = [0] * md
         for p, x in enumerate(of_unit[key]):
-            for q, c in (left[k][p] if side == "left" else right[p][k]) if x else ():
+            cell = left[k].get(p, ()) if side == "left" else right[p].get(k, ())
+            for q, c in cell if x else ():
                 out[q] += x * c
         return tuple(out)
 
@@ -344,11 +342,9 @@ def _renamed(table: Table, rows: Sequence[int], cols: Sequence[int],
              out: Sequence[int]) -> Table:
     """table with cell (i, j) moved to (rows[i], cols[j]) and each entry
     (k, c) to (out[k], c), in canonical sparse form."""
-    moved = [[()] * len(cols) for _ in rows]
-    for i, plane in zip(rows, table):
-        for j, cell in zip(cols, plane):
-            moved[i][j] = tuple(sorted([(out[k], c) for k, c in cell]))
-    return tuple(map(tuple, moved))
+    moved = {i: tuple(sorted([(cols[j], tuple(sorted([(out[k], c) for k, c in cell])))
+                              for j, cell in row])) for i, row in zip(rows, table)}
+    return tuple(moved[i] for i in range(len(table)))
 
 
 @dataclass(frozen=True)

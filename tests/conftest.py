@@ -107,12 +107,11 @@ _scales = st.sampled_from(SCALES)
 def rebase(a, m, s, t):
     """The pair in the basis s_i e_i of the algebra and t_p f_p of the module,
     for nonzero rationals s and t (all 1 gives the pair back)."""
-    mult = {(i, j, k): s[i] * s[j] / s[k] * c for i, plane in enumerate(a.table)
-            for j, cell in enumerate(plane) for k, c in cell}
-    left = {(i, p, q): s[i] * t[p] / t[q] * c for i, plane in enumerate(m.left_table)
-            for p, cell in enumerate(plane) for q, c in cell}
-    right = {(p, i, q): t[p] * s[i] / t[q] * c for p, plane in enumerate(m.right_table)
-             for i, cell in enumerate(plane) for q, c in cell}
+    mult = {(i, j, k): s[i] * s[j] / s[k] * c for (i, j, k), c in table_triples(a.table).items()}
+    left = {(i, p, q): s[i] * t[p] / t[q] * c
+            for (i, p, q), c in table_triples(m.left_table).items()}
+    right = {(p, i, q): t[p] * s[i] / t[q] * c
+             for (p, i, q), c in table_triples(m.right_table).items()}
     unit = [u / s[k] for k, u in enumerate(a.unit)]
     return (Algebra.from_sparse(a.dim, a.labels, unit, mult),
             Bimodule.from_sparse(m.dim, a.dim, left, right))
@@ -135,16 +134,23 @@ def dense_to_triples(tensor):
 
 
 def table_triples(table):
-    """{(i, j, k): c} for the entries of a sparse structure table, in the
-    form Algebra.from_sparse and Bimodule.from_sparse take."""
-    return {(i, j, k): c for i, plane in enumerate(table)
-            for j, cell in enumerate(plane) for k, c in cell}
+    """{(i, j, k): c} for the entries of a sparse structure table (row i
+    lists its nonempty cells (j, cell)), in the form Algebra.from_sparse and
+    Bimodule.from_sparse take."""
+    return {(i, j, k): c for i, row in enumerate(table)
+            for j, cell in row for k, c in cell}
 
 
-def dense_cube(table, dim):
-    """The dense tensor c[i][j][k] of a sparse structure table whose
-    products have dimension dim."""
-    cube = [[[F(0)] * dim for _ in plane] for plane in table]
+def row_dicts(table):
+    """Each row of a sparse structure table as {column: cell}: a column it
+    does not hold is an empty cell, read as row.get(column, ())."""
+    return [dict(row) for row in table]
+
+
+def dense_cube(table, columns, dim):
+    """The dense tensor c[i][j][k] of a sparse structure table with the given
+    number of columns, whose products have dimension dim."""
+    cube = [[[F(0)] * dim for _ in range(columns)] for _ in table]
     for (i, j, k), c in table_triples(table).items():
         cube[i][j][k] = c
     return cube

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from matderiv import (Algebra, Bimodule, CATALOG_NAMES, Violation, basis_vec,
                       catalog, catalog_algebra, commutes, direct_sum, from_matrices,
-                      matrix_pair, multiply, regular_bimodule, act,
+                      jordan_pair, matrix_pair, multiply, regular_bimodule, act,
                       validate_algebra, validate_bimodule, vadd, vscale,
                       zero_vec)
-from conftest import (CATALOG, _rebased_pairs, dense_cube, dense_to_triples,
-                      dense_violation, mixed_basis_full_matrix_2, swap_outer, table_triples)
+from conftest import (CATALOG, _rebased_pairs, column_module, dense_cube, dense_to_triples,
+                      dense_violation, mixed_basis_full_matrix_2, row_dicts, swap_outer,
+                      table_triples)
 
 
 def rand_elt(rng, dim):
@@ -268,7 +269,7 @@ def test_from_sparse_round_trip():
 
 
 def test_algebra_shape_validation():
-    empty = (((), ()),) * 2
+    empty = ((), ())                              # two rows, no cell stored
     with pytest.raises(ValueError):
         Algebra(2, ("1",), (F(1), F(0)), empty)  # label count mismatch
     with pytest.raises(ValueError):
@@ -287,9 +288,9 @@ def test_table_canonical_form():
                  ((0, F(1)), (0, F(2))),   # k repeated
                  ((0, F(0)),),             # zero coefficient
                  ((4, F(1)),)):            # k out of range
-        table = [list(plane) for plane in a.table]
+        table = row_dicts(a.table)
         table[0][0] = cell
-        table = tuple(tuple(plane) for plane in table)
+        table = tuple(tuple(sorted(row.items())) for row in table)
         with pytest.raises(ValueError):
             Algebra(a.dim, a.labels, a.unit, table)
         with pytest.raises(ValueError):
@@ -298,12 +299,101 @@ def test_table_canonical_form():
         Algebra.from_sparse(a.dim, a.labels, a.unit, {(0, 0, 4): F(1)})
 
 
+def test_tables_store_only_nonempty_cells_in_column_order():
+    # a table has one row per basis element of its first factor, and a row
+    # lists nonempty cells at strictly increasing columns below the column
+    # count; any other form is refused, as algebra and as either action
+    a, m = catalog("full_matrix_2")
+    (j0, c0), (j1, c1) = a.table[0]              # E11 E11 = E11, E11 E12 = E12
+    rows = {"empty cell": ((j0, c0), (2, ())),
+            "repeated column": ((j0, c0), (j0, c0)),
+            "unsorted columns": ((j1, c1), (j0, c0)),
+            "column >= dim1": ((j0, c0), (a.dim, c1))}
+    tables = [(row,) + a.table[1:] for row in rows.values()]
+    tables += [a.table[:-1], a.table + ((),)]    # a row missing, a row too many
+    for table in tables:
+        with pytest.raises(ValueError):
+            Algebra(a.dim, a.labels, a.unit, table)
+        with pytest.raises(ValueError):
+            Bimodule(m.dim, m.algebra_dim, table, m.right_table)
+        with pytest.raises(ValueError):
+            Bimodule(m.dim, m.algebra_dim, m.left_table, table)
+    # T_2 on Q^2: left has 3 rows of columns below 2, right 2 rows below 3
+    t, cm = column_module()
+    one = ((0, F(1)),)
+    past_left, past_right = ((cm.dim, one),), ((t.dim, one),)   # a column too far
+    for left, right in (((past_left,) + cm.left_table[1:], cm.right_table),
+                        (cm.left_table, (past_right,) + cm.right_table[1:]),
+                        (cm.left_table[:-1], cm.right_table),
+                        (cm.left_table, cm.right_table + ((),))):
+        with pytest.raises(ValueError):
+            Bimodule(cm.dim, t.dim, left, right)
+    assert Bimodule(cm.dim, t.dim, cm.left_table, cm.right_table) == cm
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_regular_pair_converts_its_one_table_once(name):
+    # the regular bimodule is one object per algebra, whose integer view is
+    # the algebra's, whichever of the two is read first
+    a, m = catalog(name)
+    assert m is regular_bimodule(a) is a.regular
+    assert m.int_tables[1] is m.int_tables[2] is a.int_table[1]
+    ma, mm = matrix_pair(a, m, 2)
+    assert mm.bimodule is ma.algebra.regular
+    assert ma.algebra.int_table[1] is mm.bimodule.int_tables[1]
+
+
+_COEFFS = st.sampled_from((F(0), F(1), F(-2), F(3, 2)))
+
+
+@st.composite
+def _built_pairs(draw):
+    """A pair from each builder of tables: from_sparse of drawn triples, the
+    catalog, matrix_pair at n = 2 to 4, jordan_pair, direct_sum and rebase."""
+    kind = draw(st.sampled_from(("triples", "catalog", "matrix_pair", "jordan_pair",
+                                 "direct_sum", "rebase")))
+    if kind == "triples":
+        d, md = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+        def triples(*dims):
+            keys = st.tuples(*(st.integers(0, x - 1) for x in dims))
+            return draw(st.dictionaries(keys, _COEFFS, max_size=12))
+        return (Algebra.from_sparse(d, [str(i) for i in range(d)], [1] * d, triples(d, d, d)),
+                Bimodule.from_sparse(md, d, triples(d, md, md), triples(md, d, md)))
+    a, m = draw(st.one_of(st.sampled_from(CATALOG).map(catalog), st.builds(column_module)))
+    if kind == "matrix_pair":
+        ma, mm = matrix_pair(a, m, draw(st.integers(2, 4)))
+        return ma.algebra, mm.bimodule
+    if kind == "jordan_pair":
+        return jordan_pair(a, m)
+    if kind == "direct_sum":
+        b = direct_sum(a, catalog_algebra(draw(st.sampled_from(CATALOG))))
+        return b, regular_bimodule(b)
+    return draw(_rebased_pairs(a, m)) if kind == "rebase" else (a, m)
+
+
+@settings(max_examples=60)
+@given(pair=_built_pairs())
+def test_every_built_table_is_canonical_and_rebuilds_from_its_triples(pair):
+    a, m = pair
+    for table, columns in ((a.table, a.dim), (m.left_table, m.dim), (m.right_table, a.dim)):
+        for row in table:
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols)) and all(0 <= j < columns for j in cols)
+            assert all(cell for _, cell in row), "no empty cell is stored"
+    assert Algebra.from_sparse(a.dim, a.labels, a.unit, table_triples(a.table)).table == a.table
+    rebuilt = Bimodule.from_sparse(m.dim, m.algebra_dim, table_triples(m.left_table),
+                                   table_triples(m.right_table))
+    assert (rebuilt.left_table, rebuilt.right_table) == (m.left_table, m.right_table)
+
+
 # ---------------------------------------------------------------------------
 # table-based bimodule validation against the element-action version
 # ---------------------------------------------------------------------------
 
-def _reference_act(m, side, x, f):
-    """x.f or f.x by scanning both coordinate vectors for nonzeros."""
+def _reference_act(m, left, right, side, x, f):
+    """x.f or f.x by scanning both coordinate vectors for nonzeros, with the
+    tables of m as row_dicts left and right."""
     acc = [F(0)] * m.dim
     for i, xi in enumerate(x):
         if not xi:
@@ -311,7 +401,7 @@ def _reference_act(m, side, x, f):
         for p, fp in enumerate(f):
             if not fp:
                 continue
-            cell = m.left_table[i][p] if side == "left" else m.right_table[p][i]
+            cell = left[i].get(p, ()) if side == "left" else right[p].get(i, ())
             for q, c in cell:
                 acc[q] += xi * fp * c
     return tuple(acc)
@@ -320,8 +410,10 @@ def _reference_act(m, side, x, f):
 def _reference_validate_bimodule(a, m):
     """validate_bimodule written with seven element actions per basis tuple,
     kept here as the reference for the table expansion."""
+    left, right = row_dicts(m.left_table), row_dicts(m.right_table)
+
     def act_(side, x, f):
-        return _reference_act(m, side, x, f)
+        return _reference_act(m, left, right, side, x, f)
 
     out = []
     for p in range(m.dim):
@@ -413,27 +505,30 @@ def _unskipped_validate_bimodule(a, m):
         rhs = act(m, "right", a.unit, fp)
         if rhs != fp:
             out.append(dense_violation("right unit action", (p,), rhs, fp))
-    left, right = m.left_table, m.right_table
-    left_by_p, right_by_j = tuple(zip(*left)), tuple(zip(*right))
+    table, left, right = row_dicts(a.table), row_dicts(m.left_table), row_dicts(m.right_table)
+    # left_by_p[p][t] = e_t.f_p and right_by_j[j][s] = f_s.e_j
+    left_by_p = [{t: left[t][p] for t in range(a.dim) if p in left[t]} for p in range(m.dim)]
+    right_by_j = [{s: right[s][j] for s in range(m.dim) if j in right[s]} for j in range(a.dim)]
 
     def expand(cell, rows):
         acc = [F(0)] * m.dim
         for t, c in cell:
-            for s, c2 in rows[t]:
+            for s, c2 in rows.get(t, ()):
                 acc[s] += c * c2
         return tuple(acc)
 
     for i in range(a.dim):
         for j in range(a.dim):
-            ij = a.table[i][j]
+            ij = table[i].get(j, ())
             for p in range(m.dim):
                 for axiom, idx, lhs, rhs in (
                         ("left associativity", (i, j, p), expand(ij, left_by_p[p]),
-                         expand(left[j][p], left[i])),
+                         expand(left[j].get(p, ()), left[i])),
                         ("right associativity", (p, i, j), expand(ij, right[p]),
-                         expand(right[p][i], right_by_j[j])),
-                        ("mixed associativity", (i, p, j), expand(left[i][p], right_by_j[j]),
-                         expand(right[p][j], left[i]))):
+                         expand(right[p].get(i, ()), right_by_j[j])),
+                        ("mixed associativity", (i, p, j),
+                         expand(left[i].get(p, ()), right_by_j[j]),
+                         expand(right[p].get(j, ()), left[i]))):
                     if lhs != rhs:
                         out.append(dense_violation(axiom, idx, lhs, rhs))
     return out
@@ -495,18 +590,18 @@ def _dense_validate_algebra(a):
         rhs = multiply(a, ej, a.unit)
         if rhs != ej:
             out.append(dense_violation("right unit law", (j,), rhs, ej))
-    table = a.table
+    table = row_dicts(a.table)
     for i in range(dim):
         for j in range(dim):
-            ij = table[i][j]
+            ij = table[i].get(j, ())
             for k in range(dim):
                 lhs = [F(0)] * dim
                 for t, c in ij:
-                    for s, c2 in table[t][k]:
+                    for s, c2 in table[t].get(k, ()):
                         lhs[s] += c * c2
                 rhs = [F(0)] * dim
-                for t, c in table[j][k]:
-                    for s, c2 in table[i][t]:
+                for t, c in table[j].get(k, ()):
+                    for s, c2 in table[i].get(t, ()):
                         rhs[s] += c * c2
                 if lhs != rhs:
                     out.append(dense_violation("associativity", (i, j, k), lhs, rhs))
@@ -524,7 +619,7 @@ def _corrupted_algebras():
         clean = table_triples(a.table)
         key = rng.choice(sorted(clean))
         empty = rng.choice([(i, j, rng.randrange(a.dim)) for i in range(a.dim)
-                            for j in range(a.dim) if not a.table[i][j]])
+                            for j in range(a.dim) if j not in dict(a.table[i])])
         for change, edit in (("changed", lambda t: t.update({key: 2 * t[key]})),
                              ("removed", lambda t: t.pop(key)),
                              ("filled", lambda t: t.update({empty: F(-3, 2)}))):
@@ -666,8 +761,9 @@ def _product_cases():
     a = catalog("upper_triangular_2")[0]
     cases.append(("seeded 3 x 2", a,
                   Bimodule.from_sparse(2, 3, triples(3, 2, 2), triples(2, 3, 2))))
-    return tuple((label, a, m, dense_cube(a.table, a.dim), dense_cube(m.left_table, m.dim),
-                  dense_cube(m.right_table, m.dim)) for label, a, m in cases)
+    return tuple((label, a, m, dense_cube(a.table, a.dim, a.dim),
+                  dense_cube(m.left_table, m.dim, m.dim), dense_cube(m.right_table, a.dim, m.dim))
+                 for label, a, m in cases)
 
 
 _PRODUCT_CASES = _product_cases()

@@ -1,6 +1,7 @@
 """Command-line front end: file ingestion, report formats, exit codes, and
 byte-for-byte determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -18,7 +19,8 @@ from matderiv import (Bimodule, basis_vec, catalog, certify, dercalc, derivation
                       multiply, validate_algebra, validate_bimodule, LinearMap, Matrix)
 from matderiv.cli import (main, fmt_blocks, fmt_matrix, load_map_file,
                           parse_rational, CliInputError)
-from conftest import write_algebra_file, write_map_file, write_module_file
+from conftest import (column_module, table_triples, write_algebra_file, write_map_file,
+                      write_module_file)
 from fractions import Fraction as F
 
 
@@ -144,6 +146,27 @@ def test_validate_module_of_unit_action_violations_stays_small(capsys, tmp_path)
     assert peak < 4 * 2**20, f"{peak} bytes traced"
 
 
+def test_validate_algebra_of_unit_law_violations_stays_small(capsys, tmp_path):
+    # an algebra file of dimension 1,500 with no structure constants: every
+    # e_j breaks both unit laws, and no cell of its table is stored, so no
+    # 1,500 x 1,500 grid of empty cells is built
+    dim = 1500
+    path = write_algebra_file(tmp_path / "empty.json", "empty", dim,
+                              [f"e{j}" for j in range(dim)], ["1"] + ["0"] * (dim - 1), {})
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "validate", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    zeros = " ".join(["0"] * (dim - 1))
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        "algebra axioms: FAIL (3000 violations)",
+        f"left unit law violated at (e0): lhs=[0 {zeros}] rhs=[1 {zeros}]"]
+    assert peak < 4 * 2**20, f"{peak} bytes traced"
+
+
 def test_validate_rejects_bad_rational(capsys, tmp_path):
     path = write_algebra_file(
         tmp_path / "bad.json", "bad", 1, ["1"], ["1"], {(0, 0, 0): "1/0"})
@@ -204,6 +227,44 @@ def test_derspace_module_file_matches_regular(capsys, tmp_path):
     assert rc1 == rc2 == 0
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("module:")]
     assert strip(out1) == strip(out2)
+
+
+# (exit code, sha256 of the full stdout) of derspace on the catalog at n = 2
+# and 3, a Jordan case, a module file case and validate of a tampered
+# algebra file, recorded while every table still stored its empty cells
+STDOUT_SHA256 = {
+    ('derspace', 'field', '-n', '2'): (0, "890ab97cb868bfcd172fa5231f166b09d448718977a10cdbfedef4d59dca20dc"),
+    ('derspace', 'field', '-n', '3'): (0, "47d3899626eaca4efda6c2aad0af9f3f9bbeb73afdd5435ea483221a2fe1966e"),
+    ('derspace', 'dual_numbers', '-n', '2'): (0, "0477fbb01cd21e535b21400ecc5aa6de03b95fdc80aa2e5fa0e98532ce43c954"),
+    ('derspace', 'dual_numbers', '-n', '3'): (0, "ff9b8a60d247c8f121e305e36823a433ff521b0bc93c8810bc341a7ab19a13f8"),
+    ('derspace', 'group_algebra_C2', '-n', '2'): (0, "3d5b5517faa4d5480b28e7c2c046d44e1637d9dccf54cd1bb595131ff0dfa03f"),
+    ('derspace', 'group_algebra_C2', '-n', '3'): (0, "bc1cfef1f4ec39cfaff8422a6be5dd924ec2da75fef87ee6d930b4823fe1cac2"),
+    ('derspace', 'full_matrix_2', '-n', '2'): (0, "a7d8e4cfb64226fd63879b0b61f4511595aaeef315a5c99e7203f52965e6d98a"),
+    ('derspace', 'full_matrix_2', '-n', '3'): (0, "2ed5253708bd35e0cb20689fafb8d05499a73c23a370e234f56fa1bbddd86e5b"),
+    ('derspace', 'upper_triangular_2', '-n', '2'): (0, "3bc65bf92919dc2e61cf2dffb1dd7e6ee90ba6507ff768c14fbb9c01b2bf4e85"),
+    ('derspace', 'upper_triangular_2', '-n', '3'): (0, "d6baec94ca104b59070f6e511fc62164baba02b3f6acb72fa327fa168bb59559"),
+    ('derspace', 'direct_sum(field,field)', '-n', '2'): (0, "7291355d2cf4574a81ec0dbf3e2c0da6e8901c6c03ff532ef74664ec3af1fce2"),
+    ('derspace', 'direct_sum(field,field)', '-n', '3'): (0, "b2c32dc805b44f4ba694c647a37f55d15020f56fb255d0557d18acc38ddedb99"),
+    ('derspace', 'upper_triangular_2', '-n', '2', '--jordan'): (0, "edbdb51fd2d0d560009888c20cd343ff8335a59a620e1cf6964e9e050e951ae7"),
+    ('derspace', 'upper_triangular_2', '-n', '2', '--module', 'column.json'): (0, "931b337e3544097fc209da693882e79cc7ca530071fd8cd557dd6d9571fcfeaf"),
+    ('validate', 'tampered.json'): (1, "68006196f2e4257dff36957275b4edcbff5c44b155e15888d3ecf8a2cab01208"),
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv):
+    # inputs are named relative to tmp_path, as the reports print the names
+    monkeypatch.chdir(tmp_path)
+    write_module_file(Path("column.json"), column_module()[1])
+    a = matrix_pair(*catalog("dual_numbers"), 2)[0].algebra
+    triples = {key: str(c) for key, c in table_triples(a.table).items()}
+    key = min(triples)                          # one structure constant doubled
+    triples[key] = str(2 * F(triples[key]))
+    write_algebra_file(Path("tampered.json"), "tampered", a.dim, a.labels,
+                       [str(u) for u in a.unit], triples)
+    rc, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------

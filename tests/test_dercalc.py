@@ -24,7 +24,7 @@ from matderiv import cli, dercalc, exactlin, matrix_pair
 from matderiv.dercalc import _constraint_rows, _unflatten_nonzeros
 from matderiv.exactlin import (_echelonize, _nonzeros, _nullspace_core,
                                _primitive_pairs)
-from conftest import (CATALOG, _rebased_pairs, _scales, column_module,
+from conftest import (CATALOG, _rebased_pairs, _scales, column_module, row_dicts,
                       mixed_basis_full_matrix_2, write_map_file)
 from oracles import derivation_dim_oracle, h1_dim_oracle, inner_dim_oracle
 
@@ -288,6 +288,7 @@ def _dense_leibniz_failures(a, m, f, stop_early):
     coordinate, kept here as the reference for leibniz_failures."""
     d, md = a.dim, m.dim
     cols = list(zip(*f.matrix.entries))
+    table, left, right = row_dicts(a.table), row_dicts(m.left_table), row_dicts(m.right_table)
     bad = []
     for i in range(d):
         ci = cols[i]
@@ -295,18 +296,18 @@ def _dense_leibniz_failures(a, m, f, stop_early):
         for j in range(d):
             cj = cols[j]
             acc = [F(0)] * md
-            for k, c in a.table[i][j]:
+            for k, c in table[i].get(j, ()):
                 ck = cols[k]
                 for q in range(md):
                     if ck[q]:
                         acc[q] += c * ck[q]
             for p, v in ci_nz:
-                for q, c in m.right_table[p][j]:
+                for q, c in right[p].get(j, ()):
                     acc[q] -= v * c
-            plane = m.left_table[i]
+            plane = left[i]
             for p, v in enumerate(cj):
                 if v:
-                    for q, c in plane[p]:
+                    for q, c in plane.get(p, ()):
                         acc[q] -= v * c
             if any(acc):
                 bad.append((i, j))
@@ -445,12 +446,12 @@ def test_inner_derivation_matches_actions(name, n, pairs, mpairs):
 # ---------------------------------------------------------------------------
 
 def _unscaled(view, scale):
-    return tuple(tuple(tuple((k, F(v, scale)) for k, v in cell) for cell in plane)
-                 for plane in view)
+    return tuple(tuple((j, tuple((k, F(v, scale)) for k, v in cell)) for j, cell in row)
+                 for row in view)
 
 
 def _denominators(*tables):
-    return [c.denominator for t in tables for plane in t for cell in plane
+    return [c.denominator for t in tables for row in t for _, cell in row
             for _, c in cell]
 
 
@@ -462,24 +463,28 @@ def test_integer_views_scale_the_tables(name, n, pairs, mpairs):
     assert la == lcm(*_denominators(a.table)) > 0
     assert lm == lcm(*_denominators(m.left_table, m.right_table)) > 0
     for view in (table, left, right):
-        assert all(type(v) is int for plane in view for cell in plane
+        assert all(type(v) is int for row in view for _, cell in row
                    for _, v in cell)
     assert _unscaled(table, la) == a.table
     assert _unscaled(left, lm) == m.left_table
     assert _unscaled(right, lm) == m.right_table
     # the table indexed by output lists every product e_i e_j naming e_k
     assert sorted((i, j, k, c) for k, prods in enumerate(a.int_producers)
-                  for i, j, c in prods) == [(i, j, k, c) for i, plane in enumerate(table)
-                                            for j, cell in enumerate(plane) for k, c in cell]
+                  for i, j, c in prods) == [(i, j, k, c) for i, row in enumerate(table)
+                                            for j, cell in row for k, c in cell]
 
 
 @pytest.mark.parametrize("name,n", _KERNEL_PAIRS)
-def test_right_cells_list_the_nonempty_right_cells(name, n, pairs, mpairs):
-    _, m = _kernel_pair(name, n, pairs, mpairs)
-    right = m.int_tables[2]
-    assert m.int_right_cells == tuple(
-        tuple((j * m.dim, right[p][j]) for j in range(m.algebra_dim) if right[p][j])
-        for p in range(m.dim))
+def test_integer_views_store_only_the_nonempty_cells(name, n, pairs, mpairs):
+    # each view holds the cells of its Fraction table, at the same columns:
+    # none is empty, and the regular pair's one table is converted once
+    a, m = _kernel_pair(name, n, pairs, mpairs)
+    for view, table in ((a.int_table[1], a.table), (m.int_tables[1], m.left_table),
+                        (m.int_tables[2], m.right_table)):
+        assert all(cell for row in view for _, cell in row)
+        assert [[j for j, _ in row] for row in view] == [[j for j, _ in row] for row in table]
+    if m is a.regular:
+        assert m.int_tables[1] is m.int_tables[2] is a.int_table[1]
 
 
 def test_integer_views_cover_distinct_scales():
@@ -492,11 +497,11 @@ def test_integer_views_cover_distinct_scales():
 def test_cached_views_leave_equality_and_hash_alone():
     a, m = column_module()
     a2, m2 = column_module()
-    a.int_table, a.mult, m.int_tables, m.int_right_cells
+    a.int_table, a.mult, m.int_tables
     assert "int_table" in vars(a) and "int_tables" in vars(m)
-    assert "int_right_cells" in vars(m)
+    assert "regular" in vars(a) and "int_tables" in vars(a.regular)
     assert "int_table" not in vars(a2) and "int_tables" not in vars(m2)
-    assert "int_right_cells" not in vars(m2)
+    assert "int_tables" not in vars(a2.regular)
     assert a == a2 and hash(a) == hash(a2)
     assert m == m2 and hash(m) == hash(m2)
 
@@ -516,19 +521,20 @@ def _ref_constraint_rows(a, m, jordan):
     """The Fraction assembly: one dict per module coordinate q of each basis
     pair (i, j), built from the Fraction tables, in (i, j, q) order."""
     d, md = a.dim, m.dim
+    table, left, right = row_dicts(a.table), row_dicts(m.left_table), row_dicts(m.right_table)
     for i in range(d):
         for j in range(d):
             rows = [{} for _ in range(md)]
             for ii, jj in ((i, j), (j, i)) if jordan else ((i, j),):
-                for k, c in a.table[ii][jj]:            # + delta(e_ii e_jj)
+                for k, c in table[ii].get(jj, ()):      # + delta(e_ii e_jj)
                     for q in range(md):
                         rows[q][k * md + q] = rows[q].get(k * md + q, F(0)) + c
                 for p in range(md):                     # - delta(e_ii).e_jj
-                    for q, v in m.right_table[p][jj]:
+                    for q, v in right[p].get(jj, ()):
                         col = ii * md + p
                         rows[q][col] = rows[q].get(col, F(0)) - v
                 for p in range(md):                     # - e_ii.delta(e_jj)
-                    for q, v in m.left_table[ii][p]:
+                    for q, v in left[ii].get(p, ()):
                         col = jj * md + p
                         rows[q][col] = rows[q].get(col, F(0)) - v
             yield from (r.items() for r in rows if r)
@@ -658,6 +664,7 @@ def _per_pair_leibniz_failures(a, m, f, stop_early):
     d = a.dim
     la, table = a.int_table
     lm, left, right = m.int_tables
+    table, left, right = row_dicts(table), row_dicts(left), row_dicts(right)
     nz = [(p, k, x) for p, row in enumerate(f.matrix.entries)
           for k, x in enumerate(row) if x]
     den = lcm(*[x.denominator for _, _, x in nz])
@@ -672,14 +679,14 @@ def _per_pair_leibniz_failures(a, m, f, stop_early):
         ci, row, plane = cols_m[i], table[i], left[i]
         for j in range(d):
             acc = {}
-            for k, c in row[j]:
+            for k, c in row.get(j, ()):
                 for q, v in cols_t[k]:
                     acc[q] = acc.get(q, 0) + c * v
             for p, v in ci:
-                for q, c in right[p][j]:
+                for q, c in right[p].get(j, ()):
                     acc[q] = acc.get(q, 0) - v * c
             for p, v in cols_m[j]:
-                for q, c in plane[p]:
+                for q, c in plane.get(p, ()):
                     acc[q] = acc.get(q, 0) - v * c
             if any(acc.values()):
                 bad.append((i, j))

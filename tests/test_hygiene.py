@@ -4,8 +4,9 @@ or constant is left that no module reads, no public export is left that no
 module, test or bench file reads, the dense forms kept for callers outside
 the package are read only where named, dense vectors are built only where
 named, a Derivation is built only by the constructors that name the pair it
-was certified on, and no class fills attributes on demand through
-__getattr__."""
+was certified on, no class fills attributes on demand through
+__getattr__, no module builds a run of empty table cells, and zip(*...)
+transposes only where named."""
 
 import ast
 from pathlib import Path
@@ -163,3 +164,32 @@ def test_no_class_defines_getattr():
            for item in node.body
            if isinstance(item, ast.FunctionDef) and item.name == "__getattr__"]
     assert bad == []
+
+
+def _is_empty_cell_run(node):
+    """A product such as [()] * k or ((),) * k: a list or tuple of empty
+    tuples repeated, the grid of empty cells that no table stores."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, (ast.List, ast.Tuple)) and side.elts
+                    and all(isinstance(e, ast.Tuple) and not e.elts for e in side.elts)
+                    for side in (node.left, node.right)))
+
+
+def test_no_module_builds_a_run_of_empty_cells():
+    built = [f"{fname}: {owner}" for fname, tree in _trees().items()
+             for owner, node in _owned_nodes(tree) if _is_empty_cell_run(node)]
+    assert built == []
+
+
+# the (module, definition) pairs that may call zip(*...): verify_lemma22's
+# sum of component columns.  A table is transposed by algcore._transpose,
+# which reads its rows of nonempty cells and needs no zip(*...).
+ZIP_STAR_CALLS = {("matext.py", "verify_lemma22")}
+
+
+def test_zip_star_is_called_only_where_named():
+    called = {(fname, owner) for fname, tree in _trees().items()
+              for owner, node in _owned_nodes(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "zip" and any(isinstance(a, ast.Starred) for a in node.args)}
+    assert called == ZIP_STAR_CALLS

@@ -18,7 +18,8 @@ from matderiv import (Bimodule, Decomposition, DecompositionError, Derivation,
                       vscale, vsub, wrap_derivation, zero_vec)
 from matderiv.exactlin import lincomb
 from matderiv import dercalc, matext
-from conftest import CATALOG, SCALES, column_module, rebase, swap_outer, table_triples
+from conftest import (CATALOG, SCALES, column_module, rebase, row_dicts, swap_outer,
+                      table_triples)
 
 
 def rand_elt(rng, dim):
@@ -70,6 +71,15 @@ def test_matrix_bimodule_is_regular_of_matrix_algebra(name, n):
             want = (ma.embed(multiply(a, basis_vec(a.dim, x), basis_vec(a.dim, y)), i, l)
                     if j == k else zero_vec(dim))
             assert multiply(ma.algebra, basis_vec(dim, s), basis_vec(dim, t)) == want
+
+
+def test_matrix_table_stores_only_its_nonempty_cells():
+    # (x E_ij)(y E_kl) is zero unless j = k, so of the 1,024^2 cells of
+    # M_16(full_matrix_2) a 1/16 share of the base's 8 of 16 is nonempty
+    ma, mm = matrix_pair(*catalog("full_matrix_2"), 16)
+    assert ma.algebra.dim == 1024
+    assert sum(map(len, ma.algebra.table)) == 32768
+    assert mm.bimodule.left_table is ma.algebra.table is mm.bimodule.right_table
 
 
 def test_matrix_pair_takes_the_regular_path_only_for_equal_tables():
@@ -702,11 +712,11 @@ def test_relabeling_that_is_no_isomorphism_is_rejected(mpairs):
     # changed one
     ma, mm = mpairs("dual_numbers", 3)
     iso = _conjugation(ma, mm, SIGMAS["(0 1)"])
-    left = [list(plane) for plane in mm.bimodule.left_table]
+    left = row_dicts(mm.bimodule.left_table)
     (q, c), = left[0][0]
     left[0][0] = ((q, 2 * c),)
-    bad = Bimodule(mm.bimodule.dim, ma.algebra.dim, tuple(map(tuple, left)),
-                   mm.bimodule.right_table)
+    bad = Bimodule(mm.bimodule.dim, ma.algebra.dim,
+                   tuple(tuple(sorted(row.items())) for row in left), mm.bimodule.right_table)
     with pytest.raises(ValueError, match=message):
         PairIso(iso.source, (ma.algebra, bad), iso.alg, iso.mod)
 
